@@ -24,11 +24,11 @@ solver's termination state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, superop
+from . import superop
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import (
     herm_eig,

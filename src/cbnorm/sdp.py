@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,7 +128,9 @@ class SdpProblem:
     ``rows[b]`` has shape ``(con_dof, d_b, d_b)``; row ``j`` over all variable
     blocks is ``Psi^*(F_j)`` for the ``j``-th orthonormal Hermitian basis
     element ``F_j`` of the constraint image, so
-    ``Psi(X) = sum_j <row_j, X> F_j``.
+    ``Psi(X) = sum_j <row_j, X> F_j``.  :func:`solve` forms the Newton system
+    of a block whose rows are ``1_k (x) F_j`` for the basis of one constraint
+    block by Kronecker identities, and of any other block from its rows.
     """
 
     var_structure: BlockStructure
@@ -240,8 +243,123 @@ def _max_step(chol_inv, delta) -> float:
     return -1.0 / lam_min
 
 
+class _SvecIndex(NamedTuple):
+    """Positions of ``hermitian_basis(r)``.
+
+    Each ``F_j`` is ``c_j E(a_j, b_j) + conj(c_j) E(b_j, a_j)``.  ``a, b``
+    list the diagonal, then the upper triangle in svec order: the positions
+    of the diagonal and real-part elements, which the imaginary-part
+    elements share.  ``coef[j] = c_j`` over all ``r*r`` elements: 1/2 on
+    the diagonal (``F_pp = E/2 + E/2``), 1/sqrt(2) for real parts and
+    i/sqrt(2) for imaginary parts.  ``gather`` and ``scale`` serve
+    :func:`_embedded_schur`.
+    """
+
+    r: int
+    a: np.ndarray
+    b: np.ndarray
+    coef: np.ndarray
+    gather: np.ndarray
+    scale: np.ndarray
+
+
+def _svec_index(r: int) -> _SvecIndex:
+    p, q = np.triu_indices(r, 1)
+    a = np.concatenate([np.arange(r), p])
+    b = np.concatenate([np.arange(r), q])
+    off = np.full(len(p), 1 / np.sqrt(2.0))
+    coef = np.concatenate([np.full(r, 0.5), off, 1j * off])
+    # Flat positions in kt (see _embedded_schur) of K[(a_i, b_i), (a_l, b_l)]
+    # and K[(a_i, b_i), (b_l, a_l)].
+    row = (a * r ** 3 + b)[:, None]
+    gather = np.array([row + (a * r + b) * r, row + (b * r + a) * r])
+    weight = np.abs(coef)
+    return _SvecIndex(r, a, b, coef, gather, 2 * np.outer(weight, weight))
+
+
+def _embedding(rows, con_blocks):
+    """``(sl, k, r)`` when the rows of one variable block are exactly
+    ``1_k (x) F_j`` for the basis ``F_j`` of the constraint block of
+    dimension ``r`` at the svec slice ``sl``, and zero elsewhere; ``None``
+    otherwise.  Compares views of ``rows``, without copying them."""
+    d = rows.shape[1]
+    offset = 0
+    for r in con_blocks:
+        end = offset + r * r
+        if d % r == 0 and not rows[:offset].any() and not rows[end:].any():
+            k = d // r
+            basis = np.stack(hermitian_basis(r))
+            v = rows[offset:end].reshape(r * r, k, r, k, r)
+            if all(np.array_equal(v[:, y, :, y, :], basis) for y in range(k)) and \
+                    not any(v[:, y, :, z, :].any()
+                            for y in range(k) for z in range(k) if y != z):
+                return slice(offset, end), k, r
+        offset = end
+    return None
+
+
+def _embedded_a_op(x, k, index):
+    """``Re <1_k (x) F_j, X>`` for every ``j``, as ``Re <F_j, Tr_k X>``.
+
+    Read from twice the Hermitian part of ``Tr_k X``, not from one triangle,
+    so that an ``X`` Hermitian only up to rounding gives what the dense rows
+    give.
+    """
+    r = index.r
+    h = x if k == 1 else np.trace(x.reshape(k, r, k, r), axis1=0, axis2=2)
+    upper = (h + h.conj().T)[index.a, index.b]
+    return (np.concatenate([upper, upper[r:]]) * index.coef.conj()).real
+
+
+def _embedded_a_adj(yv, k, index):
+    """``1_k (x) sum_j y_j F_j``, as ``1_k (x) (U + U^H)`` with ``U`` holding
+    ``sum_j y_j c_j`` at the positions ``(a, b)``."""
+    r, nv = index.r, len(index.a)
+    yc = yv * index.coef
+    yc[r:nv] += yc[nv:]
+    u = np.zeros((r, r), dtype=complex)
+    u[index.a, index.b] = yc[:nv]
+    u += u.conj().T
+    if k == 1:
+        return u
+    return np.einsum("yz,ab->yazb", np.eye(k), u).reshape(k * r, k * r)
+
+
+def _embedded_schur(w, k, index):
+    """Schur block ``Re <1_k (x) F_i, W (1_k (x) F_l) W>`` for all ``i, l``.
+
+    This is ``Re(P^H K P)`` with ``K = sum_{y,y'} W_{yy'} (x) W_{y'y}^T``,
+    formed in O(k^2 r^4), and ``P`` the columns ``vec(F_j)``, applied by
+    gathers.  ``W`` is Hermitian, so ``K`` at the transposed positions
+    ``((b, a), (d, c))`` is the conjugate of ``K`` at ``((a, b), (c, d))``;
+    the four entries pairing ``F_i`` and ``F_l`` then reduce to twice the
+    real part of two, both on or above the diagonal.
+    """
+    r = index.r
+    wt = w.reshape(k, r, k, r)
+    # kt[(a, c), (d, b)] = K[(a, b), (c, d)] = sum_{y,y'} W[ya, y'c] W[y'd, yb]
+    kt = (wt.transpose(0, 2, 1, 3).reshape(k * k, r * r).T
+          @ wt.transpose(2, 0, 1, 3).reshape(k * k, r * r))
+    same, swap = kt.reshape(-1)[index.gather]
+    plus, minus = same + swap, same - swap
+    nv = len(index.a)
+    out = np.empty((r * r, r * r))
+    out[:nv, :nv] = plus.real
+    out[:nv, nv:] = -minus.imag[:, r:]
+    out[nv:, :nv] = plus.imag[r:]
+    out[nv:, nv:] = minus.real[r:, r:]
+    out *= index.scale
+    return out
+
+
 def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSolution:
     """Infeasible-start primal-dual interior-point solve.
+
+    The Newton system is formed per variable block.  A block whose rows are
+    the basis ``F_j`` of one constraint block embedded as ``1_k (x) F_j``
+    (every slack block, and the ``W`` block of both norm SDPs) contributes
+    its Schur block, ``A`` and ``A^*`` by Kronecker identities and partial
+    traces; any other block through its dense rows.
 
     Deterministic: identical problems and options produce an identical
     iterate sequence.
@@ -256,19 +374,15 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     nu = float(sum(dims))
 
     # Standard form: variable blocks = (X blocks, slack blocks),
-    # <row_hat_j, Xtilde> = b_j, objective C = (obj, 0).
-    rows = [np.array(r) for r in problem.rows]
-    basis_cache = {}
-    for ci, d in enumerate(con.blocks):
-        if d not in basis_cache:
-            basis_cache[d] = np.stack(hermitian_basis(d))
-    offset = 0
-    for ci, d in enumerate(con.blocks):
-        slab = np.zeros((m_con, d, d), dtype=complex)
-        slab[offset:offset + d * d] = basis_cache[d]
-        rows.append(slab)
-        offset += d * d
-    rows_flat = [r.reshape(m_con, -1) for r in rows]
+    # <row_hat_j, Xtilde> = b_j, objective C = (obj, 0).  embedded[bdx] is
+    # (svec slice, k, index) for an embedded block and None for a dense one;
+    # a slack block is the basis of its constraint block with k = 1.
+    offsets = np.cumsum([0] + [d * d for d in con.blocks])
+    found = [_embedding(block_rows, con.blocks) for block_rows in problem.rows]
+    found += [(slice(o, o + d * d), 1, d) for o, d in zip(offsets, con.blocks)]
+    embedded = [None if e is None else (*e[:2], _svec_index(e[2])) for e in found]
+    rows = {bdx: r for bdx, r in enumerate(problem.rows) if embedded[bdx] is None}
+    rows_conj = {bdx: r.reshape(m_con, -1).conj() for bdx, r in rows.items()}
 
     # Work on data normalized to unit spectral scale; solutions and
     # objectives are rescaled on exit.  Tolerances are relative, so this is
@@ -289,11 +403,22 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     def a_op(xb):
         out = np.zeros(m_con)
         for bdx in range(nb):
-            out += (rows_flat[bdx].conj() @ xb[bdx].reshape(-1)).real
+            if embedded[bdx] is None:
+                out += (rows_conj[bdx] @ xb[bdx].reshape(-1)).real
+            else:
+                sl, k, index = embedded[bdx]
+                out[sl] += _embedded_a_op(xb[bdx], k, index)
         return out
 
     def a_adj(yv):
-        return [np.einsum("j,jab->ab", yv, rows[bdx]) for bdx in range(nb)]
+        out = []
+        for bdx in range(nb):
+            if embedded[bdx] is None:
+                out.append(np.einsum("j,jab->ab", yv, rows[bdx]))
+            else:
+                sl, k, index = embedded[bdx]
+                out.append(_embedded_a_adj(yv[sl], k, index))
+        return out
 
     def log(msg):
         stream = opt.log_stream or sys.stderr
@@ -322,19 +447,22 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             it -= 1
             break
 
-        # Nesterov-Todd scaling per block.
+        # Nesterov-Todd scaling per block; inv(L) of X = L L^dag also bounds
+        # the primal step.
         try:
-            r_fac, r_inv, v_diag, w_mat = [], [], [], []
+            r_fac, r_inv, lx_inv, v_diag, w_mat = [], [], [], [], []
             for bdx in range(nb):
                 lx = np.linalg.cholesky(x[bdx])
+                li = np.linalg.inv(lx)
                 t = lx.conj().T @ z[bdx] @ lx
                 lam, q = np.linalg.eigh((t + t.conj().T) / 2)
                 if lam[0] <= 0:
                     raise np.linalg.LinAlgError("scaling eigenvalues <= 0")
                 rf = lx @ q * lam ** -0.25
-                ri = (q * lam ** 0.25).conj().T @ np.linalg.inv(lx)
+                ri = (q * lam ** 0.25).conj().T @ li
                 r_fac.append(rf)
                 r_inv.append(ri)
+                lx_inv.append(li)
                 v_diag.append(np.sqrt(lam))
                 w_mat.append(rf @ rf.conj().T)
         except np.linalg.LinAlgError:
@@ -343,30 +471,30 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
 
         # Schur complement M[j,k] = <row_j, W row_k W>.
         schur = np.zeros((m_con, m_con))
-        wrw = []
         for bdx in range(nb):
-            t = np.matmul(np.matmul(w_mat[bdx][None], rows[bdx]), w_mat[bdx][None])
-            wrw.append(t)
-            schur += (rows_flat[bdx].conj() @ t.reshape(m_con, -1).T).real
+            if embedded[bdx] is None:
+                t = np.matmul(np.matmul(w_mat[bdx][None], rows[bdx]),
+                              w_mat[bdx][None])
+                schur += (rows_conj[bdx] @ t.reshape(m_con, -1).T).real
+            else:
+                sl, k, index = embedded[bdx]
+                schur[sl, sl] += _embedded_schur(w_mat[bdx], k, index)
         schur = (schur + schur.T) / 2
+        schur += 1e-14 * np.trace(schur) / m_con * np.eye(m_con)
 
+        # The Cholesky factor only tests positive definiteness; numpy has no
+        # triangular solve, so each direction is one LU solve.
         try:
-            cho = np.linalg.cholesky(
-                schur + 1e-14 * np.trace(schur) / m_con * np.eye(m_con)
-            )
+            np.linalg.cholesky(schur)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
 
-        def schur_solve(rhs_vec):
-            t1 = np.linalg.solve(cho, rhs_vec)
-            return np.linalg.solve(cho.conj().T, t1)
-
         def direction(rc):
             """Solve the Newton system for a given complementarity target."""
-            wrdw = [w_mat[bdx] @ rd[bdx] @ w_mat[bdx] for bdx in range(nb)]
-            rhs_vec = a_op(rc) - a_op(wrdw) - rp
-            dy = schur_solve(rhs_vec)
+            rhs_vec = a_op([rc[bdx] - w_mat[bdx] @ rd[bdx] @ w_mat[bdx]
+                            for bdx in range(nb)]) - rp
+            dy = np.linalg.solve(schur, rhs_vec)
             aty_d = a_adj(dy)
             dz = [aty_d[bdx] + rd[bdx] for bdx in range(nb)]
             dx = [rc[bdx] - w_mat[bdx] @ dz[bdx] @ w_mat[bdx] for bdx in range(nb)]
@@ -378,17 +506,9 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
         rc_aff = [-x[bdx] for bdx in range(nb)]
         dx_a, dy_a, dz_a = direction(rc_aff)
 
-        lx_inv = []
-        lz_inv = []
-        ok = True
-        for bdx in range(nb):
-            try:
-                lx_inv.append(np.linalg.inv(np.linalg.cholesky(x[bdx])))
-                lz_inv.append(np.linalg.inv(np.linalg.cholesky(z[bdx])))
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-        if not ok:
+        try:
+            lz_inv = [np.linalg.inv(np.linalg.cholesky(m)) for m in z]
+        except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
 

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
+from cbnorm.dnorm import build_channel_diff_sdp, build_general_sdp, diamond_norm
 from cbnorm.errors import InvalidInputError
 from cbnorm.sdp import (
     BlockStructure,
     SdpProblem,
     SolveOptions,
+    _embedded_a_adj,
+    _embedded_a_op,
+    _embedded_schur,
+    _embedding,
+    _svec_index,
     block_inner,
     check_feasibility,
     hermitian_basis,
@@ -13,8 +19,15 @@ from cbnorm.sdp import (
     svec,
     unsvec,
 )
+from cbnorm.superop import StinespringPair, to_stinespring
 
-from conftest import random_hermitian
+from conftest import (
+    random_channel,
+    random_complex,
+    random_hermitian,
+    random_psd,
+    random_superop,
+)
 
 
 def identity_problem(n, a=None, b=None):
@@ -187,3 +200,75 @@ class TestCheckFeasibility:
     def test_bad_side(self):
         with pytest.raises(InvalidInputError):
             check_feasibility(identity_problem(2), [np.eye(2)], "both")
+
+
+def _w_block_problems():
+    """(problem, k) pairs whose W block (index 1) is an embedded block."""
+    rng = np.random.default_rng(7)
+    # Channel-difference route: W enters as F_j itself, k = 1.
+    chan = build_channel_diff_sdp(random_channel(rng, 2, 3),
+                                  random_channel(rng, 2, 3))
+    # General route with n != m: W enters as 1_m (x) F_j, k = m = 3.
+    general = build_general_sdp(to_stinespring(random_superop(rng, 2, 3)))
+    # n = 1 (the fidelity instance of the general route), k = m = 2.
+    u, v = random_complex(rng, (6, 1)), random_complex(rng, (6, 1))
+    trivial_in = build_general_sdp(StinespringPair(u, v, 3))
+    return [(chan, 1), (general, 3), (trivial_in, 2)]
+
+
+class TestEmbeddedBlocks:
+    """The structured Newton-system terms of an embedded block against the
+    dense-rows formulas they replace."""
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_matches_dense_rows(self, case, rng):
+        prob, k = _w_block_problems()[case]
+        rows = prob.rows[1]
+        m_con, d = rows.shape[0], rows.shape[1]
+        sl, k_found, r = _embedding(rows, prob.con_structure.blocks)
+        assert k_found == k and d == k * r
+        index = _svec_index(r)
+        flat = rows.reshape(m_con, -1)
+
+        w = random_psd(rng, d)
+        dense_schur = (flat.conj() @ (w[None] @ rows @ w[None])
+                       .reshape(m_con, -1).T).real
+        schur = np.zeros((m_con, m_con))
+        schur[sl, sl] = _embedded_schur(w, k, index)
+        assert np.max(np.abs(schur - dense_schur)) <= \
+            1e-12 * np.max(np.abs(dense_schur))
+
+        # A non-Hermitian input counts through its Hermitian part.
+        x = random_complex(rng, (d, d))
+        dense_op = (flat.conj() @ x.reshape(-1)).real
+        op = np.zeros(m_con)
+        op[sl] = _embedded_a_op(x, k, index)
+        assert np.max(np.abs(op - dense_op)) <= 1e-12 * np.max(np.abs(dense_op))
+
+        yv = rng.standard_normal(m_con)
+        dense_adj = np.einsum("j,jab->ab", yv, rows)
+        adj = _embedded_a_adj(yv[sl], k, index)
+        assert np.max(np.abs(adj - dense_adj)) <= \
+            1e-12 * np.max(np.abs(dense_adj))
+
+    def test_dense_block_not_embedded(self):
+        for prob, _ in _w_block_problems():
+            assert _embedding(prob.rows[0], prob.con_structure.blocks) is None
+
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_perturbed_row_not_embedded(self, row):
+        prob, _ = _w_block_problems()[1]
+        rows = prob.rows[1].copy()
+        assert _embedding(rows, prob.con_structure.blocks) is not None
+        rows[row, 0, 1] += 1e-15
+        assert _embedding(rows, prob.con_structure.blocks) is None
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (3, 5), (5, 5)])
+def test_rank_two_general_maps_optimal(n, m):
+    """The structured ``A`` must read the Hermitian part of its input, as the
+    dense rows do; reading one triangle breaks these solves."""
+    for seed in range(12):
+        phi = random_superop(np.random.default_rng(seed), n, m, terms=2)
+        res = diamond_norm(phi)
+        assert res.solver_stats.status == "optimal", seed
