@@ -123,9 +123,8 @@ def build_general_sdp(pair: StinespringPair) -> SdpProblem:
         return [np.array([[np.trace(x)]]), env]
 
     def psi_adj(blocks):
-        lam, z = blocks[0][0, 0], blocks[1]
-        top = lam * np.eye(n) - a.conj().T @ kron(eye_m, z) @ a
-        return [top, kron(eye_m, z)]
+        lam, big_z = blocks[0][0, 0], kron(eye_m, blocks[1])
+        return [lam * np.eye(n) - a.conj().T @ big_z @ a, big_z]
 
     obj = [np.zeros((n, n)), bbdag]
     rhs = [np.eye(1), np.zeros((r, r))]
@@ -167,22 +166,43 @@ def _psd_part(mat: np.ndarray) -> np.ndarray:
 
 
 def _normalized_state(x, n):
-    rho = _psd_part(x)
+    """Positive part of ``x`` scaled to unit trace; ``1/n`` when that part
+    carries no more than 1e-8 of the trace norm of ``x`` (at any scale)."""
+    vals, vecs = herm_eig(x)
+    rho = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
     tr = float(np.trace(rho).real)
-    if tr > 1e-8:
+    if tr > 1e-8 * float(np.abs(vals).sum()):
         return rho / tr
     return np.eye(n, dtype=complex) / n
 
 
-def _ascent_primal(pair, rho0, max_iters=300, tol=1e-13):
+def _purification(rho):
+    """Unit vector on ``X (x) W`` (as an ``n x n`` matrix) whose reduced
+    state on ``X`` is the state ``rho``."""
+    vals, vecs = herm_eig(rho)
+    mat = vecs * np.sqrt(np.maximum(vals, 0.0))
+    return mat / np.linalg.norm(mat)
+
+
+def _ascent_primal(pair, rho0, rho1, max_iters=300, tol=1e-13):
     """Exactly feasible primal witness (rho, W) from alternating ascent.
 
-    Any unit ``u`` on ``X (x) W`` and unitary ``U`` on ``Y (x) W`` give a
-    feasible pair via ``W = Tr_W[(U^* (x) 1)(A (x) 1) u u^* ...]`` whose
-    marginal equals ``Tr_Y(A rho A^dag)`` for ``rho = Tr_W(u u^dag)`` by
-    unitary invariance, so feasibility holds to roundoff regardless of how
-    close the ascent gets to the optimum.  Warm-started from the solver's
-    near-optimal state, the value is within the solver gap of the optimum.
+    The norm is the largest fidelity between ``Tr_Y(A rho0 A^dag)`` and
+    ``Tr_Y(B rho1 B^dag)`` over input states ``rho0`` and ``rho1``.  Each
+    sweep fixes the purifications ``u`` of ``rho0`` and ``v`` of ``rho1`` on
+    ``X (x) W`` and takes the Uhlmann unitary ``U`` on ``Y (x) W`` from a
+    polar decomposition, then fixes ``U`` and takes ``(u, v)`` as the top
+    singular pair of ``(B^dag (x) 1)(U^dag (x) 1_Z)(A (x) 1)``.  The value
+    never decreases, and the sweeps stop when it moves by at most ``tol``
+    relative.
+
+    Any unit ``u`` and unitary ``U`` give a feasible pair via
+    ``W = Tr_W[(U^* (x) 1)(A (x) 1) u u^* ...]`` whose marginal equals
+    ``Tr_Y(A rho A^dag)`` for ``rho = Tr_W(u u^dag)`` by unitary invariance,
+    so feasibility holds to roundoff regardless of how close the ascent gets
+    to the optimum.  Started from the solver's near-optimal input state
+    ``rho0`` and output-side state ``rho1``, the first sweep is already
+    within the solver gap of the optimum.
     """
     a, b, r = pair.a, pair.b, pair.dim_env
     m = a.shape[0] // r
@@ -190,47 +210,35 @@ def _ascent_primal(pair, rho0, max_iters=300, tol=1e-13):
     nw = n  # ancilla of dimension dim(X) suffices for the optimum
     at = a.reshape(m, r, n)
     bt = b.reshape(m, r, n)
+    btc = bt.conj()
+    u_mat = _purification(rho0)
+    v_mat = _purification(rho1)
 
-    vals, vecs = herm_eig(rho0)
-    u_mat = vecs[:, :nw] * np.sqrt(np.maximum(vals[:nw], 0.0))
-    nrm = np.linalg.norm(u_mat)
-    if nrm < 1e-12:
-        u_mat = np.zeros((n, nw), dtype=complex)
-        u_mat[0, 0] = 1.0
-    else:
-        u_mat = u_mat / nrm
-    v_mat = u_mat.copy()
-
-    def cross_op(t, s):
-        mm = np.einsum("yzw,YzW->ywYW", t, s.conj())
-        return mm.reshape(m * nw, m * nw)
+    def polar_adjoint(t, v):
+        # U^dag, indexed (Y, W, y, w), for the polar factor of the cross
+        # operator between t = (A (x) 1) u and (B (x) 1) v.
+        s = np.einsum("yzx,xw->yzw", bt, v)
+        mm = np.einsum("yzw,YzW->ywYW", t, s.conj()).reshape(m * nw, m * nw)
+        p, _, qh = np.linalg.svd(mm)
+        return (p @ qh).conj().T.reshape(m, nw, m, nw)
 
     prev = -np.inf
-    u_fac = None
     for _ in range(max_iters):
-        t = np.einsum("yzx,xw->yzw", at, u_mat)
-        s = np.einsum("yzx,xw->yzw", bt, v_mat)
-        p, sig, qh = np.linalg.svd(cross_op(t, s))
-        u_fac = p @ qh
-        uh = u_fac.conj().T.reshape(m, nw, m, nw)
-        kmat = np.einsum(
-            "Yzq,YWyw,yzx->qWxw", bt.conj(), uh, at
+        uh = polar_adjoint(np.einsum("yzx,xw->yzw", at, u_mat), v_mat)
+        kmat = np.tensordot(
+            btc, np.einsum("YWyw,yzx->YzWxw", uh, at), axes=([0, 1], [0, 1])
         ).reshape(n * nw, n * nw)
         pk, sk, qkh = np.linalg.svd(kmat)
         v_mat = pk[:, 0].reshape(n, nw)
         u_mat = qkh[0, :].conj().reshape(n, nw)
         obj = float(sk[0])
-        if abs(obj - prev) <= tol * max(1.0, obj):
+        if abs(obj - prev) <= tol * obj:
             break
         prev = obj
 
     # Final polar step keeps U consistent with the last (u, v).
     t = np.einsum("yzx,xw->yzw", at, u_mat)
-    s = np.einsum("yzx,xw->yzw", bt, v_mat)
-    p, sig, qh = np.linalg.svd(cross_op(t, s))
-    u_fac = p @ qh
-    uh = u_fac.conj().T.reshape(m, nw, m, nw)
-    q = np.einsum("YWyw,yzw->YzW", uh, t)
+    q = np.einsum("YWyw,yzw->YzW", polar_adjoint(t, v_mat), t)
     w = np.einsum("abW,cdW->abcd", q, q.conj()).reshape(m * r, m * r)
     w = (w + w.conj().T) / 2
     rho = u_mat @ u_mat.conj().T
@@ -242,7 +250,13 @@ def _repair_general_certificate(pair, sol) -> GeneralCertificate:
     a, b, r = pair.a, pair.b, pair.dim_env
     m = a.shape[0] // r
     n = a.shape[1]
-    rho, w = _ascent_primal(pair, _normalized_state(sol.X_opt[0], n))
+    # The optimal output-side state is proportional to B^dag W B.
+    x1 = b.conj().T @ sol.X_opt[1] @ b
+    rho, w = _ascent_primal(
+        pair,
+        _normalized_state(sol.X_opt[0], n),
+        _normalized_state((x1 + x1.conj().T) / 2, n),
+    )
     z = _psd_part(sol.Y_opt[1])
     shift = max(
         0.0, -min_eigenvalue(kron(np.eye(m), z) - b @ b.conj().T)

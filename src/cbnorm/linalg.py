@@ -15,7 +15,6 @@ import numpy as np
 from .errors import InvalidInputError, NotPositiveSemidefiniteError
 
 HERMITIAN_TOL = 1e-10
-EIG_TOL = 1e-10
 PSD_TOL = 1e-9
 
 

@@ -121,6 +121,15 @@ def block_inner(a, b) -> float:
     return float(sum(np.vdot(x, y).real for x, y in zip(a, b)))
 
 
+def _rows_apply(rows, x) -> np.ndarray:
+    """``Re <row_j, X>`` for every constraint row ``j``: one product per
+    block, with no conjugated copy of the rows."""
+    return sum(
+        (r.reshape(r.shape[0], -1) @ xb.conj().reshape(-1)).real
+        for r, xb in zip(rows, x)
+    )
+
+
 @dataclass(frozen=True)
 class SdpProblem:
     """Materialized triple-form problem.
@@ -186,12 +195,7 @@ class SdpProblem:
                     )
             y = con_structure.random_hermitian(rng)
             lhs = block_inner(y, out)
-            coeffs = svec(y)
-            ax = np.array([
-                sum(np.vdot(rows[b][k], h[b]).real for b in range(len(h)))
-                for k in range(con_structure.dof)
-            ])
-            rhs_ip = float(coeffs @ ax)
+            rhs_ip = float(svec(y) @ _rows_apply(rows, h))
             scale2 = (1.0 + abs(lhs) + abs(rhs_ip)) * (
                 1.0 + max(spectral_norm(x) for x in y)
             )
@@ -204,12 +208,7 @@ class SdpProblem:
 
     def apply_psi(self, x):
         """Evaluate ``Psi(X)`` through the materialized rows."""
-        vec = np.array([
-            sum(np.vdot(self.rows[b][k], x[b]).real
-                for b in range(len(self.rows)))
-            for k in range(self.con_structure.dof)
-        ])
-        return unsvec(vec, self.con_structure)
+        return unsvec(_rows_apply(self.rows, x), self.con_structure)
 
 
 @dataclass

@@ -158,9 +158,8 @@ def to_choi(phi: SuperOp) -> np.ndarray:
     if isinstance(rep, Kraus):
         j = np.zeros((m * n, m * n), dtype=complex)
         for l, r in zip(rep.left, rep.right):
-            ul = _col_pair_vec(l)
-            ur = _col_pair_vec(r)
-            j += np.outer(ul, ur.conj())
+            # (K (x) 1) omega, omega = sum_j e_j (x) e_j, is K read row-wise.
+            j += np.outer(l.reshape(-1), r.reshape(-1).conj())
         return j
     # Stinespring: evaluate on the matrix unit basis.
     j = np.zeros((m * n, m * n), dtype=complex)
@@ -171,12 +170,6 @@ def to_choi(phi: SuperOp) -> np.ndarray:
             out = apply(phi, e)
             j += np.kron(out, e)
     return j
-
-
-def _col_pair_vec(k: np.ndarray) -> np.ndarray:
-    """Vector ``(K (x) 1) omega`` with ``omega = sum_j e_j (x) e_j``, i.e. the
-    vector whose ``(i_Y, i_X)`` entry is ``K[i_Y, i_X]``."""
-    return k.reshape(-1)
 
 
 def to_kraus(phi: SuperOp, rank_tol: float = RANK_TOL) -> SuperOp:

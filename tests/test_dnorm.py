@@ -1,8 +1,15 @@
+import dataclasses
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from cbnorm import superop
 from cbnorm.dnorm import (
+    _ascent_primal,
+    _general_certificate_bounds,
+    _normalized_state,
+    _repair_general_certificate,
     ChannelDiffCertificate,
     GeneralCertificate,
     NormOptions,
@@ -14,7 +21,8 @@ from cbnorm.dnorm import (
     verify_certificate,
 )
 from cbnorm.errors import InvalidInputError
-from cbnorm.linalg import spectral_norm
+from cbnorm.linalg import max_eigenvalue, partial_trace, spectral_norm
+from cbnorm.sdp import SolveOptions, solve
 from cbnorm.superop import (
     StinespringPair,
     SuperOp,
@@ -239,6 +247,97 @@ class TestCertificates:
         check = verify_certificate(other, cert)
         assert not check.valid
         assert any("reproduce" in v for v in check.violations)
+
+
+ASCENT_SHAPES = [(3, 3), (2, 4), (4, 2), (3, 5), (5, 3)]
+
+
+@lru_cache(maxsize=None)
+def _solved_pair(seed, n, m, scale=1.0):
+    """Stinespring pair of a rank-2 general map and the solver's last
+    iterate on its general SDP (whatever its status)."""
+    phi = random_superop(np.random.default_rng(seed), n, m, terms=2,
+                         scale=scale)
+    pair = to_stinespring(phi)
+    return phi, pair, solve(build_general_sdp(pair), SolveOptions())
+
+
+def _warm_states(pair, sol):
+    n = pair.a.shape[1]
+    x1 = pair.b.conj().T @ sol.X_opt[1] @ pair.b
+    return (_normalized_state(sol.X_opt[0], n),
+            _normalized_state((x1 + x1.conj().T) / 2, n))
+
+
+def _witness_value(pair, w):
+    return np.sqrt(max(0.0, np.vdot(pair.b @ pair.b.conj().T, w).real))
+
+
+def _cold_converged(pair, sol):
+    """Witness value of the ascent started with ``v = u`` and run to
+    convergence."""
+    rho0, _ = _warm_states(pair, sol)
+    return _witness_value(pair, _ascent_primal(pair, rho0, rho0,
+                                               max_iters=5000)[1])
+
+
+class TestAscentWarmStart:
+    @pytest.mark.parametrize("n,m", ASCENT_SHAPES)
+    def test_three_sweeps_reach_converged_value(self, n, m):
+        for seed in range(12):
+            _, pair, sol = _solved_pair(seed, n, m)
+            rho0, rho1 = _warm_states(pair, sol)
+            short = _witness_value(
+                pair, _ascent_primal(pair, rho0, rho1, max_iters=3)[1])
+            ref = _cold_converged(pair, sol)
+            assert abs(short - ref) <= 1e-8 * ref, (seed, short, ref)
+
+    @pytest.mark.parametrize("n,m", ASCENT_SHAPES)
+    @pytest.mark.parametrize("scale", [1.0, 1e-3])
+    def test_lower_bound_not_below_cold_start(self, n, m, scale):
+        # scale 1e-3 on both Kraus families scales the map by 1e-6.
+        for seed in range(12):
+            _, pair, sol = _solved_pair(seed, n, m, scale)
+            cert = _repair_general_certificate(pair, sol)
+            lower = _general_certificate_bounds(cert)[0]
+            ref = _cold_converged(pair, sol)
+            assert lower >= ref * (1 - 1e-12), (seed, lower, ref)
+
+    def _assert_exactly_feasible(self, phi, pair, cert):
+        a, r = pair.a, pair.dim_env
+        m = a.shape[0] // r
+        marg = partial_trace(cert.w, (m, r), side="first") - partial_trace(
+            a @ cert.rho @ a.conj().T, (m, r), side="first")
+        assert max_eigenvalue(marg) <= 1e-12 * spectral_norm(a) ** 2
+        assert abs(np.trace(cert.rho).real - 1.0) <= 1e-12
+        assert verify_certificate(phi, cert).valid
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_one_dimensional_input(self, m):
+        for seed in range(4):
+            phi, pair, sol = _solved_pair(seed, 1, m)
+            cert = _repair_general_certificate(pair, sol)
+            self._assert_exactly_feasible(phi, pair, cert)
+
+    def test_output_state_at_any_scale(self):
+        _, pair, sol = _solved_pair(0, 3, 3)
+        rho1 = _warm_states(pair, sol)[1]
+        assert not np.allclose(rho1, np.eye(3) / 3)
+        x1 = pair.b.conj().T @ sol.X_opt[1] @ pair.b
+        for c in (1e-12, 1e12):
+            scaled = _normalized_state(c * (x1 + x1.conj().T) / 2, 3)
+            assert np.allclose(scaled, rho1, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,m", [(1, 3), (3, 3), (2, 4)])
+    def test_zero_output_state_falls_back(self, n, m):
+        phi, pair, sol = _solved_pair(0, n, m)
+        no_w = dataclasses.replace(
+            sol, X_opt=[sol.X_opt[0], np.zeros_like(sol.X_opt[1])])
+        assert np.array_equal(_warm_states(pair, no_w)[1], np.eye(n) / n)
+        cert = _repair_general_certificate(pair, no_w)
+        self._assert_exactly_feasible(phi, pair, cert)
+        lower = _general_certificate_bounds(cert)[0]
+        assert lower >= _cold_converged(pair, sol) * (1 - 1e-12)
 
 
 class TestRebalance:
