@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input error, 2 solver did not reach optimality
-(bounds still reported), 3 certificate invalid.
+Exit codes: 0 success, 1 input error, 2 solver did not reach optimality,
+``numerical_failure`` included (repaired bounds still reported), 3
+certificate invalid.
 """
 
 from __future__ import annotations
@@ -159,9 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--certificate", help="write the certificate to this path")
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved for stochastic components; accepted for "
-                   "reproducibility bookkeeping")
     p.add_argument("--output")
     p.add_argument("--verbose", action="store_true",
                    help="solver iteration log on stderr")

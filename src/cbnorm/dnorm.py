@@ -17,9 +17,14 @@ Two routes:
   whose optimum is half the norm, with dual  minimize |Tr_Y(Z)|_inf
   s.t. Z >= J(phi).
 
-Certificates returned to callers are repaired to be (numerically) exactly
-feasible, so the reported lower/upper bounds are sound independent of the
-solver's termination state.
+``method="auto"`` takes the route with the smaller Newton system: a channel
+difference goes general (``1 + r^2`` rows, ``r = rank J``) only when
+``r < mn`` (``1 + (mn)^2`` rows on the other route); other maps always do.
+
+Both routes run through one build -> solve -> repair -> bounds pipeline.
+Certificates are repaired to be (numerically) exactly feasible, so the
+bounds are sound whatever the solver's termination state, including
+``numerical_failure``; only a non-finite last iterate raises.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from .linalg import (
 from .sdp import (
     BlockStructure,
     SdpProblem,
-    SdpSolution,
     SolveOptions,
     solve,
 )
@@ -77,11 +81,6 @@ class SolverStats:
     gap: float
     primal_infeas: float
     dual_infeas: float
-
-    @staticmethod
-    def from_solution(sol: SdpSolution) -> "SolverStats":
-        return SolverStats(sol.status, sol.iterations, sol.gap,
-                           sol.primal_infeas, sol.dual_infeas)
 
 
 @dataclass(frozen=True)
@@ -267,7 +266,8 @@ def _repair_general_certificate(pair, sol) -> GeneralCertificate:
     return GeneralCertificate(pair=pair, rho=rho, w=w, lam=lam, z=z)
 
 
-def _repair_channel_diff_certificate(j, n, m, sol) -> ChannelDiffCertificate:
+def _repair_channel_diff_certificate(phi, j, sol) -> ChannelDiffCertificate:
+    n, m = phi.dim_in, phi.dim_out
     rho = _normalized_state(sol.X_opt[0], n)
     # Inner optimum for this rho in closed form: with
     # W = (1 (x) sqrt(rho)) P (1 (x) sqrt(rho)) and P the projector onto the
@@ -320,10 +320,55 @@ def _general_certificate_bounds(cert: GeneralCertificate) -> tuple:
     return lower, upper
 
 
-def _channel_diff_certificate_bounds(j, n, m, cert) -> tuple:
+def _channel_diff_certificate_bounds(phi, j, cert) -> tuple:
+    n, m = phi.dim_in, phi.dim_out
     lower = 2.0 * max(0.0, float(np.vdot(j, cert.w).real))
     upper = 2.0 * spectral_norm(partial_trace(cert.z, (m, n), side="first"))
     return lower, upper
+
+
+# Each route is (method, build, repair, bounds, estimate) over its data:
+# build(*data) makes the SDP, repair(*data, sol) an exactly feasible
+# certificate from the solver's last iterate, bounds(*data, cert) the bracket
+# it proves, estimate(sol) the norm read off the objectives.  Builders are
+# looked up at call time, so wrappers installed on the module see them.
+_ROUTES = {
+    # data (pair,); the SDP value is the squared norm.
+    "general": (
+        "general_sdp",
+        lambda pair: build_general_sdp(pair),
+        _repair_general_certificate,
+        lambda pair, cert: _general_certificate_bounds(cert),
+        lambda sol: np.sqrt(max(0.0, (sol.primal_value + sol.dual_value) / 2)),
+    ),
+    # data (phi, J), J the Hermitian Choi matrix; the SDP value is half the norm.
+    "channel-diff": (
+        "channel_diff_sdp",
+        lambda phi, j: build_channel_diff_sdp(phi.rep.phi0, phi.rep.phi1),
+        _repair_channel_diff_certificate,
+        _channel_diff_certificate_bounds,
+        lambda sol: sol.primal_value + sol.dual_value,
+    ),
+}
+
+
+def _solve_route(route: str, data: tuple, opt: NormOptions) -> NormResult:
+    """Build, solve, repair and bound one route's SDP."""
+    method, build, repair, bounds, estimate = _ROUTES[route]
+    sol = solve(build(*data), SolveOptions(
+        gap_tol=opt.gap_tol, feas_tol=opt.feas_tol,
+        max_iter=opt.max_iter, verbose=opt.verbose,
+    ))
+    if not all(np.isfinite(x).all() for x in (*sol.X_opt, *sol.Y_opt)):
+        raise NumericalFailureError("interior-point solve failed")
+    cert = repair(*data, sol)
+    lower, upper = bounds(*data, cert)
+    stats = SolverStats(sol.status, sol.iterations, sol.gap,
+                        sol.primal_infeas, sol.dual_infeas)
+    warnings = () if sol.status == "optimal" else (
+        f"solver status {sol.status}; bounds widened",)
+    value = min(max(estimate(sol), lower), upper)
+    return NormResult(value, lower, upper, method, cert, stats, warnings)
 
 
 def diamond_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult:
@@ -331,12 +376,8 @@ def diamond_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult
     opt = options or NormOptions()
     if opt.method not in ("auto", "general", "channel-diff"):
         raise InvalidInputError(f"unknown method {opt.method!r}")
-    warnings = []
-
-    use_channel_diff = False
-    if isinstance(phi.rep, superop.ChannelDifference):
-        use_channel_diff = opt.method in ("auto", "channel-diff")
-    elif opt.method == "channel-diff":
+    is_pair = isinstance(phi.rep, superop.ChannelDifference)
+    if opt.method == "channel-diff" and not is_pair:
         raise InvalidInputError(
             "channel-diff route requires a channel-difference representation"
         )
@@ -344,57 +385,17 @@ def diamond_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult
     j = to_choi(phi)
     if spectral_norm(j) <= ZERO_MAP_TOL:
         return _trivial_zero_result(
-            phi, "channel_diff_sdp" if use_channel_diff else "general_sdp"
+            phi, "channel_diff_sdp" if is_pair and opt.method != "general"
+            else "general_sdp"
         )
-
-    solver_opts = SolveOptions(
-        gap_tol=opt.gap_tol,
-        feas_tol=opt.feas_tol,
-        max_iter=opt.max_iter,
-        verbose=opt.verbose,
-    )
-
-    if use_channel_diff:
-        rep = phi.rep
-        try:
-            problem = build_channel_diff_sdp(rep.phi0, rep.phi1)
-        except InvalidInputError:
-            warnings.append(
-                "channel-difference members fail the channel test; "
-                "falling back to the general route"
-            )
-            use_channel_diff = False
-        if use_channel_diff:
-            n, m = phi.dim_in, phi.dim_out
-            jh = (j + j.conj().T) / 2
-            sol = solve(problem, solver_opts)
-            if sol.status == "numerical_failure":
-                raise NumericalFailureError("interior-point solve failed")
-            cert = _repair_channel_diff_certificate(jh, n, m, sol)
-            lower, upper = _channel_diff_certificate_bounds(jh, n, m, cert)
-            value = min(max(sol.primal_value + sol.dual_value, lower), upper)
-            if sol.status != "optimal":
-                warnings.append(f"solver status {sol.status}; bounds widened")
-            return NormResult(
-                value, lower, upper, "channel_diff_sdp", cert,
-                SolverStats.from_solution(sol), tuple(warnings),
-            )
-
-    pair = to_stinespring(phi, rank_tol=opt.rank_tol)
-    problem = build_general_sdp(pair)
-    sol = solve(problem, solver_opts)
-    if sol.status == "numerical_failure":
-        raise NumericalFailureError("interior-point solve failed")
-    cert = _repair_general_certificate(pair, sol)
-    lower, upper = _general_certificate_bounds(cert)
-    mid = np.sqrt(max(0.0, (sol.primal_value + sol.dual_value) / 2))
-    value = min(max(mid, lower), upper)
-    if sol.status != "optimal":
-        warnings.append(f"solver status {sol.status}; bounds widened")
-    return NormResult(
-        value, lower, upper, "general_sdp", cert,
-        SolverStats.from_solution(sol), tuple(warnings),
-    )
+    if opt.method != "channel-diff":
+        pair = to_stinespring(phi, rank_tol=opt.rank_tol)
+        # Newton-system rows: 1 + r^2 here against 1 + (mn)^2; ties go to
+        # the channel-difference route.
+        if not is_pair or opt.method == "general" or \
+                pair.dim_env < phi.dim_in * phi.dim_out:
+            return _solve_route("general", (pair,), opt)
+    return _solve_route("channel-diff", (phi, (j + j.conj().T) / 2), opt)
 
 
 def cb_spectral_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult:
@@ -494,7 +495,7 @@ def verify_certificate(phi: SuperOp, cert, tol: float = 1e-6) -> CertificateChec
             violations.append(
                 f"Z fails to dominate J(phi) by {max_eigenvalue(j - cert.z):.3e}"
             )
-        lower, upper = _channel_diff_certificate_bounds(j, n, m, cert)
+        lower, upper = _channel_diff_certificate_bounds(phi, j, cert)
         return CertificateCheck(not violations, lower, upper, tuple(violations))
 
     raise InvalidInputError(f"unknown certificate type {type(cert).__name__}")
@@ -519,16 +520,7 @@ def rebalance_stinespring(pair: StinespringPair, eps: float,
     # Solve the general SDP on the *given* pair: the dual witness must
     # dominate this pair's B B^dag, and strict dual feasibility holds for
     # any pair, minimal or not.
-    opt = options or NormOptions()
-    problem = build_general_sdp(pair)
-    sol = solve(problem, SolveOptions(
-        gap_tol=opt.gap_tol, feas_tol=opt.feas_tol,
-        max_iter=opt.max_iter, verbose=opt.verbose,
-    ))
-    if sol.status == "numerical_failure":
-        raise NumericalFailureError("interior-point solve failed")
-    cert = _repair_general_certificate(pair, sol)
-    z = cert.z
+    z = _solve_route("general", (pair,), options or NormOptions()).certificate.z
     delta = max(eps ** 2 / (4.0 * a_norm ** 2),
                 1e-12 * spectral_norm(z))
     z_reg = z + delta * np.eye(r)

@@ -83,7 +83,7 @@ def solves():
         m = int(rng.integers(2, 4))
         diff = SuperOp.difference(random_channel(rng, n, m),
                                   random_channel(rng, n, m))
-        cd = record(diff, diamond_norm(diff))
+        cd = record(diff, diamond_norm(diff, NormOptions(method="channel-diff")))
         gen = record(diff, diamond_norm(diff, NormOptions(method="general")))
         data["routes"].append((cd.value, gen.value))
 

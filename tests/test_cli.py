@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from cbnorm import dnorm
 from cbnorm.cli import main
 from cbnorm.serialize import matrix_to_json
 
@@ -81,6 +83,23 @@ class TestCompute:
         assert main(["compute", "--input", prob, "--output", str(out)]) == 0
         assert read_json(out)["value"] == pytest.approx(np.sqrt(2), abs=1e-5)
 
+    def test_numerical_failure_exits_2(self, tmp_path, monkeypatch):
+        # A solve that ends numerical_failure with a finite last iterate
+        # still reports its repaired bounds.
+        real = dnorm.solve
+        monkeypatch.setattr(dnorm, "solve", lambda problem, options=None:
+                            dataclasses.replace(real(problem, options),
+                                                status="numerical_failure"))
+        out = tmp_path / "res.json"
+        assert main(["compute", "--input", identity_problem(tmp_path),
+                     "--output", str(out)]) == 2
+        res = read_json(out)
+        assert res["status"] == "numerical_failure"
+        assert res["lower_bound"] <= res["value"] <= res["upper_bound"]
+        assert res["value"] == pytest.approx(1.0, abs=1e-6)
+        assert res["warnings"] == [
+            "solver status numerical_failure; bounds widened"]
+
     def test_cb_spectral(self, tmp_path):
         out = tmp_path / "res.json"
         code = main(["compute", "--input", identity_problem(tmp_path),
@@ -107,7 +126,7 @@ class TestCompute:
         outs = []
         for name in ("r1.json", "r2.json"):
             out = tmp_path / name
-            assert main(["compute", "--input", prob, "--seed", "0",
+            assert main(["compute", "--input", prob,
                          "--output", str(out)]) == 0
             res = read_json(out)
             res.pop("wall_time_seconds")
@@ -130,6 +149,27 @@ class TestCertify:
         check = read_json(cout)
         assert check["valid"]
         assert check["upper_bound"] - check["lower_bound"] < 1e-5
+
+    def test_channel_pair_on_general_route(self, tmp_path):
+        # Two unitary channels: rank J = 2 < 4, so auto takes the general
+        # route and writes a general certificate for the pair.
+        v = np.diag([1.0, np.exp(1j * np.pi / 3)])
+        prob = write_json(tmp_path / "pair.json",
+                          channel_pair_problem([np.eye(2)], [v], 2))
+        cert = tmp_path / "cert.json"
+        out = tmp_path / "res.json"
+        assert main(["compute", "--input", prob, "--certificate", str(cert),
+                     "--output", str(out)]) == 0
+        res = read_json(out)
+        assert res["method"] == "general_sdp"
+        assert read_json(cert)["kind"] == "general"
+        cout = tmp_path / "check.json"
+        assert main(["certify", "--input", prob, "--certificate", str(cert),
+                     "--output", str(cout)]) == 0
+        check = read_json(cout)
+        assert check["valid"]
+        for key in ("lower_bound", "upper_bound"):
+            assert check[key] == pytest.approx(res[key], rel=1e-12, abs=0)
 
     def test_embedded_certificate_reverifies(self, tmp_path):
         prob = identity_problem(tmp_path)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cbnorm import superop
+from cbnorm import dnorm
 from cbnorm.dnorm import (
     _ascent_primal,
     _general_certificate_bounds,
@@ -20,7 +21,7 @@ from cbnorm.dnorm import (
     rebalance_stinespring,
     verify_certificate,
 )
-from cbnorm.errors import InvalidInputError
+from cbnorm.errors import InvalidInputError, NumericalFailureError
 from cbnorm.linalg import max_eigenvalue, partial_trace, spectral_norm
 from cbnorm.sdp import SolveOptions, solve
 from cbnorm.superop import (
@@ -52,6 +53,9 @@ def transpose_map():
         for j in range(2):
             swap[2 * i + j, 2 * j + i] = 1.0
     return SuperOp.from_choi(swap, 2, 2)
+
+
+CHANNEL_DIFF = NormOptions(method="channel-diff")
 
 
 class TestBuildGeneral:
@@ -88,7 +92,8 @@ class TestBuildChannelDiff:
 
     def test_unitary_difference_angles(self):
         for theta in (np.pi / 2, np.pi):
-            res = diamond_norm(phase_diff(theta))
+            res = diamond_norm(phase_diff(theta), CHANNEL_DIFF)
+            assert res.method == "channel_diff_sdp"
             oracle = induced_trace_norm_lower_bound(
                 phase_diff(theta), restarts=50, seed=1
             )
@@ -102,7 +107,7 @@ class TestBuildChannelDiff:
         )]
         depol = SuperOp.from_kraus(kraus)
         diff = SuperOp.difference(SuperOp.identity(2), depol)
-        res_cd = diamond_norm(diff)
+        res_cd = diamond_norm(diff, CHANNEL_DIFF)
         res_gen = diamond_norm(diff, NormOptions(method="general"))
         oracle = induced_trace_norm_lower_bound(diff, restarts=50, seed=1)
         assert res_cd.value == pytest.approx(res_gen.value, abs=1e-6)
@@ -154,7 +159,7 @@ class TestDiamondNorm:
             c0 = random_channel(rng, 2, 2)
             c1 = random_channel(rng, 2, 2)
             diff = SuperOp.difference(c0, c1)
-            v_cd = diamond_norm(diff).value
+            v_cd = diamond_norm(diff, CHANNEL_DIFF).value
             v_gen = diamond_norm(diff, NormOptions(method="general")).value
             assert abs(v_cd - v_gen) <= 1e-5
 
@@ -204,7 +209,8 @@ class TestCertificates:
     def test_channel_diff_certificate_valid(self, rng):
         diff = SuperOp.difference(random_channel(rng, 2, 2),
                                   random_channel(rng, 2, 2))
-        res = diamond_norm(diff)
+        res = diamond_norm(diff, CHANNEL_DIFF)
+        assert isinstance(res.certificate, ChannelDiffCertificate)
         check = verify_certificate(diff, res.certificate)
         assert check.valid
         assert check.lower <= res.value <= check.upper + 1e-9
@@ -338,6 +344,100 @@ class TestAscentWarmStart:
         self._assert_exactly_feasible(phi, pair, cert)
         lower = _general_certificate_bounds(cert)[0]
         assert lower >= _cold_converged(pair, sol) * (1 - 1e-12)
+
+
+def _assert_same_result(a, b):
+    """Bitwise equality of two NormResults."""
+    assert (a.value, a.lower_bound, a.upper_bound, a.method) == \
+        (b.value, b.lower_bound, b.upper_bound, b.method)
+    assert a.solver_stats == b.solver_stats and a.warnings == b.warnings
+    ca, cb = a.certificate, b.certificate
+    assert type(ca) is type(cb)
+    for f in ("rho", "w", "z"):
+        assert np.array_equal(getattr(ca, f), getattr(cb, f))
+
+
+class TestAutoRoute:
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 3), (4, 4)])
+    def test_route_follows_newton_system_size(self, n, m):
+        # Two Kraus-rank-k channels: generically rank J(phi) = min(2k, nm),
+        # so the general Newton system (1 + r^2 rows) is the smaller one
+        # exactly when 2k < nm.
+        rng = np.random.default_rng(100 * n + m)
+        for k in range(1, n * m + 1):
+            diff = SuperOp.difference(random_channel(rng, n, m, env=k),
+                                      random_channel(rng, n, m, env=k))
+            assert to_stinespring(diff).dim_env == min(2 * k, n * m)
+            res = diamond_norm(diff)
+            general = 2 * k < n * m
+            assert res.method == ("general_sdp" if general
+                                  else "channel_diff_sdp"), k
+            if general:
+                _assert_same_result(
+                    res, diamond_norm(diff, NormOptions(method="general")))
+                assert isinstance(res.certificate, GeneralCertificate)
+            else:
+                _assert_same_result(res, diamond_norm(diff, CHANNEL_DIFF))
+            assert verify_certificate(diff, res.certificate).valid
+
+
+def _failed_solves():
+    """The scale-1e-3 maps of TestAscentWarmStart whose solve ends
+    ``numerical_failure`` (15 of the 60 with x86-64 OpenBLAS)."""
+    return [(seed, n, m) for n, m in ASCENT_SHAPES for seed in range(12)
+            if _solved_pair(seed, n, m, 1e-3)[2].status == "numerical_failure"]
+
+
+class TestNumericalFailure:
+    def test_failed_solve_returns_verified_bracket(self):
+        failed = _failed_solves()
+        assert failed
+        for seed, n, m in failed:
+            phi = _solved_pair(seed, n, m, 1e-3)[0]
+            res = diamond_norm(phi)
+            assert res.solver_stats.status == "numerical_failure"
+            assert res.warnings == (
+                "solver status numerical_failure; bounds widened",)
+            check = verify_certificate(phi, res.certificate)
+            assert check.valid
+            assert (check.lower, check.upper) == pytest.approx(
+                (res.lower_bound, res.upper_bound), rel=1e-12, abs=0)
+            # Homogeneity: scale 1e-3 on both Kraus families scales the
+            # norm by 1e-6.
+            ref = diamond_norm(_solved_pair(seed, n, m)[0])
+            assert ref.solver_stats.status == "optimal"
+            assert res.lower_bound <= 1e-6 * ref.upper_bound * (1 + 1e-6)
+            assert res.upper_bound >= 1e-6 * ref.lower_bound * (1 - 1e-6)
+
+    def test_rebalance_after_failed_solve(self):
+        seed, n, m = _failed_solves()[0]
+        phi, pair, _ = _solved_pair(seed, n, m, 1e-3)
+        res = diamond_norm(phi)
+        out = rebalance_stinespring(pair, 1e-9)
+        prod = spectral_norm(out.a) * spectral_norm(out.b)
+        assert res.lower_bound * (1 - 1e-12) <= prod
+        assert prod <= res.upper_bound * (1 + 1e-12) + 1e-9
+
+    @pytest.mark.parametrize("route,side,block", [
+        ("general", "X_opt", 0), ("general", "Y_opt", 1),
+        ("channel-diff", "X_opt", 1), ("channel-diff", "Y_opt", 0),
+    ])
+    def test_non_finite_iterate_raises(self, monkeypatch, rng, route, side,
+                                       block):
+        real = dnorm.solve
+
+        def broken(problem, options=None):
+            sol = real(problem, options)
+            blocks = list(getattr(sol, side))
+            blocks[block] = np.full_like(blocks[block], np.nan)
+            return dataclasses.replace(sol, status="numerical_failure",
+                                       **{side: blocks})
+
+        monkeypatch.setattr(dnorm, "solve", broken)
+        diff = SuperOp.difference(random_channel(rng, 2, 2),
+                                  random_channel(rng, 2, 2))
+        with pytest.raises(NumericalFailureError):
+            diamond_norm(diff, NormOptions(method=route))
 
 
 class TestRebalance:
