@@ -29,7 +29,8 @@ bounds are sound whatever the solver's termination state, including
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ctypes
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -352,6 +353,16 @@ _ROUTES = {
 }
 
 
+# glibc's malloc_trim, run once each solve has freed its rows: glibc reuses
+# their heap space for the next rows unless a longer-lived allocation splits
+# it, so untrimmed, resident size hung on allocation order (65 or 75 MB).
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+except (OSError, AttributeError, TypeError):
+    _malloc_trim = None
+
+
 def _solve_route(route: str, data: tuple, opt: NormOptions) -> NormResult:
     """Build, solve, repair and bound one route's SDP."""
     method, build, repair, bounds, estimate = _ROUTES[route]
@@ -359,6 +370,8 @@ def _solve_route(route: str, data: tuple, opt: NormOptions) -> NormResult:
         gap_tol=opt.gap_tol, feas_tol=opt.feas_tol,
         max_iter=opt.max_iter, verbose=opt.verbose,
     ))
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     if not all(np.isfinite(x).all() for x in (*sol.X_opt, *sol.Y_opt)):
         raise NumericalFailureError("interior-point solve failed")
     cert = repair(*data, sol)
@@ -401,11 +414,7 @@ def diamond_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult
 def cb_spectral_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult:
     """Completely bounded spectral norm: the trace-norm value of the adjoint."""
     res = diamond_norm(superop.adjoint(phi), options)
-    return NormResult(
-        res.value, res.lower_bound, res.upper_bound,
-        res.method + "_of_adjoint", res.certificate, res.solver_stats,
-        res.warnings,
-    )
+    return replace(res, method=res.method + "_of_adjoint")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import platform
 from functools import lru_cache
 
 import numpy as np
@@ -438,6 +439,22 @@ class TestNumericalFailure:
                                   random_channel(rng, 2, 2))
         with pytest.raises(NumericalFailureError):
             diamond_norm(diff, NormOptions(method=route))
+
+
+class TestHeapTrim:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_found_on_glibc(self):
+        assert dnorm._malloc_trim is not None
+
+    def test_once_per_solve_and_results_unchanged(self, monkeypatch, rng):
+        phi = random_superop(rng, 3, 3, terms=2)
+        monkeypatch.setattr(dnorm, "_malloc_trim", None)
+        plain = diamond_norm(phi), cb_spectral_norm(phi)
+        pads = []
+        monkeypatch.setattr(dnorm, "_malloc_trim", pads.append)
+        _assert_same_result(diamond_norm(phi), plain[0])
+        _assert_same_result(cb_spectral_norm(phi), plain[1])
+        assert pads == [0, 0]
 
 
 class TestRebalance:
