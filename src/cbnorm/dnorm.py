@@ -29,7 +29,6 @@ bounds are sound whatever the solver's termination state, including
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -128,7 +127,9 @@ def build_general_sdp(pair: StinespringPair) -> SdpProblem:
 
     obj = [np.zeros((n, n)), bbdag]
     rhs = [np.eye(1), np.zeros((r, r))]
-    return SdpProblem.from_maps(var, con, psi, psi_adj, obj, rhs)
+    # W enters Psi^* as 1_m (x) Z, Z the dual of constraint block 1.
+    return SdpProblem.from_maps(var, con, psi, psi_adj, obj, rhs,
+                                embedded={1: (1, m)})
 
 
 def build_channel_diff_sdp(phi0: SuperOp, phi1: SuperOp) -> SdpProblem:
@@ -157,7 +158,9 @@ def build_channel_diff_sdp(phi0: SuperOp, phi1: SuperOp) -> SdpProblem:
 
     obj = [np.zeros((n, n)), j]
     rhs = [np.eye(1), np.zeros((m * n, m * n))]
-    return SdpProblem.from_maps(var, con, psi, psi_adj, obj, rhs)
+    # W enters Psi^* as Z itself, the dual of constraint block 1.
+    return SdpProblem.from_maps(var, con, psi, psi_adj, obj, rhs,
+                                embedded={1: (1, 1)})
 
 
 def _psd_part(mat: np.ndarray) -> np.ndarray:
@@ -353,16 +356,6 @@ _ROUTES = {
 }
 
 
-# glibc's malloc_trim, run once each solve has freed its rows: glibc reuses
-# their heap space for the next rows unless a longer-lived allocation splits
-# it, so untrimmed, resident size hung on allocation order (65 or 75 MB).
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-    _malloc_trim.argtypes = [ctypes.c_size_t]
-except (OSError, AttributeError, TypeError):
-    _malloc_trim = None
-
-
 def _solve_route(route: str, data: tuple, opt: NormOptions) -> NormResult:
     """Build, solve, repair and bound one route's SDP."""
     method, build, repair, bounds, estimate = _ROUTES[route]
@@ -370,8 +363,6 @@ def _solve_route(route: str, data: tuple, opt: NormOptions) -> NormResult:
         gap_tol=opt.gap_tol, feas_tol=opt.feas_tol,
         max_iter=opt.max_iter, verbose=opt.verbose,
     ))
-    if _malloc_trim is not None:
-        _malloc_trim(0)
     if not all(np.isfinite(x).all() for x in (*sol.X_opt, *sol.Y_opt)):
         raise NumericalFailureError("interior-point solve failed")
     cert = repair(*data, sol)
@@ -438,21 +429,17 @@ def verify_certificate(phi: SuperOp, cert, tol: float = 1e-6) -> CertificateChec
         if a.shape != (m * r, n) or cert.rho.shape != (n, n) or \
                 cert.w.shape != (m * r, m * r) or cert.z.shape != (r, r):
             raise InvalidInputError("certificate dimensions do not match map")
-        # The pair must actually represent phi.
+        # The pair must actually represent phi: block (i, k) of its Choi
+        # matrix, Tr_Z(A E_ik B^dag), against phi(E_ik).
+        choi = np.einsum("yzi,Yzk->ikyY", a.reshape(m, r, n),
+                         b.reshape(m, r, n).conj())
+        ref = to_choi(phi).reshape(m, n, m, n).transpose(1, 3, 0, 2)
+        dev = np.linalg.norm(choi - ref, 2, axis=(-2, -1))
         scale = 1.0 + spectral_norm(a) * spectral_norm(b)
-        for i in range(n):
-            for k in range(n):
-                e = np.zeros((n, n))
-                e[i, k] = 1.0
-                lhs = partial_trace(
-                    a @ e @ b.conj().T, (m, r), side="second"
-                )
-                if spectral_norm(lhs - superop.apply(phi, e)) > \
-                        max(tol, superop.RECON_TOL) * scale:
-                    violations.append(
-                        f"stinespring pair does not reproduce the map on "
-                        f"E[{i},{k}]"
-                    )
+        for i, k in np.argwhere(dev > max(tol, superop.RECON_TOL) * scale):
+            violations.append(
+                f"stinespring pair does not reproduce the map on E[{i},{k}]"
+            )
         tr_dev = abs(float(np.trace(cert.rho).real) - 1.0)
         if tr_dev > tol:
             violations.append(f"Tr(rho) deviates from 1 by {tr_dev:.3e}")

@@ -121,25 +121,50 @@ def block_inner(a, b) -> float:
     return float(sum(np.vdot(x, y).real for x, y in zip(a, b)))
 
 
-def _rows_apply(rows, x) -> np.ndarray:
+def _placements(con_structure, embedded):
+    """``(svec slice, k, _SvecIndex)`` of each variable block declared as
+    ``(c, k)``, that is with rows ``1_k (x) F_j`` for the basis ``F_j`` of
+    constraint block ``c``; ``None`` for a block with stored rows."""
+    offsets = np.cumsum([0] + [d * d for d in con_structure.blocks])
+    return [None if e is None else
+            (slice(offsets[e[0]], offsets[e[0] + 1]), e[1],
+             _svec_index(con_structure.blocks[e[0]]))
+            for e in embedded]
+
+
+def _rows_apply(rows, placements, x, m_con) -> np.ndarray:
     """``Re <row_j, X>`` for every constraint row ``j``: one product per
-    block, with no conjugated copy of the rows."""
-    return sum(
-        (r.reshape(r.shape[0], -1) @ xb.conj().reshape(-1)).real
-        for r, xb in zip(rows, x)
-    )
+    block with stored rows, with no conjugated copy of them, and a partial
+    trace per embedded block."""
+    def part(r, place, xb):
+        if place is None:
+            return (r.reshape(m_con, -1) @ xb.conj().reshape(-1)).real
+        sl, k, index = place
+        out = np.zeros(m_con)
+        out[sl] = _embedded_a_op(xb, k, index)
+        return out
+
+    return sum(part(*t) for t in zip(rows, placements, x))
+
+
+def _rows_adj(rows, placements, yv):
+    """``sum_j y_j row_j`` per variable block."""
+    return [np.einsum("j,jab->ab", yv, r) if place is None
+            else _embedded_a_adj(yv[place[0]], *place[1:])
+            for r, place in zip(rows, placements)]
 
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Materialized triple-form problem.
+    """Triple-form problem given by its constraint rows.
 
-    ``rows[b]`` has shape ``(con_dof, d_b, d_b)``; row ``j`` over all variable
-    blocks is ``Psi^*(F_j)`` for the ``j``-th orthonormal Hermitian basis
-    element ``F_j`` of the constraint image, so
-    ``Psi(X) = sum_j <row_j, X> F_j``.  :func:`solve` forms the Newton system
-    of a block whose rows are ``1_k (x) F_j`` for the basis of one constraint
-    block by Kronecker identities, and of any other block from its rows.
+    Row ``j`` over all variable blocks is ``Psi^*(F_j)`` for the ``j``-th
+    orthonormal Hermitian basis element ``F_j`` of the constraint image, so
+    ``Psi(X) = sum_j <row_j, X> F_j``.  ``embedded[b]`` is ``(c, k)`` when
+    block ``b`` is declared to have rows ``1_k (x) F_j`` for the basis of
+    constraint block ``c`` and zero rows elsewhere; such a block stores no
+    rows (``rows[b]`` is ``None``).  Every other block has ``embedded[b]``
+    ``None`` and stores ``rows[b]`` of shape ``(con_dof, d_b, d_b)``.
     """
 
     var_structure: BlockStructure
@@ -147,14 +172,19 @@ class SdpProblem:
     rows: tuple = field(repr=False)
     obj: tuple = field(repr=False)
     rhs: tuple = field(repr=False)
+    embedded: tuple
 
     @staticmethod
     def from_maps(var_structure, con_structure, psi, psi_adj, obj, rhs,
-                  check_tol: float = 1e-11, rng_seed: int = 20260823):
+                  check_tol: float = 1e-11, rng_seed: int = 20260823,
+                  embedded: dict | None = None):
         """Build a problem from callables for ``Psi`` and ``Psi^*``.
 
-        Both are validated on random inputs: Hermiticity preservation of
-        ``Psi`` and adjoint consistency against the materialized rows.
+        ``embedded`` maps a variable block to ``(c, k)`` when ``Psi^*``
+        enters it as ``1_k (x) Y_c``; no rows are stored for it, and those of
+        the other blocks are probed from ``psi_adj``.  Both callables are
+        validated on random inputs: Hermiticity preservation of ``Psi``, and
+        adjoint consistency against the rows and the declared blocks.
         """
         obj = tuple(np.asarray(m, dtype=complex) for m in obj)
         rhs = tuple(np.asarray(m, dtype=complex) for m in rhs)
@@ -168,10 +198,19 @@ class SdpProblem:
         for m, d in zip(rhs, con_structure.blocks):
             if m.shape != (d, d):
                 raise InvalidInputError("rhs block shape mismatch")
+        embedded = tuple(
+            (embedded or {}).get(b) for b in range(len(var_structure.blocks))
+        )
+        for e, d in zip(embedded, var_structure.blocks):
+            if e is not None and not (
+                    0 <= e[0] < len(con_structure.blocks)
+                    and d == e[1] * con_structure.blocks[e[0]]):
+                raise InvalidInputError("embedded block shape mismatch")
 
+        m_con = con_structure.dof
         rows = [
-            np.zeros((con_structure.dof, d, d), dtype=complex)
-            for d in var_structure.blocks
+            None if e is not None else np.zeros((m_con, d, d), dtype=complex)
+            for d, e in zip(var_structure.blocks, embedded)
         ]
         j = 0
         for ci, d in enumerate(con_structure.blocks):
@@ -180,9 +219,11 @@ class SdpProblem:
                 fb[ci] = f
                 g = psi_adj(fb)
                 for b, gb in enumerate(g):
-                    rows[b][j] = (gb + np.conj(gb).T) / 2
+                    if rows[b] is not None:
+                        rows[b][j] = (gb + np.conj(gb).T) / 2
                 j += 1
 
+        placements = _placements(con_structure, embedded)
         rng = np.random.default_rng(rng_seed)
         for _ in range(3):
             h = var_structure.random_hermitian(rng)
@@ -195,7 +236,7 @@ class SdpProblem:
                     )
             y = con_structure.random_hermitian(rng)
             lhs = block_inner(y, out)
-            rhs_ip = float(svec(y) @ _rows_apply(rows, h))
+            rhs_ip = float(svec(y) @ _rows_apply(rows, placements, h, m_con))
             scale2 = (1.0 + abs(lhs) + abs(rhs_ip)) * (
                 1.0 + max(spectral_norm(x) for x in y)
             )
@@ -204,11 +245,13 @@ class SdpProblem:
                     "psi and psi_adj are not adjoint within tolerance"
                 )
         return SdpProblem(var_structure, con_structure,
-                          tuple(rows), obj, rhs)
+                          tuple(rows), obj, rhs, embedded)
 
     def apply_psi(self, x):
-        """Evaluate ``Psi(X)`` through the materialized rows."""
-        return unsvec(_rows_apply(self.rows, x), self.con_structure)
+        """Evaluate ``Psi(X)`` through the stored rows and declared blocks."""
+        con = self.con_structure
+        return unsvec(_rows_apply(self.rows, _placements(con, self.embedded),
+                                  x, con.dof), con)
 
 
 @dataclass
@@ -276,27 +319,6 @@ def _svec_index(r: int) -> _SvecIndex:
     return _SvecIndex(r, a, b, coef, gather, 2 * np.outer(weight, weight))
 
 
-def _embedding(rows, con_blocks):
-    """``(sl, k, r)`` when the rows of one variable block are exactly
-    ``1_k (x) F_j`` for the basis ``F_j`` of the constraint block of
-    dimension ``r`` at the svec slice ``sl``, and zero elsewhere; ``None``
-    otherwise.  Compares views of ``rows``, without copying them."""
-    d = rows.shape[1]
-    offset = 0
-    for r in con_blocks:
-        end = offset + r * r
-        if d % r == 0 and not rows[:offset].any() and not rows[end:].any():
-            k = d // r
-            basis = np.stack(hermitian_basis(r))
-            v = rows[offset:end].reshape(r * r, k, r, k, r)
-            if all(np.array_equal(v[:, y, :, y, :], basis) for y in range(k)) and \
-                    not any(v[:, y, :, z, :].any()
-                            for y in range(k) for z in range(k) if y != z):
-                return slice(offset, end), k, r
-        offset = end
-    return None
-
-
 def _embedded_a_op(x, k, index):
     """``Re <1_k (x) F_j, X>`` for every ``j``, as ``Re <F_j, Tr_k X>``.
 
@@ -354,11 +376,12 @@ def _embedded_schur(w, k, index):
 def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSolution:
     """Infeasible-start primal-dual interior-point solve.
 
-    The Newton system is formed per variable block.  A block whose rows are
-    the basis ``F_j`` of one constraint block embedded as ``1_k (x) F_j``
-    (every slack block, and the ``W`` block of both norm SDPs) contributes
-    its Schur block, ``A`` and ``A^*`` by Kronecker identities and partial
-    traces; any other block through its dense rows.
+    The Newton system is formed per variable block.  A block embedded as
+    ``1_k (x) F_j`` over the basis of one constraint block (every slack
+    block, and each block the problem declares so, like the ``W`` block of
+    both norm SDPs) contributes its Schur block, ``A`` and ``A^*`` by
+    Kronecker identities and partial traces; any other block through its
+    stored rows.
 
     Deterministic: identical problems and options produce an identical
     iterate sequence.
@@ -374,14 +397,13 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
 
     # Standard form: variable blocks = (X blocks, slack blocks),
     # <row_hat_j, Xtilde> = b_j, objective C = (obj, 0).  embedded[bdx] is
-    # (svec slice, k, index) for an embedded block and None for a dense one;
-    # a slack block is the basis of its constraint block with k = 1.
-    offsets = np.cumsum([0] + [d * d for d in con.blocks])
-    found = [_embedding(block_rows, con.blocks) for block_rows in problem.rows]
-    found += [(slice(o, o + d * d), 1, d) for o, d in zip(offsets, con.blocks)]
-    embedded = [None if e is None else (*e[:2], _svec_index(e[2])) for e in found]
-    rows = {bdx: r for bdx, r in enumerate(problem.rows) if embedded[bdx] is None}
-    rows_conj = {bdx: r.reshape(m_con, -1).conj() for bdx, r in rows.items()}
+    # (svec slice, k, index) for an embedded block and None for one with
+    # stored rows; a slack block is the basis of its constraint block, k = 1.
+    embedded = _placements(con, problem.embedded + tuple(
+        (c, 1) for c in range(len(con.blocks))))
+    rows = list(problem.rows) + [None] * len(con.blocks)
+    rows_conj = {bdx: r.reshape(m_con, -1).conj()
+                 for bdx, r in enumerate(rows) if r is not None}
 
     # Work on data normalized to unit spectral scale; solutions and
     # objectives are rescaled on exit.  Tolerances are relative, so this is
@@ -410,14 +432,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
         return out
 
     def a_adj(yv):
-        out = []
-        for bdx in range(nb):
-            if embedded[bdx] is None:
-                out.append(np.einsum("j,jab->ab", yv, rows[bdx]))
-            else:
-                sl, k, index = embedded[bdx]
-                out.append(_embedded_a_adj(yv[sl], k, index))
-        return out
+        return _rows_adj(rows, embedded, yv)
 
     def log(msg):
         stream = opt.log_stream or sys.stderr
@@ -585,11 +600,8 @@ def check_feasibility(problem: SdpProblem, point, side: str) -> FeasibilityRepor
         min_eig = min(min_eigenvalue(m) for m in point)
         return FeasibilityReport(max(0.0, viol), min_eig)
     if side == "dual":
-        coeffs = svec(point)
-        adj = [
-            np.einsum("j,jab->ab", coeffs, problem.rows[bdx])
-            for bdx in range(len(problem.rows))
-        ]
+        adj = _rows_adj(problem.rows, _placements(
+            problem.con_structure, problem.embedded), svec(point))
         viol = max(
             max_eigenvalue(ob - ab) for ob, ab in zip(problem.obj, adj)
         )

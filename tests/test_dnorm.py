@@ -1,5 +1,4 @@
 import dataclasses
-import platform
 from functools import lru_cache
 
 import numpy as np
@@ -32,10 +31,16 @@ from cbnorm.superop import (
     apply,
     induced_trace_norm_lower_bound,
     tensor,
+    to_choi,
     to_stinespring,
 )
 
-from conftest import random_channel, random_superop, random_unitary
+from conftest import (
+    random_channel,
+    random_complex,
+    random_superop,
+    random_unitary,
+)
 
 
 def phase_diff(theta, half=False):
@@ -255,6 +260,23 @@ class TestCertificates:
         assert not check.valid
         assert any("reproduce" in v for v in check.violations)
 
+    @pytest.mark.parametrize("i, k", [(2, 0), (1, 1), (0, 2)])
+    def test_wrong_pair_flagged_per_block(self, rng, i, k):
+        """A map that differs from the pair's only on ``E[i,k]`` is flagged
+        on that matrix unit alone."""
+        n, m = 3, 2
+        phi = random_superop(rng, n, m)
+        cert = diamond_norm(phi).certificate
+        assert verify_certificate(phi, cert).valid
+        unit = np.zeros((n, n))
+        unit[i, k] = 1.0
+        shifted = SuperOp.from_choi(
+            to_choi(phi) + np.kron(1e-3 * random_complex(rng, (m, m)), unit),
+            n, m)
+        check = verify_certificate(shifted, cert)
+        assert check.violations == (
+            f"stinespring pair does not reproduce the map on E[{i},{k}]",)
+
 
 ASCENT_SHAPES = [(3, 3), (2, 4), (4, 2), (3, 5), (5, 3)]
 
@@ -439,22 +461,6 @@ class TestNumericalFailure:
                                   random_channel(rng, 2, 2))
         with pytest.raises(NumericalFailureError):
             diamond_norm(diff, NormOptions(method=route))
-
-
-class TestHeapTrim:
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
-    def test_found_on_glibc(self):
-        assert dnorm._malloc_trim is not None
-
-    def test_once_per_solve_and_results_unchanged(self, monkeypatch, rng):
-        phi = random_superop(rng, 3, 3, terms=2)
-        monkeypatch.setattr(dnorm, "_malloc_trim", None)
-        plain = diamond_norm(phi), cb_spectral_norm(phi)
-        pads = []
-        monkeypatch.setattr(dnorm, "_malloc_trim", pads.append)
-        _assert_same_result(diamond_norm(phi), plain[0])
-        _assert_same_result(cb_spectral_norm(phi), plain[1])
-        assert pads == [0, 0]
 
 
 class TestRebalance:

@@ -10,8 +10,7 @@ from cbnorm.sdp import (
     _embedded_a_adj,
     _embedded_a_op,
     _embedded_schur,
-    _embedding,
-    _svec_index,
+    _placements,
     block_inner,
     check_feasibility,
     hermitian_basis,
@@ -202,32 +201,52 @@ class TestCheckFeasibility:
             check_feasibility(identity_problem(2), [np.eye(2)], "both")
 
 
+def _undeclared(build, *args):
+    """``build(*args)`` and the all-dense oracle: the same maps passed to
+    ``from_maps`` without the declaration."""
+    real, seen = SdpProblem.from_maps, []
+
+    def capture(*a, **kw):
+        seen.append(a)
+        return real(*a, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SdpProblem, "from_maps", staticmethod(capture))
+        prob = build(*args)
+    return prob, real(*seen[0])
+
+
 def _w_block_problems():
-    """(problem, k) pairs whose W block (index 1) is an embedded block."""
+    """(problem, oracle, k) whose W block (index 1) is declared embedded."""
     rng = np.random.default_rng(7)
     # Channel-difference route: W enters as F_j itself, k = 1.
-    chan = build_channel_diff_sdp(random_channel(rng, 2, 3),
-                                  random_channel(rng, 2, 3))
+    chan = _undeclared(build_channel_diff_sdp, random_channel(rng, 2, 3),
+                       random_channel(rng, 2, 3))
     # General route with n != m: W enters as 1_m (x) F_j, k = m = 3.
-    general = build_general_sdp(to_stinespring(random_superop(rng, 2, 3)))
+    general = _undeclared(build_general_sdp,
+                          to_stinespring(random_superop(rng, 2, 3)))
     # n = 1 (the fidelity instance of the general route), k = m = 2.
     u, v = random_complex(rng, (6, 1)), random_complex(rng, (6, 1))
-    trivial_in = build_general_sdp(StinespringPair(u, v, 3))
-    return [(chan, 1), (general, 3), (trivial_in, 2)]
+    trivial_in = _undeclared(build_general_sdp, StinespringPair(u, v, 3))
+    return [(*chan, 1), (*general, 3), (*trivial_in, 2)]
+
+
+def _close(a, b):
+    return np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0)
 
 
 class TestEmbeddedBlocks:
-    """The structured Newton-system terms of an embedded block against the
-    dense-rows formulas they replace."""
+    """Declared embedded blocks against the all-dense rows they replace."""
 
     @pytest.mark.parametrize("case", range(3))
     def test_matches_dense_rows(self, case, rng):
-        prob, k = _w_block_problems()[case]
-        rows = prob.rows[1]
+        prob, oracle, k = _w_block_problems()[case]
+        assert prob.embedded == (None, (1, k)) and prob.rows[1] is None
+        assert oracle.embedded == (None, None)
+        rows = oracle.rows[1]
         m_con, d = rows.shape[0], rows.shape[1]
-        sl, k_found, r = _embedding(rows, prob.con_structure.blocks)
-        assert k_found == k and d == k * r
-        index = _svec_index(r)
+        sl, k_found, index = _placements(prob.con_structure, prob.embedded)[1]
+        assert k_found == k and d == k * index.r
         flat = rows.reshape(m_con, -1)
 
         w = random_psd(rng, d)
@@ -251,17 +270,47 @@ class TestEmbeddedBlocks:
         assert np.max(np.abs(adj - dense_adj)) <= \
             1e-12 * np.max(np.abs(dense_adj))
 
-    def test_dense_block_not_embedded(self):
-        for prob, _ in _w_block_problems():
-            assert _embedding(prob.rows[0], prob.con_structure.blocks) is None
+    @pytest.mark.parametrize("case", range(3))
+    def test_stored_rows_bitwise(self, case):
+        prob, oracle, _ = _w_block_problems()[case]
+        assert np.array_equal(prob.rows[0], oracle.rows[0])
 
-    @pytest.mark.parametrize("row", [0, 3])
-    def test_perturbed_row_not_embedded(self, row):
-        prob, _ = _w_block_problems()[1]
-        rows = prob.rows[1].copy()
-        assert _embedding(rows, prob.con_structure.blocks) is not None
-        rows[row, 0, 1] += 1e-15
-        assert _embedding(rows, prob.con_structure.blocks) is None
+    @pytest.mark.parametrize("case", range(3))
+    def test_apply_psi_and_feasibility(self, case, rng):
+        prob, oracle, _ = _w_block_problems()[case]
+        x = prob.var_structure.random_hermitian(rng)
+        for got, want in zip(prob.apply_psi(x), oracle.apply_psi(x)):
+            assert _close(got, want)
+        y = prob.con_structure.random_hermitian(rng)
+        for point, side in ((x, "primal"), (y, "dual")):
+            got = check_feasibility(prob, point, side)
+            want = check_feasibility(oracle, point, side)
+            assert got.max_violation == pytest.approx(
+                want.max_violation, rel=1e-12, abs=1e-12)
+            assert got.min_eigenvalue == want.min_eigenvalue
+
+    def test_only_undeclared_rows_stored(self):
+        """Full-rank d=4: only the X block's rows, ``m_con x n^2``."""
+        n = 4
+        prob = build_general_sdp(to_stinespring(random_superop(
+            np.random.default_rng(1), n, n, terms=n * n)))
+        m_con = prob.con_structure.dof
+        assert m_con == 1 + (n * n) ** 2
+        stored = sum(r.nbytes for r in prob.rows if r is not None)
+        assert stored == 16 * m_con * n * n
+
+    def test_bad_declaration_rejected(self):
+        n = 2
+        args = (BlockStructure((n,)), BlockStructure((1,)),
+                lambda blocks: [np.array([[2 * np.trace(blocks[0])]])],
+                lambda blocks: [2 * blocks[0][0, 0] * np.eye(n)],
+                [np.eye(n)], [np.eye(1)])
+        SdpProblem.from_maps(*args)
+        with pytest.raises(InvalidInputError, match="shape"):
+            SdpProblem.from_maps(*args, embedded={0: (0, 3)})
+        # Psi^*(y) is 2 y 1, not the declared 1_2 (x) y.
+        with pytest.raises(InvalidInputError, match="adjoint"):
+            SdpProblem.from_maps(*args, embedded={0: (0, 2)})
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (3, 5), (5, 5)])
