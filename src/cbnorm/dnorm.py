@@ -5,17 +5,25 @@ Two routes:
 * the general route, for any super-operator given by a minimal Stinespring
   pair ``(A, B)``: the squared norm is the optimum of
 
-      maximize <B B^dag, W>  s.t.  Tr_Y(W) <= Tr_Y(A X A^dag), Tr X <= 1
+      maximize <B B^dag, W>  s.t.  Tr_Y(W) = Tr_Y(A X A^dag), Tr X = 1
 
   with dual  minimize lambda  s.t.  lambda 1 >= A^dag(1 (x) Z)A,
   1 (x) Z >= B B^dag;
 
 * the channel-difference route for ``phi0 - phi1`` with both channels:
 
-      maximize <J(phi), W>  s.t.  W <= 1 (x) rho, Tr rho <= 1
+      maximize <J(phi), W>  s.t.  W <= 1 (x) rho, Tr rho = 1
 
   whose optimum is half the norm, with dual  minimize |Tr_Y(Z)|_inf
   s.t. Z >= J(phi).
+
+The paper states every constraint with ``<=``.  Those written with ``=``
+here are tight at some optimum, so the optimum is the same: ``B B^dag >= 0``
+lets ``W + (1_m / m) (x) Delta`` close a gap ``Delta`` in the marginal
+without lowering the objective, and scaling by ``1 / Tr X`` (or
+``1 / Tr rho``) does not lower it either.  Held as equalities, they need no
+slack block in the solver, and their duals need no sign constraint: the
+dual constraints already force ``Z >= 0`` and ``lambda >= 0``.
 
 ``method="auto"`` takes the route with the smaller Newton system: a channel
 difference goes general (``1 + r^2`` rows, ``r = rank J``) only when
@@ -128,8 +136,9 @@ def build_general_sdp(pair: StinespringPair) -> SdpProblem:
     obj = [np.zeros((n, n)), bbdag]
     rhs = [np.eye(1), np.zeros((r, r))]
     # W enters Psi^* as 1_m (x) Z, Z the dual of constraint block 1.
+    # Equalities: W + (1_m / m) (x) Delta and X / Tr X never lower the value.
     return SdpProblem.from_maps(var, con, psi, psi_adj, obj, rhs,
-                                embedded={1: (1, m)})
+                                embedded={1: (1, m)}, equality=(0, 1))
 
 
 def build_channel_diff_sdp(phi0: SuperOp, phi1: SuperOp) -> SdpProblem:
@@ -159,8 +168,9 @@ def build_channel_diff_sdp(phi0: SuperOp, phi1: SuperOp) -> SdpProblem:
     obj = [np.zeros((n, n)), j]
     rhs = [np.eye(1), np.zeros((m * n, m * n))]
     # W enters Psi^* as Z itself, the dual of constraint block 1.
+    # Tr rho = 1: (rho, W) / Tr rho never lowers the value; W keeps its slack.
     return SdpProblem.from_maps(var, con, psi, psi_adj, obj, rhs,
-                                embedded={1: (1, 1)})
+                                embedded={1: (1, 1)}, equality=(0,))
 
 
 def _psd_part(mat: np.ndarray) -> np.ndarray:
@@ -260,13 +270,23 @@ def _repair_general_certificate(pair, sol) -> GeneralCertificate:
         _normalized_state(sol.X_opt[0], n),
         _normalized_state((x1 + x1.conj().T) / 2, n),
     )
-    z = _psd_part(sol.Y_opt[1])
+    # Two ways to make 1 (x) Z dominate B B^dag: shift Z by the worst
+    # violation, or, for Z > 0, scale it by c = lambda_max(B^dag (1 (x) Z)^-1
+    # B), since 1 (x) Z >= B B^dag iff that is at most 1.  Keep the Z with the
+    # smaller bound; c carries an allowance for the rounding of Z^-1/2.
+    vals, vecs = herm_eig(sol.Y_opt[1])
+    z = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
     shift = max(
         0.0, -min_eigenvalue(kron(np.eye(m), z) - b @ b.conj().T)
     )
-    if shift > 0:
-        z = z + shift * np.eye(r)
-    lam = spectral_norm(a.conj().T @ kron(np.eye(m), z) @ a)
+    candidates = [z + shift * np.eye(r)]
+    if vals[0] > 0:
+        inv_root = (vecs * vals ** -0.5).conj().T
+        c = spectral_norm(kron(np.eye(m), inv_root) @ b) ** 2
+        candidates.append(c * (1 + 8 * np.finfo(float).eps * m * r) * z)
+    lam, z = min(
+        ((spectral_norm(a.conj().T @ kron(np.eye(m), zc) @ a), zc)
+         for zc in candidates), key=lambda t: t[0])
     return GeneralCertificate(pair=pair, rho=rho, w=w, lam=lam, z=z)
 
 

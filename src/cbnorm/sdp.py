@@ -6,9 +6,15 @@
 over block-diagonal Hermitian variables, together with a primal-dual
 interior-point solver (Nesterov-Todd scaling, Mehrotra predictor-corrector).
 
-The inequality is handled internally by a PSD slack block ``S`` with
-``Psi(X) + S = B``; the dual variable ``Y`` lives on the constraint-image
-structure and satisfies ``Psi^*(Y) >= A``, ``Y >= 0`` at optimality.
+A problem may declare some constraint blocks as equalities,
+``Psi(X)_c = B_c``.  Every other constraint block is handled internally by
+a PSD slack block ``S_c`` with ``Psi(X)_c + S_c = B_c``.  The dual variable
+``Y`` lives on the constraint-image structure and satisfies
+``Psi^*(Y) >= A`` at optimality, with ``Y_c >= 0`` on the inequality blocks
+only; an equality block's ``Y_c`` has no sign constraint.
+
+The solve stops when the relative gap ``|p - d| / max(1, |p|, |d|)`` and
+both relative infeasibilities are below their tolerances.
 """
 
 from __future__ import annotations
@@ -96,22 +102,25 @@ def unsvec(vec: np.ndarray, structure: BlockStructure):
     return blocks
 
 
+def _basis_entries(d: int):
+    """``(p, q, F_pq, F_qp)``, the nonzero entries of each element of
+    :func:`hermitian_basis` in svec order, without forming the matrices."""
+    for p in range(d):
+        yield p, p, 1.0, 1.0
+    iu = np.triu_indices(d, 1)
+    for p, q in zip(*iu):
+        yield p, q, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)
+    for p, q in zip(*iu):
+        yield p, q, 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+
+
 def hermitian_basis(d: int):
     """Orthonormal Hermitian basis of dimension ``d*d`` in svec order."""
     mats = []
-    for p in range(d):
+    for p, q, fpq, fqp in _basis_entries(d):
         e = np.zeros((d, d), dtype=complex)
-        e[p, p] = 1.0
-        mats.append(e)
-    iu = np.triu_indices(d, 1)
-    for p, q in zip(*iu):
-        e = np.zeros((d, d), dtype=complex)
-        e[p, q] = e[q, p] = 1.0 / np.sqrt(2.0)
-        mats.append(e)
-    for p, q in zip(*iu):
-        e = np.zeros((d, d), dtype=complex)
-        e[p, q] = 1j / np.sqrt(2.0)
-        e[q, p] = -1j / np.sqrt(2.0)
+        e[p, q] = fpq
+        e[q, p] = fqp
         mats.append(e)
     return mats
 
@@ -121,14 +130,16 @@ def block_inner(a, b) -> float:
     return float(sum(np.vdot(x, y).real for x, y in zip(a, b)))
 
 
-def _placements(con_structure, embedded):
+def _placements(con_structure, embedded, schur=True):
     """``(svec slice, k, _SvecIndex)`` of each variable block declared as
     ``(c, k)``, that is with rows ``1_k (x) F_j`` for the basis ``F_j`` of
-    constraint block ``c``; ``None`` for a block with stored rows."""
+    constraint block ``c``; ``None`` for a block with stored rows.  Without
+    ``schur`` the indices leave out what only :func:`_embedded_schur`
+    reads."""
     offsets = np.cumsum([0] + [d * d for d in con_structure.blocks])
     return [None if e is None else
             (slice(offsets[e[0]], offsets[e[0] + 1]), e[1],
-             _svec_index(con_structure.blocks[e[0]]))
+             _svec_index(con_structure.blocks[e[0]], schur))
             for e in embedded]
 
 
@@ -165,6 +176,8 @@ class SdpProblem:
     constraint block ``c`` and zero rows elsewhere; such a block stores no
     rows (``rows[b]`` is ``None``).  Every other block has ``embedded[b]``
     ``None`` and stores ``rows[b]`` of shape ``(con_dof, d_b, d_b)``.
+    ``equality`` lists the constraint blocks held with ``=``; the others are
+    held with ``<=``.
     """
 
     var_structure: BlockStructure
@@ -173,16 +186,21 @@ class SdpProblem:
     obj: tuple = field(repr=False)
     rhs: tuple = field(repr=False)
     embedded: tuple
+    equality: tuple = ()
 
     @staticmethod
     def from_maps(var_structure, con_structure, psi, psi_adj, obj, rhs,
                   check_tol: float = 1e-11, rng_seed: int = 20260823,
-                  embedded: dict | None = None):
+                  embedded: dict | None = None, equality=()):
         """Build a problem from callables for ``Psi`` and ``Psi^*``.
 
         ``embedded`` maps a variable block to ``(c, k)`` when ``Psi^*``
         enters it as ``1_k (x) Y_c``; no rows are stored for it, and those of
-        the other blocks are probed from ``psi_adj``.  Both callables are
+        the other blocks are probed from ``psi_adj``, one basis element at a
+        time.  ``equality`` names the constraint blocks held with ``=``
+        rather than ``<=``: :func:`solve` gives them no slack block and their
+        duals no sign constraint.  Declare a block so only when some optimum
+        makes it tight, as then the optimum is unchanged.  Both callables are
         validated on random inputs: Hermiticity preservation of ``Psi``, and
         adjoint consistency against the rows and the declared blocks.
         """
@@ -206,6 +224,12 @@ class SdpProblem:
                     0 <= e[0] < len(con_structure.blocks)
                     and d == e[1] * con_structure.blocks[e[0]]):
                 raise InvalidInputError("embedded block shape mismatch")
+        equality = tuple(equality)
+        if len(set(equality)) != len(equality) or not all(
+                isinstance(c, (int, np.integer))
+                and 0 <= c < len(con_structure.blocks) for c in equality):
+            raise InvalidInputError(
+                "equality must name distinct constraint blocks")
 
         m_con = con_structure.dof
         rows = [
@@ -214,16 +238,17 @@ class SdpProblem:
         ]
         j = 0
         for ci, d in enumerate(con_structure.blocks):
-            for f in hermitian_basis(d):
+            for p, q, fpq, fqp in _basis_entries(d):
                 fb = con_structure.zeros()
-                fb[ci] = f
+                fb[ci][p, q] = fpq
+                fb[ci][q, p] = fqp
                 g = psi_adj(fb)
                 for b, gb in enumerate(g):
                     if rows[b] is not None:
                         rows[b][j] = (gb + np.conj(gb).T) / 2
                 j += 1
 
-        placements = _placements(con_structure, embedded)
+        placements = _placements(con_structure, embedded, schur=False)
         rng = np.random.default_rng(rng_seed)
         for _ in range(3):
             h = var_structure.random_hermitian(rng)
@@ -244,18 +269,28 @@ class SdpProblem:
                 raise InvalidInputError(
                     "psi and psi_adj are not adjoint within tolerance"
                 )
-        return SdpProblem(var_structure, con_structure,
-                          tuple(rows), obj, rhs, embedded)
+        return SdpProblem(var_structure, con_structure, tuple(rows), obj,
+                          rhs, embedded, tuple(int(c) for c in equality))
 
     def apply_psi(self, x):
         """Evaluate ``Psi(X)`` through the stored rows and declared blocks."""
         con = self.con_structure
-        return unsvec(_rows_apply(self.rows, _placements(con, self.embedded),
-                                  x, con.dof), con)
+        placements = _placements(con, self.embedded, schur=False)
+        return unsvec(_rows_apply(self.rows, placements, x, con.dof), con)
 
 
 @dataclass
 class SolveOptions:
+    """Stopping rule and logging of :func:`solve`.
+
+    A solve ends ``optimal`` when the relative gap
+    ``|p - d| / max(1, |p|, |d|)`` is at most ``gap_tol`` and the primal
+    and dual infeasibilities, relative to ``1 + |B|`` and ``1 + |A|``, are
+    at most ``feas_tol``, all measured on the data scaled to
+    ``|A| = |B| = 1``.  The gap test is relative for large objectives and
+    absolute near a zero optimum, where a relative test could never pass.
+    """
+
     gap_tol: float = GAP_TOL
     feas_tol: float = FEAS_TOL
     max_iter: int = MAX_ITER
@@ -294,7 +329,8 @@ class _SvecIndex(NamedTuple):
     elements share.  ``coef[j] = c_j`` over all ``r*r`` elements: 1/2 on
     the diagonal (``F_pp = E/2 + E/2``), 1/sqrt(2) for real parts and
     i/sqrt(2) for imaginary parts.  ``gather`` and ``scale`` serve
-    :func:`_embedded_schur`.
+    :func:`_embedded_schur`; they take ``O(r^4)`` memory, so they are
+    ``None`` when built without ``schur``.
     """
 
     r: int
@@ -305,12 +341,14 @@ class _SvecIndex(NamedTuple):
     scale: np.ndarray
 
 
-def _svec_index(r: int) -> _SvecIndex:
+def _svec_index(r: int, schur: bool = True) -> _SvecIndex:
     p, q = np.triu_indices(r, 1)
     a = np.concatenate([np.arange(r), p])
     b = np.concatenate([np.arange(r), q])
     off = np.full(len(p), 1 / np.sqrt(2.0))
     coef = np.concatenate([np.full(r, 0.5), off, 1j * off])
+    if not schur:
+        return _SvecIndex(r, a, b, coef, None, None)
     # Flat positions in kt (see _embedded_schur) of K[(a_i, b_i), (a_l, b_l)]
     # and K[(a_i, b_i), (b_l, a_l)].
     row = (a * r ** 3 + b)[:, None]
@@ -383,6 +421,10 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     Kronecker identities and partial traces; any other block through its
     stored rows.
 
+    Only the inequality blocks of the constraint get a slack block; the
+    equality blocks (``problem.equality``) are met by ``Psi(X)`` itself, so
+    their duals carry no sign constraint.
+
     Deterministic: identical problems and options produce an identical
     iterate sequence.
     """
@@ -390,18 +432,20 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     var = problem.var_structure
     con = problem.con_structure
     nb_var = len(var.blocks)
-    dims = list(var.blocks) + list(con.blocks)
+    slack = [c for c in range(len(con.blocks)) if c not in problem.equality]
+    dims = list(var.blocks) + [con.blocks[c] for c in slack]
     nb = len(dims)
     m_con = con.dof
     nu = float(sum(dims))
 
-    # Standard form: variable blocks = (X blocks, slack blocks),
-    # <row_hat_j, Xtilde> = b_j, objective C = (obj, 0).  embedded[bdx] is
-    # (svec slice, k, index) for an embedded block and None for one with
-    # stored rows; a slack block is the basis of its constraint block, k = 1.
+    # Standard form: variable blocks = (X blocks, slack blocks of the
+    # inequality constraint blocks), <row_hat_j, Xtilde> = b_j, objective
+    # C = (obj, 0).  embedded[bdx] is (svec slice, k, index) for an embedded
+    # block and None for one with stored rows; a slack block is the basis of
+    # its constraint block, k = 1.
     embedded = _placements(con, problem.embedded + tuple(
-        (c, 1) for c in range(len(con.blocks))))
-    rows = list(problem.rows) + [None] * len(con.blocks)
+        (c, 1) for c in slack))
+    rows = list(problem.rows) + [None] * len(slack)
     rows_conj = {bdx: r.reshape(m_con, -1).conj()
                  for bdx, r in enumerate(rows) if r is not None}
 
@@ -411,7 +455,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     c_scale = max(spectral_norm(m) for m in problem.obj) or 1.0
     b_scale = max(spectral_norm(m) for m in problem.rhs) or 1.0
     c_blocks = [m.astype(complex) / c_scale for m in problem.obj] + [
-        np.zeros((d, d), dtype=complex) for d in con.blocks
+        np.zeros((d, d), dtype=complex) for d in dims[nb_var:]
     ]
     b = svec(problem.rhs) / b_scale
     c_norm = np.sqrt(sum(np.linalg.norm(cb) ** 2 for cb in c_blocks))
@@ -450,7 +494,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
         mu = sum(np.vdot(x[bdx], z[bdx]).real for bdx in range(nb)) / nu
         pobj = block_inner(c_blocks, x)
         dobj = float(b @ y)
-        rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        rel_gap = abs(pobj - dobj) / max(1.0, abs(pobj), abs(dobj))
         pinf = np.linalg.norm(rp) / (1.0 + np.linalg.norm(b))
         dinf = np.sqrt(sum(np.linalg.norm(m) ** 2 for m in rd)) / (1.0 + c_norm)
         if opt.verbose:
@@ -591,20 +635,29 @@ class FeasibilityReport:
 
 def check_feasibility(problem: SdpProblem, point, side: str) -> FeasibilityReport:
     """Spectral violation of the linear constraint and most negative
-    eigenvalue of a candidate primal or dual point."""
+    eigenvalue of a candidate primal or dual point.
+
+    On the primal side an equality block counts its deviation from ``B_c``
+    in both directions.  On the dual side the eigenvalue is taken over the
+    inequality blocks only (``inf`` when there are none), since an equality
+    block's dual has no sign constraint.
+    """
     if side == "primal":
         img = problem.apply_psi(point)
         viol = max(
-            max_eigenvalue(ib - rb) for ib, rb in zip(img, problem.rhs)
+            spectral_norm(ib - rb) if c in problem.equality
+            else max_eigenvalue(ib - rb)
+            for c, (ib, rb) in enumerate(zip(img, problem.rhs))
         )
         min_eig = min(min_eigenvalue(m) for m in point)
         return FeasibilityReport(max(0.0, viol), min_eig)
     if side == "dual":
         adj = _rows_adj(problem.rows, _placements(
-            problem.con_structure, problem.embedded), svec(point))
+            problem.con_structure, problem.embedded, schur=False), svec(point))
         viol = max(
             max_eigenvalue(ob - ab) for ob, ab in zip(problem.obj, adj)
         )
-        min_eig = min(min_eigenvalue(m) for m in point)
+        min_eig = min((min_eigenvalue(m) for c, m in enumerate(point)
+                       if c not in problem.equality), default=np.inf)
         return FeasibilityReport(max(0.0, viol), min_eig)
     raise InvalidInputError(f"side must be 'primal' or 'dual', got {side!r}")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cbnorm.sdp import SdpProblem
 from cbnorm.superop import SuperOp
 
 
@@ -48,6 +49,23 @@ def random_superop(rng, n, m, terms=2, scale=1.0):
     left = [scale * random_complex(rng, (m, n)) for _ in range(terms)]
     right = [scale * random_complex(rng, (m, n)) for _ in range(terms)]
     return SuperOp.from_kraus(left, right)
+
+
+def undeclared(build, *args, keep=("equality",)):
+    """``build(*args)`` and the all-dense oracle: the same maps passed to
+    ``from_maps`` without the embedded declaration, keeping the keyword
+    arguments named in ``keep``."""
+    real, seen = SdpProblem.from_maps, []
+
+    def capture(*a, **kw):
+        seen.append((a, kw))
+        return real(*a, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SdpProblem, "from_maps", staticmethod(capture))
+        prob = build(*args)
+    a, kw = seen[0]
+    return prob, real(*a, **{k: v for k, v in kw.items() if k in keep})
 
 
 @pytest.fixture

@@ -22,7 +22,9 @@ from cbnorm.dnorm import (
     verify_certificate,
 )
 from cbnorm.errors import InvalidInputError, NumericalFailureError
-from cbnorm.linalg import max_eigenvalue, partial_trace, spectral_norm
+from cbnorm import fidelity
+from cbnorm.linalg import kron, max_eigenvalue, min_eigenvalue, partial_trace, \
+    spectral_norm
 from cbnorm.sdp import SolveOptions, solve
 from cbnorm.superop import (
     StinespringPair,
@@ -37,6 +39,7 @@ from cbnorm.superop import (
 
 from conftest import (
     random_channel,
+    undeclared,
     random_complex,
     random_superop,
     random_unitary,
@@ -517,3 +520,103 @@ def test_solver_stats_surface(rng):
     assert res.solver_stats.status == "optimal"
     assert res.solver_stats.iterations > 0
     assert res.warnings == ()
+
+
+class TestEqualityForm:
+    """Both norm SDPs hold the constraints every optimum makes tight with
+    ``=``, so those blocks carry no slack."""
+
+    def test_declarations(self, rng):
+        pair = to_stinespring(random_superop(rng, 2, 3))
+        assert build_general_sdp(pair).equality == (0, 1)
+        chan = build_channel_diff_sdp(random_channel(rng, 2, 2),
+                                      random_channel(rng, 2, 2))
+        assert chan.equality == (0,)
+
+    @pytest.mark.parametrize("route", ["general", "channel-diff"])
+    def test_matches_undeclared_build(self, route, rng):
+        """The same maps with neither declaration, all inequalities and all
+        dense rows, reach the same optimum."""
+        for _ in range(3):
+            if route == "general":
+                prob, oracle = undeclared(
+                    build_general_sdp,
+                    to_stinespring(random_superop(rng, 2, 3)), keep=())
+            else:
+                prob, oracle = undeclared(
+                    build_channel_diff_sdp, random_channel(rng, 2, 3),
+                    random_channel(rng, 2, 3), keep=())
+            assert oracle.equality == () and oracle.rows[1] is not None
+            got, want = solve(prob), solve(oracle)
+            assert got.status == want.status == "optimal"
+            for a, b in ((got.primal_value, want.primal_value),
+                         (got.dual_value, want.dual_value)):
+                assert a == pytest.approx(b, rel=1e-7)
+
+    @staticmethod
+    def _shifted_lam(pair, sol):
+        """The bound of the additive repair alone: Z + delta 1."""
+        m = pair.a.shape[0] // pair.dim_env
+        z = dnorm._psd_part(sol.Y_opt[1])
+        bbdag = pair.b @ pair.b.conj().T
+        shift = max(0.0, -min_eigenvalue(kron(np.eye(m), z) - bbdag))
+        z = z + shift * np.eye(pair.dim_env)
+        return spectral_norm(pair.a.conj().T @ kron(np.eye(m), z) @ pair.a)
+
+    def test_rescaled_z_never_above_shift(self, rng):
+        rescaled = 0
+        for n, m, scale in [(2, 2, 1.0), (2, 3, 1e-3), (3, 3, 1.0),
+                            (3, 2, 1e2), (4, 4, 1.0), (1, 3, 10.0)]:
+            phi = random_superop(rng, n, m, scale=scale)
+            pair = to_stinespring(phi)
+            sol = solve(build_general_sdp(pair))
+            cert = _repair_general_certificate(pair, sol)
+            shifted = self._shifted_lam(pair, sol)
+            assert cert.lam <= shifted
+            rescaled += cert.lam < shifted
+            check = verify_certificate(phi, cert)
+            assert check.valid, check.violations
+            assert check.upper ** 2 == pytest.approx(cert.lam, rel=1e-12)
+            assert check.lower <= check.upper
+        # The scaled Z is the one kept on most instances.
+        assert rescaled >= 3
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: SuperOp.identity(2),
+        lambda rng: SuperOp.identity(3),
+        lambda rng: SuperOp.difference(
+            SuperOp.from_kraus([random_unitary(rng, 3)]),
+            SuperOp.from_kraus([random_unitary(rng, 3)])),
+        lambda rng: SuperOp.difference(
+            SuperOp.identity(2),
+            SuperOp.from_kraus([np.diag([1.0, np.exp(0.3j)])])),
+        lambda rng: random_superop(rng, 3, 3, scale=10),
+        lambda rng: random_superop(rng, 2, 4, scale=10),
+    ])
+    def test_value_inside_bracket(self, make, rng):
+        phi = make(rng)
+        for norm, target in ((diamond_norm, phi),
+                             (cb_spectral_norm, adjoint(phi))):
+            res = norm(phi)
+            assert res.lower_bound <= res.value <= res.upper_bound
+            check = verify_certificate(target, res.certificate)
+            assert check.valid and check.lower <= check.upper
+
+    def test_fidelity_d8_full_rank_optimal(self, monkeypatch):
+        """Two full-rank d=8 states, as in the fid-d8-full benchmark pool:
+        the solve ends optimal, not at its gap floor."""
+        rng = np.random.default_rng([9014709, 6, 0])
+        p, q = (g @ g.conj().T / np.linalg.norm(g) ** 2
+                for g in (random_complex(rng, (8, 8)) for _ in range(2)))
+        statuses = []
+
+        def record(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            statuses.append(sol.status)
+            return sol
+
+        monkeypatch.setattr(fidelity, "solve", record)
+        res = fidelity.fidelity_sdp(p, q)
+        assert statuses == ["optimal"]
+        assert res.fidelity == pytest.approx(
+            fidelity.fidelity_closed_form(p, q), abs=1e-8)

@@ -21,6 +21,7 @@ from cbnorm.sdp import (
 from cbnorm.superop import StinespringPair, to_stinespring
 
 from conftest import (
+    undeclared,
     random_channel,
     random_complex,
     random_hermitian,
@@ -29,8 +30,8 @@ from conftest import (
 )
 
 
-def identity_problem(n, a=None, b=None):
-    """maximize <A, X> s.t. X <= B, X >= 0."""
+def identity_problem(n, a=None, b=None, equality=()):
+    """maximize <A, X> s.t. X <= B, X >= 0 (X = B with ``equality=(0,)``)."""
     struct = BlockStructure((n,))
     return SdpProblem.from_maps(
         struct, struct,
@@ -38,17 +39,19 @@ def identity_problem(n, a=None, b=None):
         lambda blocks: [blocks[0]],
         [np.eye(n) if a is None else a],
         [np.eye(n) if b is None else b],
+        equality=equality,
     )
 
 
-def trace_problem(a):
-    """maximize <A, X> s.t. Tr X <= 1, X >= 0 (top eigenvalue of A)."""
+def trace_problem(a, equality=()):
+    """maximize <A, X> s.t. Tr X <= 1, X >= 0 (top eigenvalue of A);
+    Tr X = 1 with ``equality=(0,)``."""
     n = a.shape[0]
     return SdpProblem.from_maps(
         BlockStructure((n,)), BlockStructure((1,)),
         lambda blocks: [np.array([[np.trace(blocks[0])]])],
         lambda blocks: [blocks[0][0, 0] * np.eye(n)],
-        [a], [np.eye(1)],
+        [a], [np.eye(1)], equality=equality,
     )
 
 
@@ -104,6 +107,61 @@ class TestFromMaps:
                 [np.eye(2)], [np.eye(2)],
             )
 
+    @pytest.mark.parametrize("equality", [(1,), (-1,), (0, 0), ("0",), (0.0,)])
+    def test_rejects_bad_equality(self, equality):
+        with pytest.raises(InvalidInputError, match="equality"):
+            trace_problem(np.eye(2), equality=equality)
+
+    def test_equality_stored(self):
+        assert trace_problem(np.eye(2)).equality == ()
+        assert trace_problem(np.eye(2), equality=[np.int64(0)]).equality == (0,)
+
+    def test_probe_rows_bitwise(self, rng):
+        """Rows probed entry by entry equal those probed from the
+        ``hermitian_basis`` matrices, bit for bit."""
+        var, con = BlockStructure((3, 2)), BlockStructure((2, 3))
+        ks = [random_complex(rng, (5, 5)) for _ in range(2)]
+
+        def psi(blocks):
+            x = np.zeros((5, 5), dtype=complex)
+            x[:3, :3], x[3:, 3:] = blocks
+            out = sum(k @ x @ k.conj().T for k in ks)
+            return [out[:2, :2], out[2:, 2:]]
+
+        def psi_adj(blocks):
+            y = np.zeros((5, 5), dtype=complex)
+            y[:2, :2], y[2:, 2:] = blocks
+            out = sum(k.conj().T @ y @ k for k in ks)
+            return [out[:3, :3], out[3:, 3:]]
+
+        prob = SdpProblem.from_maps(var, con, psi, psi_adj, var.zeros(),
+                                    con.zeros(), check_tol=1e-9)
+        j = 0
+        for ci, d in enumerate(con.blocks):
+            for f in hermitian_basis(d):
+                fb = con.zeros()
+                fb[ci] = f
+                for rows, g in zip(prob.rows, psi_adj(fb)):
+                    assert ((g + g.conj().T) / 2).tobytes() == rows[j].tobytes()
+                j += 1
+
+    def test_probe_memory(self):
+        """Full-rank d=5 (``r`` = 25): the probe holds one basis element at a
+        time, not the 625 of ``hermitian_basis(25)`` (6.25 MB), and no Schur
+        gather indices."""
+        import tracemalloc
+
+        n = 5
+        pair = to_stinespring(random_superop(
+            np.random.default_rng(1), n, n, terms=n * n))
+        tracemalloc.start()
+        try:
+            prob = build_general_sdp(pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * prob.rows[0].nbytes
+
     def test_apply_psi_matches_callable(self, rng):
         prob = trace_problem(np.diag([1.0, 2.0, 3.0]))
         h = prob.var_structure.random_hermitian(rng)
@@ -151,6 +209,51 @@ class TestSolve:
         assert all(np.array_equal(x, y) for x, y in zip(s1.X_opt, s2.X_opt))
         assert all(np.array_equal(x, y) for x, y in zip(s1.Y_opt, s2.Y_opt))
 
+    @pytest.mark.parametrize("build", [
+        lambda a, eq: trace_problem(a, equality=eq),
+        # A >= 0 makes X = B optimal, so X <= B is tight.
+        lambda a, eq: identity_problem(3, a=a @ a, b=np.diag([1.0, 2.0, 3.0]),
+                                       equality=eq),
+    ])
+    def test_tight_constraint_as_equality(self, build, rng):
+        """A constraint every optimum makes tight has the same optimum when
+        it is declared an equality, and the solve needs no slack block."""
+        for _ in range(3):
+            a = random_hermitian(rng, 3) + 2.0 * np.eye(3)
+            ineq, eq = solve(build(a, ())), solve(build(a, (0,)))
+            assert ineq.status == eq.status == "optimal"
+            assert eq.primal_value == pytest.approx(ineq.primal_value, rel=1e-7)
+            assert eq.dual_value == pytest.approx(ineq.dual_value, rel=1e-7)
+
+    def test_equality_dual_unsigned(self):
+        """Tr X = 1 with A <= 0: the optimal dual is the negative top
+        eigenvalue of A, which the inequality form would clip at 0."""
+        a = -np.diag([1.0, 2.0])
+        eq = solve(trace_problem(a, equality=(0,)))
+        assert eq.status == "optimal"
+        assert eq.primal_value == pytest.approx(-1.0, abs=1e-7)
+        assert eq.Y_opt[0][0, 0].real == pytest.approx(-1.0, abs=1e-7)
+        assert solve(trace_problem(a)).primal_value == pytest.approx(0.0, abs=1e-7)
+
+    def test_zero_optimum_converges(self):
+        """The gap test is absolute near a zero optimum."""
+        sol = solve(identity_problem(3, a=-np.eye(3)))
+        assert sol.status == "optimal"
+        assert abs(sol.primal_value) <= 1e-7 and abs(sol.dual_value) <= 1e-7
+
+    def test_gap_test_relative_to_largest_objective(self, rng):
+        """``optimal`` means ``|p - d| <= gap_tol * max(1, |p|, |d|)`` on
+        the data scaled to ``|A| = |B| = 1``; a coarse tolerance lets the
+        last gap land anywhere below it."""
+        for _ in range(20):
+            a = 3.0 * random_hermitian(rng, 3)
+            b = random_psd(rng, 3) + np.eye(3)
+            sol = solve(identity_problem(3, a=a, b=b), SolveOptions(gap_tol=1e-4))
+            assert sol.status == "optimal"
+            unit = np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+            assert sol.gap <= 1e-4 * max(unit, abs(sol.primal_value),
+                                         abs(sol.dual_value))
+
     def test_max_iterations_status(self):
         sol = solve(identity_problem(3), SolveOptions(max_iter=1))
         assert sol.status == "max_iterations"
@@ -196,38 +299,47 @@ class TestCheckFeasibility:
         assert rep.max_violation == 0.0
         assert rep.min_eigenvalue == pytest.approx(3.0)
 
+    def test_equality_block_both_directions(self):
+        """Tr X = 1/2 meets Tr X <= 1 but violates Tr X = 1 by 1/2."""
+        x = [np.diag([0.25, 0.25])]
+        ineq = check_feasibility(trace_problem(np.eye(2)), x, "primal")
+        eq = check_feasibility(trace_problem(np.eye(2), equality=(0,)), x,
+                               "primal")
+        assert ineq.max_violation == 0.0
+        assert eq.max_violation == pytest.approx(0.5, abs=1e-12)
+        # Above B the two forms agree.
+        over = [np.eye(2)]
+        for prob in (trace_problem(np.eye(2)),
+                     trace_problem(np.eye(2), equality=(0,))):
+            assert check_feasibility(prob, over, "primal").max_violation == \
+                pytest.approx(1.0, abs=1e-12)
+
+    def test_equality_dual_sign_free(self):
+        """y = -1 dominates A = -2 1; only the inequality form needs y >= 0."""
+        a, y = -2.0 * np.eye(2), [np.array([[-1.0]])]
+        ineq = check_feasibility(trace_problem(a), y, "dual")
+        eq = check_feasibility(trace_problem(a, equality=(0,)), y, "dual")
+        assert ineq.max_violation == eq.max_violation == 0.0
+        assert ineq.min_eigenvalue == pytest.approx(-1.0)
+        assert eq.min_eigenvalue == np.inf
+
     def test_bad_side(self):
         with pytest.raises(InvalidInputError):
             check_feasibility(identity_problem(2), [np.eye(2)], "both")
-
-
-def _undeclared(build, *args):
-    """``build(*args)`` and the all-dense oracle: the same maps passed to
-    ``from_maps`` without the declaration."""
-    real, seen = SdpProblem.from_maps, []
-
-    def capture(*a, **kw):
-        seen.append(a)
-        return real(*a, **kw)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SdpProblem, "from_maps", staticmethod(capture))
-        prob = build(*args)
-    return prob, real(*seen[0])
 
 
 def _w_block_problems():
     """(problem, oracle, k) whose W block (index 1) is declared embedded."""
     rng = np.random.default_rng(7)
     # Channel-difference route: W enters as F_j itself, k = 1.
-    chan = _undeclared(build_channel_diff_sdp, random_channel(rng, 2, 3),
+    chan = undeclared(build_channel_diff_sdp, random_channel(rng, 2, 3),
                        random_channel(rng, 2, 3))
     # General route with n != m: W enters as 1_m (x) F_j, k = m = 3.
-    general = _undeclared(build_general_sdp,
+    general = undeclared(build_general_sdp,
                           to_stinespring(random_superop(rng, 2, 3)))
     # n = 1 (the fidelity instance of the general route), k = m = 2.
     u, v = random_complex(rng, (6, 1)), random_complex(rng, (6, 1))
-    trivial_in = _undeclared(build_general_sdp, StinespringPair(u, v, 3))
+    trivial_in = undeclared(build_general_sdp, StinespringPair(u, v, 3))
     return [(*chan, 1), (*general, 3), (*trivial_in, 2)]
 
 
