@@ -29,7 +29,10 @@ dual constraints already force ``Z >= 0`` and ``lambda >= 0``.
 difference goes general (``1 + r^2`` rows, ``r = rank J``) only when
 ``r < mn`` (``1 + (mn)^2`` rows on the other route); other maps always do.
 
-Both routes run through one build -> solve -> repair -> bounds pipeline.
+Both routes, and the fidelity SDP (the general route on purifications, a
+map with input dimension one), run through one build -> solve -> repair ->
+bounds pipeline.  A call forms ``J`` once: the channel-difference SDP is
+built from it, the general route's Stinespring pair is its SVD.
 Certificates are repaired to be (numerically) exactly feasible, so the
 bounds are sound whatever the solver's termination state, including
 ``numerical_failure``; only a non-finite last iterate raises.
@@ -57,7 +60,7 @@ from .sdp import (
     SolveOptions,
     solve,
 )
-from .superop import StinespringPair, SuperOp, to_choi, to_stinespring
+from .superop import StinespringPair, SuperOp, to_choi
 
 ZERO_MAP_TOL = 1e-14
 
@@ -108,7 +111,6 @@ class NormOptions:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 200
-    rank_tol: float = superop.RANK_TOL
     verbose: bool = False
 
 
@@ -141,18 +143,13 @@ def build_general_sdp(pair: StinespringPair) -> SdpProblem:
                                 embedded={1: (1, m)}, equality=(0, 1))
 
 
-def build_channel_diff_sdp(phi0: SuperOp, phi1: SuperOp) -> SdpProblem:
-    """Triple-form problem whose primal optimum is half the norm of
-    ``phi0 - phi1``."""
-    for name, phi in (("phi0", phi0), ("phi1", phi1)):
-        rep = superop.is_channel(phi)
-        if not (rep.is_cp and rep.is_tp):
-            raise InvalidInputError(f"{name} fails the channel test")
-    if (phi0.dim_in, phi0.dim_out) != (phi1.dim_in, phi1.dim_out):
-        raise InvalidInputError("channel dims do not match")
-    n, m = phi0.dim_in, phi0.dim_out
-    j = to_choi(phi0) - to_choi(phi1)
-    j = (j + j.conj().T) / 2
+def build_channel_diff_sdp(phi: SuperOp, j: np.ndarray) -> SdpProblem:
+    """Triple-form problem whose primal optimum is half the norm of the
+    channel difference ``phi``; ``j`` is its Hermitian Choi matrix."""
+    if not isinstance(phi.rep, superop.ChannelDifference):
+        raise InvalidInputError(
+            "channel-diff SDP requires a channel-difference representation")
+    n, m = phi.dim_in, phi.dim_out
     var = BlockStructure((n, m * n))
     con = BlockStructure((1, m * n))
     eye_m = np.eye(m)
@@ -368,7 +365,7 @@ _ROUTES = {
     # data (phi, J), J the Hermitian Choi matrix; the SDP value is half the norm.
     "channel-diff": (
         "channel_diff_sdp",
-        lambda phi, j: build_channel_diff_sdp(phi.rep.phi0, phi.rep.phi1),
+        lambda phi, j: build_channel_diff_sdp(phi, j),
         _repair_channel_diff_certificate,
         _channel_diff_certificate_bounds,
         lambda sol: sol.primal_value + sol.dual_value,
@@ -413,7 +410,7 @@ def diamond_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult
             else "general_sdp"
         )
     if opt.method != "channel-diff":
-        pair = to_stinespring(phi, rank_tol=opt.rank_tol)
+        pair = superop._stinespring_of_choi(j, phi.dim_in, phi.dim_out)
         # Newton-system rows: 1 + r^2 here against 1 + (mn)^2; ties go to
         # the channel-difference route.
         if not is_pair or opt.method == "general" or \

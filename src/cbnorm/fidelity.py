@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dnorm import build_general_sdp
+from .dnorm import NormOptions, _solve_route
 from .errors import InvalidInputError
 from .linalg import (
     PSD_TOL,
@@ -20,7 +20,6 @@ from .linalg import (
     min_eigenvalue,
     partial_trace,
 )
-from .sdp import SolveOptions, solve
 from .superop import StinespringPair
 
 
@@ -74,10 +73,11 @@ def purification(p, dim_y: int) -> np.ndarray:
     return u
 
 
-def fidelity_sdp(p, q, purification_dim: int | None = None,
-                 gap_tol: float = 1e-9, max_iter: int = 200) -> FidelityResult:
+def fidelity_sdp(p, q, purification_dim: int | None = None) -> FidelityResult:
     """Fidelity via the trivial-input-space specialization of the general
-    norm SDP, instantiated on purifications of ``P`` and ``Q``."""
+    norm SDP on purifications of ``P`` and ``Q``, solved by the general
+    route: the value lies in the repaired certificate's bracket, and
+    ``alberti_z`` is its witness ``Z``."""
     ph, qh = _check_psd_pair(p, q)
     d = ph.shape[0]
     dim_y = purification_dim if purification_dim is not None else d
@@ -93,11 +93,8 @@ def fidelity_sdp(p, q, purification_dim: int | None = None,
     u = purification(first, dim_y)
     v = purification(second, dim_y)
     pair = StinespringPair(u.reshape(-1, 1), v.reshape(-1, 1), d)
-    problem = build_general_sdp(pair)
-    sol = solve(problem, SolveOptions(gap_tol=gap_tol, max_iter=max_iter))
-    fsq = max(0.0, (sol.primal_value + sol.dual_value) / 2)
-    z = sol.Y_opt[1]
-    z = (z + z.conj().T) / 2
+    res = _solve_route("general", (pair,), NormOptions(gap_tol=1e-9))
+    z = res.certificate.z
     if swapped:
         # The witness satisfies <first, Z> <second, Z^{-1}> ~ F^2; restore
         # the caller's (P, Q) order by inverting (after regularization).
@@ -105,13 +102,9 @@ def fidelity_sdp(p, q, purification_dim: int | None = None,
         floor = max(vals[0], 1.0) * 1e-14
         z = (vecs * (1.0 / np.maximum(vals, floor))) @ vecs.conj().T
         z = (z + z.conj().T) / 2
-    return FidelityResult(
-        fidelity=float(np.sqrt(fsq)),
-        fidelity_squared=float(fsq),
-        method="sdp_primal_dual",
-        gap=sol.gap,
-        alberti_z=z,
-    )
+    fid = float(res.value)
+    return FidelityResult(fid, fid ** 2, "sdp_primal_dual",
+                          res.solver_stats.gap, z)
 
 
 def check_alberti_certificate(p, q, z) -> float:
@@ -132,7 +125,7 @@ class PropositionCheck(NamedTuple):
     inner: float
 
 
-def check_proposition(v, z, eig_tol: float = 1e-12) -> PropositionCheck:
+def check_proposition(v, z) -> PropositionCheck:
     """Evaluate both sides of the domination equivalence: for positive
     definite ``Z``, ``1 (x) Z >= v v^dag`` iff
     ``<Tr_Y(v v^dag), Z^{-1}> <= 1``."""
@@ -148,9 +141,9 @@ def check_proposition(v, z, eig_tol: float = 1e-12) -> PropositionCheck:
     outer = np.outer(vv, vv.conj())
     gap_mat = kron(np.eye(dy), zh) - outer
     scale = max(1.0, float(np.linalg.norm(vv) ** 2), float(vals[0]))
-    lhs = min_eigenvalue(gap_mat) >= -eig_tol * scale
+    lhs = min_eigenvalue(gap_mat) >= -1e-12 * scale
     z_inv = (vecs * (1.0 / vals)) @ vecs.conj().T
     reduced = partial_trace(outer, (dy, dz), side="first")
     inner = float(np.vdot(reduced, z_inv).real)
-    rhs = inner <= 1.0 + eig_tol * scale
+    rhs = inner <= 1.0 + 1e-12 * scale
     return PropositionCheck(lhs, rhs, inner)

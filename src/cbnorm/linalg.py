@@ -35,10 +35,6 @@ def as_square(m) -> np.ndarray:
     return a
 
 
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(as_matrix(m)))
-
-
 def spectral_norm(m) -> float:
     """Largest singular value."""
     a = as_matrix(m)
@@ -77,24 +73,27 @@ class Eigensystem(NamedTuple):
 
 
 def herm_eig(m) -> Eigensystem:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    a = hermitian_part(m)
-    vals, vecs = np.linalg.eigh(a)
+    """Eigendecomposition of ``(m + m^dag) / 2``, eigenvalues descending.
+
+    It does not check Hermiticity: callers pass matrices that are Hermitian
+    by construction or checked by :func:`hermitian_part`."""
+    a = as_square(m)
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
     order = np.argsort(vals)[::-1]
     return Eigensystem(vals[order], vecs[:, order])
 
 
-def matrix_sqrt_psd(p, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """Principal square root of a PSD matrix.
+def matrix_sqrt_psd(p) -> np.ndarray:
+    """Principal square root of a Hermitian PSD matrix.
 
-    Eigenvalues in ``[-psd_tol * scale, 0)`` are clamped to zero; anything
-    more negative raises.
+    Eigenvalues in ``[-PSD_TOL * scale, 0)`` are clamped to zero; anything
+    more negative raises, and so does a non-Hermitian ``p``.
     """
-    vals, vecs = herm_eig(p)
+    vals, vecs = herm_eig(hermitian_part(p))
     scale = max(1.0, float(vals[0]) if vals.size else 1.0)
-    if vals.size and vals[-1] < -psd_tol * scale:
+    if vals.size and vals[-1] < -PSD_TOL * scale:
         raise NotPositiveSemidefiniteError(
-            f"matrix has eigenvalue {vals[-1]:.3e} below -psd_tol"
+            f"matrix has eigenvalue {vals[-1]:.3e} below -PSD_TOL"
         )
     clamped = np.maximum(vals, 0.0)
     root = (vecs * np.sqrt(clamped)) @ vecs.conj().T

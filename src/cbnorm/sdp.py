@@ -49,15 +49,8 @@ class BlockStructure:
         """Real degrees of freedom: sum of squared block dimensions."""
         return int(sum(d * d for d in self.blocks))
 
-    @property
-    def total_dim(self) -> int:
-        return int(sum(self.blocks))
-
     def zeros(self):
         return [np.zeros((d, d), dtype=complex) for d in self.blocks]
-
-    def identity(self, scale: float = 1.0):
-        return [scale * np.eye(d, dtype=complex) for d in self.blocks]
 
     def random_hermitian(self, rng):
         out = []
@@ -190,8 +183,8 @@ class SdpProblem:
 
     @staticmethod
     def from_maps(var_structure, con_structure, psi, psi_adj, obj, rhs,
-                  check_tol: float = 1e-11, rng_seed: int = 20260823,
-                  embedded: dict | None = None, equality=()):
+                  check_tol: float = 1e-11, embedded: dict | None = None,
+                  equality=()):
         """Build a problem from callables for ``Psi`` and ``Psi^*``.
 
         ``embedded`` maps a variable block to ``(c, k)`` when ``Psi^*``
@@ -249,7 +242,7 @@ class SdpProblem:
                 j += 1
 
         placements = _placements(con_structure, embedded, schur=False)
-        rng = np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(20260823)
         for _ in range(3):
             h = var_structure.random_hermitian(rng)
             out = psi(h)
@@ -465,19 +458,6 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     z = [tau * np.eye(d, dtype=complex) for d in dims]
     y = np.zeros(m_con)
 
-    def a_op(xb):
-        out = np.zeros(m_con)
-        for bdx in range(nb):
-            if embedded[bdx] is None:
-                out += (rows_conj[bdx] @ xb[bdx].reshape(-1)).real
-            else:
-                sl, k, index = embedded[bdx]
-                out[sl] += _embedded_a_op(xb[bdx], k, index)
-        return out
-
-    def a_adj(yv):
-        return _rows_adj(rows, embedded, yv)
-
     def log(msg):
         stream = opt.log_stream or sys.stderr
         print(msg, file=stream)
@@ -488,8 +468,8 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     rel_gap = pinf = dinf = np.inf
 
     for it in range(1, opt.max_iter + 1):
-        rp = b - a_op(x)
-        aty = a_adj(y)
+        rp = b - _rows_apply(rows, embedded, x, m_con)
+        aty = _rows_adj(rows, embedded, y)
         rd = [aty[bdx] - z[bdx] - c_blocks[bdx] for bdx in range(nb)]
         mu = sum(np.vdot(x[bdx], z[bdx]).real for bdx in range(nb)) / nu
         pobj = block_inner(c_blocks, x)
@@ -550,10 +530,11 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
 
         def direction(rc):
             """Solve the Newton system for a given complementarity target."""
-            rhs_vec = a_op([rc[bdx] - w_mat[bdx] @ rd[bdx] @ w_mat[bdx]
-                            for bdx in range(nb)]) - rp
+            rhs_vec = _rows_apply(rows, embedded, [
+                rc[bdx] - w_mat[bdx] @ rd[bdx] @ w_mat[bdx]
+                for bdx in range(nb)], m_con) - rp
             dy = np.linalg.solve(schur, rhs_vec)
-            aty_d = a_adj(dy)
+            aty_d = _rows_adj(rows, embedded, dy)
             dz = [aty_d[bdx] + rd[bdx] for bdx in range(nb)]
             dx = [rc[bdx] - w_mat[bdx] @ dz[bdx] @ w_mat[bdx] for bdx in range(nb)]
             dx = [(m + m.conj().T) / 2 for m in dx]

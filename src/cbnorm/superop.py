@@ -172,7 +172,7 @@ def to_choi(phi: SuperOp) -> np.ndarray:
     return j
 
 
-def to_kraus(phi: SuperOp, rank_tol: float = RANK_TOL) -> SuperOp:
+def to_kraus(phi: SuperOp) -> SuperOp:
     """Minimal generalized Kraus representation derived from the Choi matrix.
 
     CP maps (Choi PSD within tolerance) get ``left == right`` from the
@@ -185,7 +185,7 @@ def to_kraus(phi: SuperOp, rank_tol: float = RANK_TOL) -> SuperOp:
     if herm_dev <= linalg.HERMITIAN_TOL * scale:
         vals, vecs = linalg.herm_eig(j)
         if vals.size and vals[-1] >= -linalg.PSD_TOL * scale:
-            cut = rank_tol * max(abs(vals[0]), 1e-300) if vals.size else 0.0
+            cut = RANK_TOL * max(abs(vals[0]), 1e-300) if vals.size else 0.0
             keep = [i for i, v in enumerate(vals) if v > cut]
             if not keep:
                 zero = np.zeros((m, n))
@@ -195,7 +195,7 @@ def to_kraus(phi: SuperOp, rank_tol: float = RANK_TOL) -> SuperOp:
             )
             return SuperOp(n, m, Kraus(ops, ops))
     u, s, vh = np.linalg.svd(j)
-    cut = rank_tol * (s[0] if s.size else 0.0)
+    cut = RANK_TOL * (s[0] if s.size else 0.0)
     r = max(1, int(np.sum(s > cut)))
     left = tuple((np.sqrt(s[l]) * u[:, l]).reshape(m, n) for l in range(r))
     right = tuple(
@@ -204,16 +204,19 @@ def to_kraus(phi: SuperOp, rank_tol: float = RANK_TOL) -> SuperOp:
     return SuperOp(n, m, Kraus(left, right))
 
 
-def to_stinespring(phi: SuperOp, rank_tol: float = RANK_TOL) -> StinespringPair:
+def to_stinespring(phi: SuperOp) -> StinespringPair:
     """Minimal-environment Stinespring pair from the SVD of the Choi matrix.
 
     The environment dimension is the numerical rank of ``J(phi)`` at
-    threshold ``rank_tol * sigma_max`` (clamped to 1 for the zero map).
+    threshold ``RANK_TOL * sigma_max`` (clamped to 1 for the zero map).
     """
-    n, m = phi.dim_in, phi.dim_out
-    j = to_choi(phi)
+    return _stinespring_of_choi(to_choi(phi), phi.dim_in, phi.dim_out)
+
+
+def _stinespring_of_choi(j, n, m) -> StinespringPair:
+    """:func:`to_stinespring` of the map with Choi matrix ``j``."""
     u, s, vh = np.linalg.svd(j)
-    cut = rank_tol * (s[0] if s.size else 0.0)
+    cut = RANK_TOL * (s[0] if s.size else 0.0)
     r = max(1, int(np.sum(s > cut)))
     scaled_u = u[:, :r] * np.sqrt(s[:r])
     scaled_v = vh[:r, :].conj().T * np.sqrt(s[:r])
@@ -247,8 +250,7 @@ def tensor(phi: SuperOp, psi: SuperOp) -> SuperOp:
     )
 
 
-def is_channel(phi: SuperOp, psd_tol: float = linalg.PSD_TOL,
-               tp_tol: float = TP_TOL) -> ChannelReport:
+def is_channel(phi: SuperOp) -> ChannelReport:
     """Complete positivity (Choi PSD) and trace preservation
     (``Tr_Y J = 1_X``) report."""
     n, m = phi.dim_in, phi.dim_out
@@ -260,11 +262,11 @@ def is_channel(phi: SuperOp, psd_tol: float = linalg.PSD_TOL,
         is_cp = False
     else:
         min_eig = linalg.min_eigenvalue(j)
-        is_cp = min_eig >= -psd_tol * scale
+        is_cp = min_eig >= -linalg.PSD_TOL * scale
     tp_res = linalg.spectral_norm(
         partial_trace(j, (m, n), side="first") - np.eye(n)
     )
-    return ChannelReport(is_cp, tp_res <= tp_tol, min_eig, tp_res)
+    return ChannelReport(is_cp, tp_res <= TP_TOL, min_eig, tp_res)
 
 
 def induced_trace_norm_lower_bound(
@@ -272,7 +274,6 @@ def induced_trace_norm_lower_bound(
     restarts: int = 20,
     seed: int = 0,
     max_iters: int = 500,
-    conv_tol: float = 1e-13,
 ) -> float:
     """Certified lower bound on the completely bounded trace norm.
 
@@ -308,7 +309,7 @@ def induced_trace_norm_lower_bound(
             mat = big_apply(np.outer(u, v.conj()))
             us, sing, vhs = np.linalg.svd(mat)
             val = float(sing.sum())
-            if val <= prev + conv_tol:
+            if val <= prev + 1e-13:
                 prev = max(prev, val)
                 break
             prev = val

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cbnorm.sdp import SdpProblem
-from cbnorm.superop import SuperOp
+from cbnorm.superop import SuperOp, to_choi
 
 
 def random_complex(rng, shape):
@@ -49,6 +49,14 @@ def random_superop(rng, n, m, terms=2, scale=1.0):
     left = [scale * random_complex(rng, (m, n)) for _ in range(terms)]
     right = [scale * random_complex(rng, (m, n)) for _ in range(terms)]
     return SuperOp.from_kraus(left, right)
+
+
+def channel_diff_data(phi0, phi1):
+    """``(phi, J)`` for ``build_channel_diff_sdp``: the difference of two
+    channels and the Hermitian part of its Choi matrix."""
+    phi = SuperOp.difference(phi0, phi1)
+    j = to_choi(phi)
+    return phi, (j + j.conj().T) / 2
 
 
 def undeclared(build, *args, keep=("equality",)):

@@ -38,6 +38,7 @@ from cbnorm.superop import (
 )
 
 from conftest import (
+    channel_diff_data,
     random_channel,
     undeclared,
     random_complex,
@@ -123,9 +124,11 @@ class TestBuildChannelDiff:
         assert res_cd.value == pytest.approx(oracle, abs=1e-6)
 
     def test_rejects_non_channels(self):
+        """The builder takes a channel difference only; the channels are
+        checked where it is formed (``test_difference_requires_channels``)."""
+        ident = SuperOp.identity(2)
         with pytest.raises(InvalidInputError):
-            build_channel_diff_sdp(SuperOp.identity(2),
-                                   SuperOp.from_kraus([2 * np.eye(2)]))
+            build_channel_diff_sdp(ident, to_choi(ident))
 
     def test_channel_diff_requires_difference_rep(self):
         with pytest.raises(InvalidInputError):
@@ -407,6 +410,30 @@ class TestAutoRoute:
             assert verify_certificate(diff, res.certificate).valid
 
 
+class TestOneChoiMatrix:
+    @pytest.mark.parametrize("route", ["general", "channel-diff"])
+    def test_channel_pair_forms_choi_once(self, monkeypatch, rng, route):
+        """``diamond_norm`` forms ``J(phi0) - J(phi1)`` once, from one Choi
+        matrix of each channel, and does not re-test the channels that
+        ``SuperOp.difference`` has already tested."""
+        diff = SuperOp.difference(random_channel(rng, 2, 2),
+                                  random_channel(rng, 2, 2))
+        calls = {"to_choi": 0, "is_channel": 0}
+        for name in calls:
+            real = getattr(superop, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in (superop, dnorm):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        res = diamond_norm(diff, NormOptions(method=route))
+        assert res.method == route.replace("-", "_") + "_sdp"
+        assert calls == {"to_choi": 3, "is_channel": 0}
+
+
 def _failed_solves():
     """The scale-1e-3 maps of TestAscentWarmStart whose solve ends
     ``numerical_failure`` (15 of the 60 with x86-64 OpenBLAS)."""
@@ -529,8 +556,8 @@ class TestEqualityForm:
     def test_declarations(self, rng):
         pair = to_stinespring(random_superop(rng, 2, 3))
         assert build_general_sdp(pair).equality == (0, 1)
-        chan = build_channel_diff_sdp(random_channel(rng, 2, 2),
-                                      random_channel(rng, 2, 2))
+        chan = build_channel_diff_sdp(*channel_diff_data(
+            random_channel(rng, 2, 2), random_channel(rng, 2, 2)))
         assert chan.equality == (0,)
 
     @pytest.mark.parametrize("route", ["general", "channel-diff"])
@@ -544,8 +571,9 @@ class TestEqualityForm:
                     to_stinespring(random_superop(rng, 2, 3)), keep=())
             else:
                 prob, oracle = undeclared(
-                    build_channel_diff_sdp, random_channel(rng, 2, 3),
-                    random_channel(rng, 2, 3), keep=())
+                    build_channel_diff_sdp, *channel_diff_data(
+                        random_channel(rng, 2, 3), random_channel(rng, 2, 3)),
+                    keep=())
             assert oracle.equality == () and oracle.rows[1] is not None
             got, want = solve(prob), solve(oracle)
             assert got.status == want.status == "optimal"
@@ -615,7 +643,7 @@ class TestEqualityForm:
             statuses.append(sol.status)
             return sol
 
-        monkeypatch.setattr(fidelity, "solve", record)
+        monkeypatch.setattr(dnorm, "solve", record)
         res = fidelity.fidelity_sdp(p, q)
         assert statuses == ["optimal"]
         assert res.fidelity == pytest.approx(

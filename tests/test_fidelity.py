@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cbnorm.errors import InvalidInputError
+from cbnorm import dnorm
+from cbnorm.errors import InvalidInputError, NumericalFailureError
 from cbnorm.fidelity import (
     check_alberti_certificate,
     check_proposition,
@@ -107,6 +110,22 @@ class TestFidelitySdp:
         p = random_density(rng, 3)
         with pytest.raises(InvalidInputError):
             fidelity_sdp(p, p, purification_dim=1)
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_non_finite_iterate_raises(self, monkeypatch, swapped):
+        """``q`` has the larger relative eigenvalue floor, so the solve
+        swaps the pair when ``p`` comes first."""
+        real = dnorm.solve
+
+        def broken(problem, options=None):
+            sol = real(problem, options)
+            return dataclasses.replace(sol, status="numerical_failure", Y_opt=[
+                np.full_like(y, np.nan) for y in sol.Y_opt])
+
+        monkeypatch.setattr(dnorm, "solve", broken)
+        p, q = np.diag([0.7, 0.3]), np.eye(2) / 2
+        with pytest.raises(NumericalFailureError):
+            fidelity_sdp(*((p, q) if swapped else (q, p)))
 
     def test_monotone_to_one(self, rng):
         p = random_density(rng, 3)

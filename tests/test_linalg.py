@@ -31,17 +31,12 @@ class TestNorms:
         v /= np.linalg.norm(v)
         assert linalg.spectral_norm(np.outer(u, v.conj())) == pytest.approx(1.0)
 
-    def test_frobenius(self):
-        assert linalg.frobenius_norm(np.eye(7)) == pytest.approx(np.sqrt(7))
-        assert linalg.frobenius_norm(np.zeros((3, 3))) == 0.0
-        assert linalg.frobenius_norm(np.diag([3.0, -4.0])) == pytest.approx(5.0)
-
     def test_norm_ordering(self, rng):
         for _ in range(1000):
             d = rng.integers(1, 6)
             m = random_complex(rng, (d, d))
             sp = linalg.spectral_norm(m)
-            fr = linalg.frobenius_norm(m)
+            fr = float(np.linalg.norm(m))
             tr = linalg.trace_norm(m)
             assert sp <= fr + 1e-12 * max(1, fr)
             assert fr <= tr + 1e-12 * max(1, tr)
@@ -77,9 +72,15 @@ class TestEig:
             assert abs(es.values.sum() - np.trace(h).real) <= \
                 1e-12 * d * max(1.0, linalg.spectral_norm(h))
 
-    def test_rejects_non_hermitian(self, rng):
-        with pytest.raises(InvalidInputError):
-            linalg.herm_eig(random_complex(rng, (3, 3)))
+    def test_same_bits_as_validated_input(self, rng):
+        """``herm_eig`` checks no Hermiticity, yet decomposes exactly what
+        ``hermitian_part`` returns, bit for bit."""
+        h = random_hermitian(rng, 5) + 1e-13 * random_complex(rng, (5, 5))
+        vals, vecs = np.linalg.eigh(linalg.hermitian_part(h))
+        order = np.argsort(vals)[::-1]
+        es = linalg.herm_eig(h)
+        assert es.values.tobytes() == vals[order].tobytes()
+        assert es.vectors.tobytes() == vecs[:, order].tobytes()
 
 
 class TestSqrt:
@@ -101,6 +102,10 @@ class TestSqrt:
     def test_rejects_negative(self):
         with pytest.raises(NotPositiveSemidefiniteError):
             linalg.matrix_sqrt_psd(np.diag([1.0, -1.0]))
+
+    def test_rejects_non_hermitian(self, rng):
+        with pytest.raises(InvalidInputError):
+            linalg.matrix_sqrt_psd(random_complex(rng, (3, 3)))
 
 
 class TestKronPartialTrace:
@@ -174,6 +179,11 @@ def test_hermitian_part_symmetrizes(rng):
     perturbed = h + 1e-12 * random_complex(rng, (4, 4))
     out = linalg.hermitian_part(perturbed)
     assert np.allclose(out, out.conj().T)
+
+
+def test_hermitian_part_rejects_non_hermitian(rng):
+    with pytest.raises(InvalidInputError):
+        linalg.hermitian_part(random_complex(rng, (3, 3)))
 
 
 def test_psd_random_is_psd(rng):

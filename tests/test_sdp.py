@@ -21,6 +21,7 @@ from cbnorm.sdp import (
 from cbnorm.superop import StinespringPair, to_stinespring
 
 from conftest import (
+    channel_diff_data,
     undeclared,
     random_channel,
     random_complex,
@@ -332,8 +333,8 @@ def _w_block_problems():
     """(problem, oracle, k) whose W block (index 1) is declared embedded."""
     rng = np.random.default_rng(7)
     # Channel-difference route: W enters as F_j itself, k = 1.
-    chan = undeclared(build_channel_diff_sdp, random_channel(rng, 2, 3),
-                       random_channel(rng, 2, 3))
+    chan = undeclared(build_channel_diff_sdp, *channel_diff_data(
+        random_channel(rng, 2, 3), random_channel(rng, 2, 3)))
     # General route with n != m: W enters as 1_m (x) F_j, k = m = 3.
     general = undeclared(build_general_sdp,
                           to_stinespring(random_superop(rng, 2, 3)))
