@@ -29,9 +29,10 @@ dual constraints already force ``Z >= 0`` and ``lambda >= 0``.
 difference goes general (``1 + r^2`` rows, ``r = rank J``) only when
 ``r < mn`` (``1 + (mn)^2`` rows on the other route); other maps always do.
 
-Both routes, and the fidelity SDP (the general route on purifications, a
-map with input dimension one), run through one build -> solve -> repair ->
-bounds pipeline.  A call forms ``J`` once: the channel-difference SDP is
+Both routes run through one build -> solve -> repair -> bounds pipeline,
+except that on a map with input dimension one (the fidelity SDP is one) the
+general route has both certificates in closed form, by Uhlmann's and
+Alberti's theorems.  A call forms ``J`` once: the channel-difference SDP is
 built from it, the general route's Stinespring pair is its SVD.
 Certificates are repaired to be (numerically) exactly feasible, so the
 bounds are sound whatever the solver's termination state, including
@@ -257,34 +258,66 @@ def _ascent_primal(pair, rho0, rho1, max_iters=300, tol=1e-13):
 
 
 def _repair_general_certificate(pair, sol) -> GeneralCertificate:
-    a, b, r = pair.a, pair.b, pair.dim_env
-    m = a.shape[0] // r
-    n = a.shape[1]
+    n = pair.a.shape[1]
     # The optimal output-side state is proportional to B^dag W B.
-    x1 = b.conj().T @ sol.X_opt[1] @ b
+    x1 = pair.b.conj().T @ sol.X_opt[1] @ pair.b
     rho, w = _ascent_primal(
         pair,
         _normalized_state(sol.X_opt[0], n),
         _normalized_state((x1 + x1.conj().T) / 2, n),
     )
+    lam, z = _feasible_dual(pair, sol.Y_opt[1])
+    return GeneralCertificate(pair=pair, rho=rho, w=w, lam=lam, z=z)
+
+
+def _feasible_dual(pair, z):
+    """``(lambda, Z)``: the positive part of ``z`` made exactly feasible."""
+    a, b, r = pair.a, pair.b, pair.dim_env
+    m = a.shape[0] // r
     # Two ways to make 1 (x) Z dominate B B^dag: shift Z by the worst
     # violation, or, for Z > 0, scale it by c = lambda_max(B^dag (1 (x) Z)^-1
     # B), since 1 (x) Z >= B B^dag iff that is at most 1.  Keep the Z with the
     # smaller bound; c carries an allowance for the rounding of Z^-1/2.
-    vals, vecs = herm_eig(sol.Y_opt[1])
+    vals, vecs = herm_eig(z)
     z = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
     shift = max(
         0.0, -min_eigenvalue(kron(np.eye(m), z) - b @ b.conj().T)
     )
     candidates = [z + shift * np.eye(r)]
-    if vals[0] > 0:
+    if vals[-1] > 0:
         inv_root = (vecs * vals ** -0.5).conj().T
         c = spectral_norm(kron(np.eye(m), inv_root) @ b) ** 2
         candidates.append(c * (1 + 8 * np.finfo(float).eps * m * r) * z)
-    lam, z = min(
+    return min(
         ((spectral_norm(a.conj().T @ kron(np.eye(m), zc) @ a), zc)
          for zc in candidates), key=lambda t: t[0])
-    return GeneralCertificate(pair=pair, rho=rho, w=w, lam=lam, z=z)
+
+
+def _closed_form_general(pair) -> NormResult | None:
+    """The general route for input dimension one: the squared norm is
+    ``F(P, Q)^2``, ``P = Tr_Y(A A^dag)``, ``Q = Tr_Y(B B^dag)``.  The primal
+    is the Uhlmann purification of the ascent's first sweep, the dual ``F Z``
+    for Alberti's ``Z = P^-1/2 (P^1/2 Q P^1/2)^1/2 P^-1/2``, with
+    ``<P, Z> = <Q, Z^-1> = F``.  ``None`` for a singular ``P``, whose dual
+    optimum is not attained."""
+    a, b, r = pair.a, pair.b, pair.dim_env
+    m = a.shape[0] // r
+    p, q = (partial_trace(x @ x.conj().T, (m, r), side="first") for x in (a, b))
+    vals, vecs = herm_eig(p)
+    rounding = r * np.finfo(float).eps  # relative to the largest eigenvalue
+    if not vals[-1] > rounding * vals[0]:
+        return None
+    root, inv_root = ((vecs * vals ** e) @ vecs.conj().T for e in (0.5, -0.5))
+    mvals, mvecs = herm_eig(root @ q @ root)
+    mvals = np.where(mvals > rounding * max(mvals[0], 0.0), mvals, 0.0)
+    z = inv_root @ ((mvecs * np.sqrt(mvals)) @ mvecs.conj().T) @ inv_root
+    lam, z = _feasible_dual(pair, float(np.vdot(p, z).real) * z)
+    rho, w = _ascent_primal(pair, np.eye(1), np.eye(1), max_iters=1)
+    cert = GeneralCertificate(pair=pair, rho=rho, w=w, lam=lam, z=z)
+    lower, upper = _general_certificate_bounds(cert)
+    stats = SolverStats("optimal", 0, abs(upper ** 2 - lower ** 2), 0.0, 0.0)
+    return NormResult(min(lower, upper), lower, upper, "general_sdp", cert,
+                      stats)
 
 
 def _repair_channel_diff_certificate(phi, j, sol) -> ChannelDiffCertificate:
@@ -374,7 +407,11 @@ _ROUTES = {
 
 
 def _solve_route(route: str, data: tuple, opt: NormOptions) -> NormResult:
-    """Build, solve, repair and bound one route's SDP."""
+    """Build, solve, repair and bound one route's SDP (or its closed form)."""
+    if route == "general" and data[0].a.shape[1] == 1:
+        res = _closed_form_general(*data)
+        if res is not None:
+            return res
     method, build, repair, bounds, estimate = _ROUTES[route]
     sol = solve(build(*data), SolveOptions(
         gap_tol=opt.gap_tol, feas_tol=opt.feas_tol,

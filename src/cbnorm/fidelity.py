@@ -13,14 +13,16 @@ from .dnorm import NormOptions, _solve_route
 from .errors import InvalidInputError
 from .linalg import (
     PSD_TOL,
+    _sqrt_psd,
     herm_eig,
     hermitian_part,
     kron,
-    matrix_sqrt_psd,
     min_eigenvalue,
     partial_trace,
 )
 from .superop import StinespringPair
+
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -48,63 +50,73 @@ def _check_psd_pair(p, q):
 def fidelity_closed_form(p, q) -> float:
     """``Tr sqrt(sqrt(P) Q sqrt(P))``."""
     ph, qh = _check_psd_pair(p, q)
-    root_p = matrix_sqrt_psd(ph)
-    inner = root_p @ qh @ root_p
-    return float(np.trace(matrix_sqrt_psd((inner + inner.conj().T) / 2)).real)
+    root_p = _sqrt_psd(ph)
+    return float(np.trace(_sqrt_psd(root_p @ qh @ root_p)).real)
 
 
 def purification(p, dim_y: int) -> np.ndarray:
     """Vector ``u`` on ``Y (x) Z`` with ``Tr_Y(u u^dag) = P``.
 
     Built from the eigendecomposition with the elementary basis on ``Y``;
-    requires ``dim_y >= rank(P)``.
+    requires ``dim_y >= rank(P)``.  Eigenvalues at most ``d eps lambda_max``
+    (rounding level) are dropped.
     """
-    ph = hermitian_part(p)
-    d = ph.shape[0]
-    vals, vecs = herm_eig(ph)
+    vals, vecs = herm_eig(hermitian_part(p))
+    return _purify(vals, vecs, dim_y, vals[0])
+
+
+def _purify(vals, vecs, dim_y, top) -> np.ndarray:
+    """:func:`purification` from a descending eigensystem; the rounding
+    level is that of the spectral radius ``top``."""
     rank = int(np.sum(vals > PSD_TOL * max(1.0, abs(vals[0]))))
     if dim_y < rank:
         raise InvalidInputError(
             f"purification dimension {dim_y} below rank {rank}"
         )
-    u = np.zeros(dim_y * d, dtype=complex)
-    for i in range(min(dim_y, d)):
-        u[i * d:(i + 1) * d] = np.sqrt(max(vals[i], 0.0)) * vecs[:, i]
-    return u
+    k = min(dim_y, int(np.sum(vals > len(vals) * EPS * max(top, 0.0))))
+    u = np.zeros((dim_y, len(vals)), dtype=complex)
+    u[:k] = (vecs[:, :k] * np.sqrt(vals[:k])).T
+    return u.reshape(-1)
 
 
 def fidelity_sdp(p, q, purification_dim: int | None = None) -> FidelityResult:
     """Fidelity via the trivial-input-space specialization of the general
-    norm SDP on purifications of ``P`` and ``Q``, solved by the general
-    route: the value lies in the repaired certificate's bracket, and
-    ``alberti_z`` is its witness ``Z``."""
+    norm SDP on purifications of ``P`` and ``Q``, solved in closed form by
+    the general route on their compressions onto the numerical support of
+    the better-conditioned one (fidelity sees only those): the value lies in
+    the certificate's bracket, and ``alberti_z`` is its witness ``Z``."""
     ph, qh = _check_psd_pair(p, q)
     d = ph.shape[0]
     dim_y = purification_dim if purification_dim is not None else d
-    # Fidelity is symmetric; put the better-conditioned operator on the
-    # constraint side, where a singular marginal would kill strict primal
-    # feasibility and stall the central path.
-    def _rel_floor(mat):
-        tr = max(float(np.trace(mat).real), 1e-300)
-        return min_eigenvalue(mat) / tr
 
-    swapped = _rel_floor(ph) < _rel_floor(qh)
-    first, second = (qh, ph) if swapped else (ph, qh)
-    u = purification(first, dim_y)
-    v = purification(second, dim_y)
-    pair = StinespringPair(u.reshape(-1, 1), v.reshape(-1, 1), d)
-    res = _solve_route("general", (pair,), NormOptions(gap_tol=1e-9))
-    z = res.certificate.z
-    if swapped:
-        # The witness satisfies <first, Z> <second, Z^{-1}> ~ F^2; restore
-        # the caller's (P, Q) order by inverting (after regularization).
-        vals, vecs = herm_eig(z)
-        floor = max(vals[0], 1.0) * 1e-14
-        z = (vecs * (1.0 / np.maximum(vals, floor))) @ vecs.conj().T
-        z = (z + z.conj().T) / 2
+    def support(vals):  # condition number and rank above rounding level
+        kept = vals[vals > d * EPS * max(vals[0], 0.0)]
+        return (kept[0] / kept[-1] if kept.size else np.inf), max(1, kept.size)
+
+    eig_p, eig_q = herm_eig(ph), herm_eig(qh)
+    (cond_p, k_p), (cond_q, k_q) = support(eig_p.values), support(eig_q.values)
+    swapped = cond_q < cond_p
+    (vals, vecs), other, k = (eig_q, eig_p, k_q) if swapped else \
+        (eig_p, eig_q, k_p)
+    basis = vecs[:, :k]
+    g = basis.conj().T @ other.vectors
+    u = _purify(vals[:k], np.eye(k), dim_y, vals[0])
+    v = _purify(*herm_eig((g * other.values) @ g.conj().T), dim_y,
+                other.values[0])
+    pair = StinespringPair(u.reshape(-1, 1), v.reshape(-1, 1), k)
+    res = _solve_route("general", (pair,), NormOptions())
+    # Alberti's bound is an infimum where Z vanishes or is unbounded (off the
+    # compressed space): clamped into [s, 1 / s] lambda_max, s = sqrt(eps),
+    # Z is positive definite; inverted, it takes the caller's (P, Q) order.
+    zvals, zvecs = herm_eig(res.certificate.z)
+    top = zvals[0] if zvals[0] > 0 else 1.0
+    zvals = np.concatenate([np.maximum(zvals, np.sqrt(EPS) * top),
+                            np.full(d - k, top / np.sqrt(EPS))])
+    lift = np.hstack([basis @ zvecs, vecs[:, k:]])
+    z = (lift * zvals ** (-1.0 if swapped else 1.0)) @ lift.conj().T
     fid = float(res.value)
     return FidelityResult(fid, fid ** 2, "sdp_primal_dual",
-                          res.solver_stats.gap, z)
+                          res.solver_stats.gap, (z + z.conj().T) / 2)
 
 
 def check_alberti_certificate(p, q, z) -> float:

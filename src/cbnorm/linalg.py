@@ -89,7 +89,12 @@ def matrix_sqrt_psd(p) -> np.ndarray:
     Eigenvalues in ``[-PSD_TOL * scale, 0)`` are clamped to zero; anything
     more negative raises, and so does a non-Hermitian ``p``.
     """
-    vals, vecs = herm_eig(hermitian_part(p))
+    return _sqrt_psd(hermitian_part(p))
+
+
+def _sqrt_psd(h) -> np.ndarray:
+    """:func:`matrix_sqrt_psd` of a matrix already checked Hermitian."""
+    vals, vecs = herm_eig(h)
     scale = max(1.0, float(vals[0]) if vals.size else 1.0)
     if vals.size and vals[-1] < -PSD_TOL * scale:
         raise NotPositiveSemidefiniteError(

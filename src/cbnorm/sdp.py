@@ -541,9 +541,13 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             dz = [(m + m.conj().T) / 2 for m in dz]
             return dx, dy, dz
 
-        # Predictor (affine scaling).
+        # Predictor (affine scaling).  Directions that overflow (as on an
+        # infeasible problem) stop the solve before the step eigensolves.
         rc_aff = [-x[bdx] for bdx in range(nb)]
         dx_a, dy_a, dz_a = direction(rc_aff)
+        if not all(np.isfinite(m).all() for m in (*dx_a, dy_a, *dz_a)):
+            status = "numerical_failure"
+            break
 
         try:
             lz_inv = [np.linalg.inv(np.linalg.cholesky(m)) for m in z]
@@ -572,6 +576,9 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             rc_hat = rc_hat / denom
             rc.append(r_fac[bdx] @ rc_hat @ r_fac[bdx].conj().T)
         dx, dy, dz = direction(rc)
+        if not all(np.isfinite(m).all() for m in (*dx, dy, *dz)):
+            status = "numerical_failure"
+            break
 
         ap = min([1.0] + [
             STEP_FRACTION * _max_step(lx_inv[bdx], dx[bdx]) for bdx in range(nb)
@@ -585,9 +592,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
         x = [(m + m.conj().T) / 2 for m in x]
         z = [(m + m.conj().T) / 2 for m in z]
         y = y + ad * dy
-        if not all(np.all(np.isfinite(m)) for m in x + z) or not np.all(
-            np.isfinite(y)
-        ):
+        if not all(np.isfinite(m).all() for m in (*x, y, *z)):
             status = "numerical_failure"
             break
 

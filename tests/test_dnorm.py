@@ -630,21 +630,94 @@ class TestEqualityForm:
             check = verify_certificate(target, res.certificate)
             assert check.valid and check.lower <= check.upper
 
-    def test_fidelity_d8_full_rank_optimal(self, monkeypatch):
+    def test_fidelity_d8_full_rank_without_solve(self, monkeypatch):
         """Two full-rank d=8 states, as in the fid-d8-full benchmark pool:
-        the solve ends optimal, not at its gap floor."""
+        the general route solves them in closed form, with no solve."""
         rng = np.random.default_rng([9014709, 6, 0])
         p, q = (g @ g.conj().T / np.linalg.norm(g) ** 2
                 for g in (random_complex(rng, (8, 8)) for _ in range(2)))
-        statuses = []
-
-        def record(*args, **kwargs):
-            sol = solve(*args, **kwargs)
-            statuses.append(sol.status)
-            return sol
-
-        monkeypatch.setattr(dnorm, "solve", record)
+        monkeypatch.setattr(dnorm, "solve", _no_solve)
         res = fidelity.fidelity_sdp(p, q)
-        assert statuses == ["optimal"]
         assert res.fidelity == pytest.approx(
-            fidelity.fidelity_closed_form(p, q), abs=1e-8)
+            fidelity.fidelity_closed_form(p, q), abs=1e-12)
+
+    @pytest.mark.parametrize("smallest", [0.0, -1e-3])
+    def test_singular_or_indefinite_dual_repaired(self, smallest):
+        """A dual Z that is singular or indefinite gets the shift repair: it
+        has no inverse square root for the rescaling."""
+        phi, pair, sol = _solved_pair(0, 2, 2)
+        vals, vecs = np.linalg.eigh(sol.Y_opt[1])
+        vals[0] = smallest
+        sol = dataclasses.replace(
+            sol, Y_opt=[sol.Y_opt[0], (vecs * vals) @ vecs.conj().T])
+        check = verify_certificate(phi, _repair_general_certificate(pair, sol))
+        assert check.valid, check.violations
+        norm = diamond_norm(phi).value
+        assert check.lower <= norm * (1 + 1e-9)
+        assert check.upper >= norm * (1 - 1e-9)
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("unexpected interior-point solve")
+
+
+class TestTrivialInput:
+    """The general route on a map with input dimension one is solved in
+    closed form (Uhlmann, Alberti): the norm of ``X -> Tr_Z(A X B^dag)``
+    from ``C^1`` is ``|Tr_Z(a b^dag)|_1``, and it needs no solve."""
+
+    @pytest.mark.parametrize("m,r", [(1, 1), (1, 3), (2, 1), (2, 3),
+                                     (3, 2), (4, 4)])
+    def test_diamond_norm(self, monkeypatch, rng, m, r):
+        monkeypatch.setattr(dnorm, "solve", _no_solve)
+        for _ in range(3):
+            a, b = (random_complex(rng, (m * r, 1)) for _ in range(2))
+            phi = SuperOp.from_stinespring(a, b, r)
+            ref = np.linalg.svd(partial_trace(a @ b.conj().T, (m, r)),
+                                compute_uv=False).sum()
+            res = diamond_norm(phi)
+            assert res.method == "general_sdp"
+            assert res.solver_stats.iterations == 0
+            assert res.solver_stats.status == "optimal" and not res.warnings
+            for bound in (res.lower_bound, res.upper_bound, res.value):
+                assert bound == pytest.approx(ref, rel=1e-12)
+            check = verify_certificate(phi, res.certificate)
+            assert check.valid, check.violations
+
+    @pytest.mark.parametrize("n,r", [(1, 2), (2, 1), (3, 2), (4, 3)])
+    def test_cb_spectral_norm(self, monkeypatch, rng, n, r):
+        """``X -> Tr(A X B^dag)`` has the adjoint ``y -> y A^dag B`` from
+        ``C^1``, whose norm is ``|A^dag B|_1``."""
+        monkeypatch.setattr(dnorm, "solve", _no_solve)
+        for _ in range(3):
+            a, b = (random_complex(rng, (r, n)) for _ in range(2))
+            phi = SuperOp.from_stinespring(a, b, r)
+            ref = np.linalg.svd(a.conj().T @ b, compute_uv=False).sum()
+            res = cb_spectral_norm(phi)
+            assert res.method == "general_sdp_of_adjoint"
+            assert res.value == pytest.approx(ref, rel=1e-12)
+            assert (res.upper_bound - res.lower_bound) <= 1e-12 * ref
+            assert verify_certificate(adjoint(phi), res.certificate).valid
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8])
+    def test_homogeneous(self, monkeypatch, rng, c):
+        monkeypatch.setattr(dnorm, "solve", _no_solve)
+        a, b = (random_complex(rng, (6, 1)) for _ in range(2))
+        ref = diamond_norm(SuperOp.from_stinespring(a, b, 3)).value
+        res = diamond_norm(SuperOp.from_stinespring(c * a, b, 3))
+        assert res.value == pytest.approx(c * ref, rel=1e-13)
+
+    def test_singular_marginal_is_solved(self, rng):
+        """A pair whose ``Tr_Y(A A^dag)`` is singular (here ``A`` has rank 1
+        on a 3-dimensional environment) has no optimal dual to write down;
+        it goes to the interior-point solve, and its rebalancing still
+        reaches the norm."""
+        a = np.zeros((6, 1), dtype=complex)
+        a[:2, 0] = [1.0, 1.0j]
+        b = random_complex(rng, (6, 1))
+        pair = StinespringPair(a, b, 3)
+        res = dnorm._solve_route("general", (pair,), NormOptions())
+        assert res.solver_stats.iterations > 0
+        norm = diamond_norm(SuperOp.from_stinespring(a, b, 3)).value
+        assert res.lower_bound <= norm * (1 + 1e-12)
+        assert res.upper_bound >= norm * (1 - 1e-12)

@@ -1,10 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from cbnorm import dnorm
-from cbnorm.errors import InvalidInputError, NumericalFailureError
+from cbnorm import SuperOp, dnorm, fidelity, linalg, verify_certificate
+from cbnorm.errors import InvalidInputError
 from cbnorm.fidelity import (
     check_alberti_certificate,
     check_proposition,
@@ -12,12 +10,22 @@ from cbnorm.fidelity import (
     fidelity_sdp,
     purification,
 )
-from cbnorm.linalg import partial_trace
+from cbnorm.linalg import hermitian_part, partial_trace
 
-from conftest import random_complex, random_density, random_psd
+from conftest import random_complex, random_density, random_psd, random_unitary
 
 E11 = np.diag([1.0, 0.0])
 E22 = np.diag([0.0, 1.0])
+
+
+def factor_fidelity(gp, gq):
+    """``|sqrt(P) sqrt(Q)|_1`` for ``P = G_p G_p^dag``, ``Q = G_q G_q^dag``
+    from the SVDs of the factors: no square root of a rank-deficient
+    matrix."""
+    up, sp, _ = np.linalg.svd(gp, full_matrices=False)
+    uq, sq, _ = np.linalg.svd(gq, full_matrices=False)
+    return np.linalg.svd((sp[:, None] * (up.conj().T @ uq)) * sq,
+                         compute_uv=False).sum()
 
 
 def regularized(z):
@@ -112,20 +120,79 @@ class TestFidelitySdp:
             fidelity_sdp(p, p, purification_dim=1)
 
     @pytest.mark.parametrize("swapped", [False, True])
-    def test_non_finite_iterate_raises(self, monkeypatch, swapped):
-        """``q`` has the larger relative eigenvalue floor, so the solve
-        swaps the pair when ``p`` comes first."""
-        real = dnorm.solve
+    def test_makes_no_solve(self, monkeypatch, swapped):
+        """``q`` is the better-conditioned operator, so the pair is swapped
+        when ``p`` comes first; either way the general route solves it in
+        closed form, without an interior-point solve."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("unexpected interior-point solve")
 
-        def broken(problem, options=None):
-            sol = real(problem, options)
-            return dataclasses.replace(sol, status="numerical_failure", Y_opt=[
-                np.full_like(y, np.nan) for y in sol.Y_opt])
-
-        monkeypatch.setattr(dnorm, "solve", broken)
+        monkeypatch.setattr(dnorm, "solve", no_solve)
         p, q = np.diag([0.7, 0.3]), np.eye(2) / 2
-        with pytest.raises(NumericalFailureError):
-            fidelity_sdp(*((p, q) if swapped else (q, p)))
+        pair = (p, q) if swapped else (q, p)
+        res = fidelity_sdp(*pair)
+        assert res.fidelity == pytest.approx(fidelity_closed_form(*pair),
+                                             abs=1e-14)
+        assert res.gap <= 1e-14
+
+    def test_certificates_verify_over_ranks(self, monkeypatch, rng):
+        """Every rank pair, including both rank-deficient: the certificate
+        of the general route verifies, its bracket is tight to rounding and
+        the value is the fidelity of the factors."""
+        routed, solve_route = [], fidelity._solve_route
+
+        def record(route, data, options):
+            res = solve_route(route, data, options)
+            routed.append((data[0], res))
+            return res
+
+        monkeypatch.setattr(fidelity, "_solve_route", record)
+        factors = [(random_complex(rng, (d, rank_p)),
+                    random_complex(rng, (d, rank_q)))
+                   for d in (2, 3, 4) for rank_p in range(1, d + 1)
+                   for rank_q in range(1, d + 1)]
+        u = random_unitary(rng, 3)
+        factors.append((u[:, :1], u[:, 1:2]))  # orthogonal pure states
+        for gp, gq in factors:
+            res = fidelity_sdp(gp @ gp.conj().T, gq @ gq.conj().T)
+            pair, norm = routed.pop()
+            phi = SuperOp.from_stinespring(pair.a, pair.b, pair.dim_env)
+            check = verify_certificate(phi, norm.certificate)
+            assert check.valid, check.violations
+            ref = factor_fidelity(gp, gq)
+            assert norm.upper_bound - norm.lower_bound <= 1e-12 * ref + 1e-15
+            assert abs(res.fidelity - ref) <= 1e-12 * ref + 1e-15
+
+    def test_orthogonal_pure_states(self, rng):
+        u = random_unitary(rng, 3)
+        e0, e1 = (np.outer(u[:, i], u[:, i].conj()) for i in (0, 1))
+        assert fidelity_sdp(e0, e1).fidelity <= 1e-15
+        # F(P, |e1><e1|) = sqrt(<e1|P|e1>).
+        assert fidelity_sdp(e0 + 1e-4 * e1, e1).fidelity == pytest.approx(
+            1e-2, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e8])
+    def test_homogeneous(self, rng, c):
+        p = random_density(rng, 3)
+        q = random_density(rng, 3, rank=2)
+        ref = fidelity_sdp(p, q).fidelity
+        assert fidelity_sdp(c * p, q).fidelity == pytest.approx(
+            np.sqrt(c) * ref, rel=1e-13)
+        assert fidelity_sdp(q, c * p).fidelity == pytest.approx(
+            np.sqrt(c) * ref, rel=1e-13)
+
+    @pytest.mark.parametrize("entry", [fidelity_sdp, fidelity_closed_form])
+    def test_validates_each_operator_once(self, monkeypatch, rng, entry):
+        calls = []
+
+        def counted(m, *args, **kwargs):
+            calls.append(m)
+            return hermitian_part(m, *args, **kwargs)
+
+        for module in (fidelity, linalg):
+            monkeypatch.setattr(module, "hermitian_part", counted)
+        entry(random_density(rng, 3), random_density(rng, 3, rank=2))
+        assert len(calls) == 2
 
     def test_monotone_to_one(self, rng):
         p = random_density(rng, 3)

@@ -260,6 +260,19 @@ class TestSolve:
         assert sol.status == "max_iterations"
         assert sol.iterations == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infeasible_returns_status(self):
+        """``X <= B`` with ``B`` indefinite has no PSD solution: the iterates
+        overflow, and the solve stops with a status and a finite iterate
+        instead of failing in an eigensolve."""
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            h = random_hermitian(rng, 3)
+            b = h - (np.linalg.eigvalsh(h)[0] + 0.21) * np.eye(3)
+            sol = solve(identity_problem(3, a=np.eye(3), b=b))
+            assert sol.status == "numerical_failure"
+            assert all(np.isfinite(m).all() for m in (*sol.X_opt, *sol.Y_opt))
+
     def test_verbose_log(self, capsys):
         import io
 
