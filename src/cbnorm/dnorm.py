@@ -30,10 +30,15 @@ difference goes general (``1 + r^2`` rows, ``r = rank J``) only when
 ``r < mn`` (``1 + (mn)^2`` rows on the other route); other maps always do.
 
 Both routes run through one build -> solve -> repair -> bounds pipeline,
-except that on a map with input dimension one (the fidelity SDP is one) the
-general route has both certificates in closed form, by Uhlmann's and
-Alberti's theorems.  A call forms ``J`` once: the channel-difference SDP is
-built from it, the general route's Stinespring pair is its SVD.
+but the general route needs no solve on a map with input dimension one (the
+fidelity SDP is one: Uhlmann's and Alberti's theorems give both certificates
+in closed form), nor on a map of full Choi rank ``r = mn`` whose ascent
+sweeps cost less than a Newton system, ``ASCENT_SWEEPS ((mn)^3 + n^6) <=
+(1 + r^2)^3``: the alternating ascent bounds it below and Alberti's dual
+``P^-1 # Q`` of each sweep's marginals above, to a width of ``gap_tol / 100``,
+unless the optimal state is rank-deficient.  A call forms ``J`` once: the
+channel-difference SDP is built from it, the general route's Stinespring
+pair is its SVD.
 Certificates are repaired to be (numerically) exactly feasible, so the
 bounds are sound whatever the solver's termination state, including
 ``numerical_failure``; only a non-finite last iterate raises.
@@ -41,6 +46,7 @@ bounds are sound whatever the solver's termination state, including
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,6 +70,8 @@ from .sdp import (
 from .superop import StinespringPair, SuperOp, to_choi
 
 ZERO_MAP_TOL = 1e-14
+# Sweep budget of the certified ascent (_ascent_general).
+ASCENT_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -195,61 +203,56 @@ def _purification(rho):
     return mat / np.linalg.norm(mat)
 
 
+def _polar_adjoint(bt, t, v):
+    """``U^dag``, indexed (Y, W, y, w), for the polar factor of the cross
+    operator between ``t = (A (x) 1) u`` and ``(B (x) 1) v``."""
+    s = np.einsum("yzx,xw->yzw", bt, v)
+    mm = np.einsum("yzw,YzW->ywYW", t, s.conj())
+    p, _, qh = np.linalg.svd(mm.reshape(mm.shape[0] * mm.shape[1], -1))
+    return (p @ qh).conj().T.reshape(mm.shape)
+
+
+def _ascent_sweep(at, bt, u_mat, v_mat):
+    """One ascent sweep on ``A``, ``B`` indexed (Y, Z, X): the Uhlmann unitary
+    ``U`` for the purifications ``u``, ``v`` on ``X (x) W``, then the new
+    ``(u, v)`` and value: the top singular triple of
+    ``(B^dag (x) 1)(U^dag (x) 1_Z)(A (x) 1)``."""
+    n, nw = u_mat.shape
+    uh = _polar_adjoint(bt, np.einsum("yzx,xw->yzw", at, u_mat), v_mat)
+    kmat = np.tensordot(
+        bt.conj(), np.einsum("YWyw,yzx->YzWxw", uh, at), axes=([0, 1], [0, 1])
+    ).reshape(n * nw, n * nw)
+    pk, sk, qkh = np.linalg.svd(kmat)
+    return qkh[0, :].conj().reshape(n, nw), pk[:, 0].reshape(n, nw), \
+        float(sk[0])
+
+
 def _ascent_primal(pair, rho0, rho1, max_iters=300, tol=1e-13):
     """Exactly feasible primal witness (rho, W) from alternating ascent.
 
     The norm is the largest fidelity between ``Tr_Y(A rho0 A^dag)`` and
-    ``Tr_Y(B rho1 B^dag)`` over input states ``rho0`` and ``rho1``.  Each
-    sweep fixes the purifications ``u`` of ``rho0`` and ``v`` of ``rho1`` on
-    ``X (x) W`` and takes the Uhlmann unitary ``U`` on ``Y (x) W`` from a
-    polar decomposition, then fixes ``U`` and takes ``(u, v)`` as the top
-    singular pair of ``(B^dag (x) 1)(U^dag (x) 1_Z)(A (x) 1)``.  The value
-    never decreases, and the sweeps stop when it moves by at most ``tol``
-    relative.
-
-    Any unit ``u`` and unitary ``U`` give a feasible pair via
-    ``W = Tr_W[(U^* (x) 1)(A (x) 1) u u^* ...]`` whose marginal equals
-    ``Tr_Y(A rho A^dag)`` for ``rho = Tr_W(u u^dag)`` by unitary invariance,
-    so feasibility holds to roundoff regardless of how close the ascent gets
-    to the optimum.  Started from the solver's near-optimal input state
-    ``rho0`` and output-side state ``rho1``, the first sweep is already
-    within the solver gap of the optimum.
-    """
-    a, b, r = pair.a, pair.b, pair.dim_env
-    m = a.shape[0] // r
-    n = a.shape[1]
-    nw = n  # ancilla of dimension dim(X) suffices for the optimum
-    at = a.reshape(m, r, n)
-    bt = b.reshape(m, r, n)
-    btc = bt.conj()
+    ``Tr_Y(B rho1 B^dag)`` over states; sweeps stop when it moves by at most
+    ``tol`` relative.  From the solver's near-optimal ``rho0`` (input) and
+    ``rho1`` (output side), the first sweep is within the solver gap."""
+    r = pair.dim_env
+    at, bt = (x.reshape(-1, r, x.shape[1]) for x in (pair.a, pair.b))
     u_mat = _purification(rho0)
     v_mat = _purification(rho1)
-
-    def polar_adjoint(t, v):
-        # U^dag, indexed (Y, W, y, w), for the polar factor of the cross
-        # operator between t = (A (x) 1) u and (B (x) 1) v.
-        s = np.einsum("yzx,xw->yzw", bt, v)
-        mm = np.einsum("yzw,YzW->ywYW", t, s.conj()).reshape(m * nw, m * nw)
-        p, _, qh = np.linalg.svd(mm)
-        return (p @ qh).conj().T.reshape(m, nw, m, nw)
-
     prev = -np.inf
     for _ in range(max_iters):
-        uh = polar_adjoint(np.einsum("yzx,xw->yzw", at, u_mat), v_mat)
-        kmat = np.tensordot(
-            btc, np.einsum("YWyw,yzx->YzWxw", uh, at), axes=([0, 1], [0, 1])
-        ).reshape(n * nw, n * nw)
-        pk, sk, qkh = np.linalg.svd(kmat)
-        v_mat = pk[:, 0].reshape(n, nw)
-        u_mat = qkh[0, :].conj().reshape(n, nw)
-        obj = float(sk[0])
+        u_mat, v_mat, obj = _ascent_sweep(at, bt, u_mat, v_mat)
         if abs(obj - prev) <= tol * obj:
             break
         prev = obj
+    return _primal_witness(at, bt, u_mat, v_mat)
 
-    # Final polar step keeps U consistent with the last (u, v).
+
+def _primal_witness(at, bt, u_mat, v_mat):
+    """``(rho, W)`` for ``u``, ``v`` and their Uhlmann unitary: feasible to
+    roundoff, by unitary invariance, however far from the optimum."""
+    m, r = at.shape[:2]
     t = np.einsum("yzx,xw->yzw", at, u_mat)
-    q = np.einsum("YWyw,yzw->YzW", polar_adjoint(t, v_mat), t)
+    q = np.einsum("YWyw,yzw->YzW", _polar_adjoint(bt, t, v_mat), t)
     w = np.einsum("abW,cdW->abcd", q, q.conj()).reshape(m * r, m * r)
     w = (w + w.conj().T) / 2
     rho = u_mat @ u_mat.conj().T
@@ -277,47 +280,101 @@ def _feasible_dual(pair, z):
     # Two ways to make 1 (x) Z dominate B B^dag: shift Z by the worst
     # violation, or, for Z > 0, scale it by c = lambda_max(B^dag (1 (x) Z)^-1
     # B), since 1 (x) Z >= B B^dag iff that is at most 1.  Keep the Z with the
-    # smaller bound; c carries an allowance for the rounding of Z^-1/2.
+    # smaller bound; both carry an allowance for rounding.
     vals, vecs = herm_eig(z)
     z = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
-    shift = max(
-        0.0, -min_eigenvalue(kron(np.eye(m), z) - b @ b.conj().T)
-    )
-    candidates = [z + shift * np.eye(r)]
+    rounding = 8 * np.finfo(float).eps * m * r
+    shift = max(0.0, -min_eigenvalue(kron(np.eye(m), z) - b @ b.conj().T))
+    candidates = [z + (shift + rounding * spectral_norm(b) ** 2) * np.eye(r)]
     if vals[-1] > 0:
         inv_root = (vecs * vals ** -0.5).conj().T
         c = spectral_norm(kron(np.eye(m), inv_root) @ b) ** 2
-        candidates.append(c * (1 + 8 * np.finfo(float).eps * m * r) * z)
+        candidates.append(c * (1 + rounding) * z)
     return min(
         ((spectral_norm(a.conj().T @ kron(np.eye(m), zc) @ a), zc)
          for zc in candidates), key=lambda t: t[0])
 
 
-def _closed_form_general(pair) -> NormResult | None:
-    """The general route for input dimension one: the squared norm is
-    ``F(P, Q)^2``, ``P = Tr_Y(A A^dag)``, ``Q = Tr_Y(B B^dag)``.  The primal
-    is the Uhlmann purification of the ascent's first sweep, the dual ``F Z``
-    for Alberti's ``Z = P^-1/2 (P^1/2 Q P^1/2)^1/2 P^-1/2``, with
-    ``<P, Z> = <Q, Z^-1> = F``.  ``None`` for a singular ``P``, whose dual
-    optimum is not attained."""
-    a, b, r = pair.a, pair.b, pair.dim_env
-    m = a.shape[0] // r
-    p, q = (partial_trace(x @ x.conj().T, (m, r), side="first") for x in (a, b))
+def _geometric_mean(p, q):
+    """Alberti's ``Z = P^-1 # Q = P^-1/2 (P^1/2 Q P^1/2)^1/2 P^-1/2`` (the
+    inner root above rounding level), with ``<P, Z> = <Q, Z^-1> = F(P, Q)``;
+    ``None`` for a ``P`` singular at rounding level."""
     vals, vecs = herm_eig(p)
-    rounding = r * np.finfo(float).eps  # relative to the largest eigenvalue
+    rounding = len(p) * np.finfo(float).eps  # relative to the largest one
     if not vals[-1] > rounding * vals[0]:
         return None
     root, inv_root = ((vecs * vals ** e) @ vecs.conj().T for e in (0.5, -0.5))
     mvals, mvecs = herm_eig(root @ q @ root)
     mvals = np.where(mvals > rounding * max(mvals[0], 0.0), mvals, 0.0)
-    z = inv_root @ ((mvecs * np.sqrt(mvals)) @ mvecs.conj().T) @ inv_root
-    lam, z = _feasible_dual(pair, float(np.vdot(p, z).real) * z)
-    rho, w = _ascent_primal(pair, np.eye(1), np.eye(1), max_iters=1)
+    return inv_root @ ((mvecs * np.sqrt(mvals)) @ mvecs.conj().T) @ inv_root
+
+
+def _certified_result(pair, rho, w, z, target=np.inf) -> NormResult | None:
+    """The bracket of the primal ``(rho, W)`` and of ``z`` made feasible, with
+    no solve; ``None`` when it is wider than ``target`` relative."""
+    lam, z = _feasible_dual(pair, z)
     cert = GeneralCertificate(pair=pair, rho=rho, w=w, lam=lam, z=z)
     lower, upper = _general_certificate_bounds(cert)
+    if (upper - lower) / target > upper:
+        return None
     stats = SolverStats("optimal", 0, abs(upper ** 2 - lower ** 2), 0.0, 0.0)
     return NormResult(min(lower, upper), lower, upper, "general_sdp", cert,
                       stats)
+
+
+def _closed_form_general(pair) -> NormResult | None:
+    """The general route for input dimension one: ``F(P, Q)`` with the primal
+    of the ascent's first sweep and the dual ``F (P^-1 # Q)``; ``None`` for a
+    singular ``P``, whose dual optimum is not attained."""
+    a, b, r = pair.a, pair.b, pair.dim_env
+    m = a.shape[0] // r
+    p, q = (partial_trace(x @ x.conj().T, (m, r), side="first") for x in (a, b))
+    z = _geometric_mean(p, q)
+    if z is None:
+        return None
+    rho, w = _ascent_primal(pair, np.eye(1), np.eye(1), max_iters=1)
+    return _certified_result(pair, rho, w, float(np.vdot(p, z).real) * z)
+
+
+def _ascent_general(pair, opt) -> NormResult | None:
+    """The general route by ascent (module docstring), from maximally mixed
+    states, each sweep bounded by ``c Z`` for ``Z = P^-1 # Q``; ``None`` (the
+    solve takes over) outside the rule, for a singular ``Z``, when the last 5
+    sweeps' contraction predicts the target past the budget, or on a miss."""
+    r, n = pair.dim_env, pair.a.shape[1]
+    mn = pair.a.shape[0] // r * n
+    if r != mn or ASCENT_SWEEPS * (mn ** 3 + n ** 6) > (1 + r * r) ** 3:
+        return None
+    at, bt = (x.reshape(-1, r, n) for x in (pair.a, pair.b))
+    u = v = _purification(np.eye(n) / n)
+    target = opt.gap_tol / 100
+    best, widths = (np.inf, None), []
+    for sweep in range(1, ASCENT_SWEEPS + 1):
+        u, v, lower = _ascent_sweep(at, bt, u, v)
+        # Marginals Tr_Y(A rho0 A^dag) = Tr_{Y,W}(t t^dag), t = (A (x) 1) u.
+        t, s = (np.swapaxes(x @ y, 0, 1).reshape(r, -1)
+                for x, y in ((at, u), (bt, v)))
+        z = _geometric_mean(t @ t.conj().T, s @ s.conj().T)
+        if z is None or not (eig := herm_eig(z)).values[-1] > 0:
+            return None
+        # The bound of c Z: lambda_max(A^dag (1 (x) Z) A) times c.
+        z_inv = (eig.vectors / eig.values) @ eig.vectors.conj().T
+        upper = np.sqrt(np.prod([np.linalg.eigvalsh(
+            x.reshape(-1, n).conj().T @ (y @ x).reshape(-1, n))[-1]
+            for x, y in ((at, z), (bt, z_inv))]))
+        best = min(best, (upper, z), key=lambda b: b[0])
+        widths.append((best[0] - lower) / best[0])
+        if opt.verbose:
+            print(f"sweep {sweep:3d}  lower {lower: .9e}  upper {best[0]: .9e}"
+                  f"  width {widths[-1]:.3e}", file=sys.stderr)
+        if widths[-1] <= target:
+            break
+        if sweep >= 10 and not (widths[-1] < widths[-6] and sweep + 5 * np.log(
+                target / widths[-1]) / np.log(widths[-1] / widths[-6])
+                <= ASCENT_SWEEPS):
+            return None
+    return _certified_result(pair, *_primal_witness(at, bt, u, v), best[1],
+                             target)
 
 
 def _repair_channel_diff_certificate(phi, j, sol) -> ChannelDiffCertificate:
@@ -408,8 +465,9 @@ _ROUTES = {
 
 def _solve_route(route: str, data: tuple, opt: NormOptions) -> NormResult:
     """Build, solve, repair and bound one route's SDP (or its closed form)."""
-    if route == "general" and data[0].a.shape[1] == 1:
-        res = _closed_form_general(*data)
+    if route == "general":
+        res = _closed_form_general(*data) if data[0].a.shape[1] == 1 else \
+            _ascent_general(*data, opt)
         if res is not None:
             return res
     method, build, repair, bounds, estimate = _ROUTES[route]

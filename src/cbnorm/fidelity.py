@@ -40,10 +40,10 @@ def _check_psd_pair(p, q):
     if ph.shape != qh.shape:
         raise InvalidInputError("operators must have matching dimensions")
     for name, mat in (("P", ph), ("Q", qh)):
-        lo = min_eigenvalue(mat)
-        scale = max(1.0, abs(lo))
-        if lo < -PSD_TOL * scale:
-            raise InvalidInputError(f"{name} is not PSD (min eig {lo:.3e})")
+        vals = np.linalg.eigvalsh(mat)
+        if vals.size and vals[0] < -PSD_TOL * max(1.0, vals[-1]):
+            raise InvalidInputError(
+                f"{name} is not PSD (min eig {vals[0]:.3e})")
     return ph, qh
 
 
@@ -68,7 +68,7 @@ def purification(p, dim_y: int) -> np.ndarray:
 def _purify(vals, vecs, dim_y, top) -> np.ndarray:
     """:func:`purification` from a descending eigensystem; the rounding
     level is that of the spectral radius ``top``."""
-    rank = int(np.sum(vals > PSD_TOL * max(1.0, abs(vals[0]))))
+    rank = int(np.sum(vals > PSD_TOL * max(vals[0], 0.0)))
     if dim_y < rank:
         raise InvalidInputError(
             f"purification dimension {dim_y} below rank {rank}"

@@ -86,8 +86,9 @@ def herm_eig(m) -> Eigensystem:
 def matrix_sqrt_psd(p) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix.
 
-    Eigenvalues in ``[-PSD_TOL * scale, 0)`` are clamped to zero; anything
-    more negative raises, and so does a non-Hermitian ``p``.
+    Eigenvalues in ``[-PSD_TOL * scale, d eps lambda_max]``, ``scale =
+    max(1, lambda_max)``, are set to zero; anything more negative raises,
+    and so does a non-Hermitian ``p``.
     """
     return _sqrt_psd(hermitian_part(p))
 
@@ -100,8 +101,9 @@ def _sqrt_psd(h) -> np.ndarray:
         raise NotPositiveSemidefiniteError(
             f"matrix has eigenvalue {vals[-1]:.3e} below -PSD_TOL"
         )
-    clamped = np.maximum(vals, 0.0)
-    root = (vecs * np.sqrt(clamped)) @ vecs.conj().T
+    top = max(float(vals[0]), 0.0) if vals.size else 0.0
+    kept = np.where(vals > len(vals) * np.finfo(float).eps * top, vals, 0.0)
+    root = (vecs * np.sqrt(kept)) @ vecs.conj().T
     return (root + root.conj().T) / 2
 
 

@@ -583,11 +583,13 @@ class TestEqualityForm:
 
     @staticmethod
     def _shifted_lam(pair, sol):
-        """The bound of the additive repair alone: Z + delta 1."""
+        """The bound of the additive repair alone: Z + delta 1, with delta
+        the worst violation plus the rounding allowance ``8 eps m r |B|^2``."""
         m = pair.a.shape[0] // pair.dim_env
         z = dnorm._psd_part(sol.Y_opt[1])
         bbdag = pair.b @ pair.b.conj().T
-        shift = max(0.0, -min_eigenvalue(kron(np.eye(m), z) - bbdag))
+        shift = max(0.0, -min_eigenvalue(kron(np.eye(m), z) - bbdag)) + \
+            8 * np.finfo(float).eps * m * pair.dim_env * spectral_norm(pair.b) ** 2
         z = z + shift * np.eye(pair.dim_env)
         return spectral_norm(pair.a.conj().T @ kron(np.eye(m), z) @ pair.a)
 
@@ -721,3 +723,146 @@ class TestTrivialInput:
         norm = diamond_norm(SuperOp.from_stinespring(a, b, 3)).value
         assert res.lower_bound <= norm * (1 + 1e-12)
         assert res.upper_bound >= norm * (1 - 1e-12)
+
+
+class TestBracketOrder:
+    def test_inverted_by_rounding_before(self):
+        """The shift repair carries a rounding allowance: with a zero
+        shift this map's upper end came out an ulp below its lower end."""
+        res = diamond_norm(random_superop(np.random.default_rng(3), 1, 1,
+                                          terms=1))
+        assert res.lower_bound <= res.value <= res.upper_bound
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (2, 1), (3, 1),
+                                     (2, 2), (2, 3), (3, 3)])
+    def test_full_rank_and_trivial_input(self, n, m):
+        for seed in range(10):
+            phi = random_superop(np.random.default_rng(seed), n, m,
+                                 terms=n * m)
+            for norm in (diamond_norm, cb_spectral_norm):
+                res = norm(phi)
+                assert res.lower_bound <= res.value <= res.upper_bound, \
+                    (seed, norm.__name__)
+
+
+def _full_rank(seed, n, m, scale=1.0):
+    return random_superop(np.random.default_rng(seed), n, m, terms=n * m,
+                          scale=scale)
+
+
+def _ascent_rule(n, m):
+    """Full Choi rank ``r = mn`` takes the ascent when ``ASCENT_SWEEPS``
+    sweeps cost less than one Newton system."""
+    return n >= 2 and dnorm.ASCENT_SWEEPS * ((m * n) ** 3 + n ** 6) <= \
+        (1 + (m * n) ** 2) ** 3
+
+
+def _give_up(pair, options):
+    return None
+
+
+class TestCertifiedAscent:
+    """A map of full Choi rank under the cost rule gets its bracket from the
+    alternating ascent and Alberti's dual ``P^-1 # Q`` of its marginals,
+    with no solve; every other map, and any map on which the ascent gives
+    up, from the solve."""
+
+    def test_rule(self, monkeypatch, rng):
+        monkeypatch.setattr(dnorm, "solve", _no_solve)
+        for _ in range(2):
+            res = diamond_norm(random_superop(rng, 4, 4, terms=16))
+            assert res.method == "general_sdp" and not res.warnings
+            assert res.solver_stats.status == "optimal"
+            assert res.solver_stats.iterations == 0
+        monkeypatch.undo()
+        # The ascent forms P^-1 # Q after its first sweep.
+        monkeypatch.setattr(dnorm, "_geometric_mean", _no_solve)
+        others = [random_superop(rng, 2, 2, terms=4),
+                  random_superop(rng, 3, 2, terms=6),
+                  random_superop(rng, 4, 4, terms=1),
+                  random_superop(rng, 3, 3, terms=2)]
+        others += [SuperOp.difference(random_channel(rng, 3, 3, env=k),
+                                      random_channel(rng, 3, 3, env=k))
+                   for k in (2, 9)]
+        assert not _ascent_rule(2, 2) and not _ascent_rule(3, 2)
+        for phi in others:
+            assert diamond_norm(phi).solver_stats.iterations > 0
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 6)
+                                     for m in range(2, 6) if _ascent_rule(n, m)])
+    def test_brackets_overlap_solve(self, monkeypatch, n, m):
+        phi = _full_rank(n + 10 * m, n, m)
+        res = diamond_norm(phi)
+        assert res.solver_stats.iterations == 0
+        check = verify_certificate(phi, res.certificate)
+        assert check.valid, check.violations
+        assert res.upper_bound - res.lower_bound <= 1e-10 * res.upper_bound
+        monkeypatch.setattr(dnorm, "_ascent_general", _give_up)
+        ref = diamond_norm(phi)
+        assert ref.solver_stats.iterations > 0
+        assert res.lower_bound <= ref.upper_bound
+        assert ref.lower_bound <= res.upper_bound
+
+    @pytest.mark.parametrize("n,m", [(3, 3), (4, 3)])
+    def test_give_up_returns_solve_result(self, monkeypatch, n, m):
+        """Where the optimal input state is rank-deficient, the geometric
+        mean diverges and the ascent gives up; the solve's result is then
+        returned bit for bit."""
+        outcomes, real = [], dnorm._ascent_general
+
+        def recorded(pair, options):
+            outcomes.append(real(pair, options))
+            return outcomes[-1]
+
+        monkeypatch.setattr(dnorm, "_ascent_general", recorded)
+        rng = np.random.default_rng(12)
+        for _ in range(16):
+            phi = random_superop(rng, n, m, terms=n * m)
+            res = diamond_norm(phi)
+            if outcomes[-1] is None:
+                break
+        assert outcomes[-1] is None and res.solver_stats.iterations > 0
+        monkeypatch.setattr(dnorm, "_ascent_general", _give_up)
+        ref = diamond_norm(phi)
+        assert [float(x).hex() for x in (res.lower_bound, res.upper_bound,
+                                         res.value)] == \
+            [float(x).hex() for x in (ref.lower_bound, ref.upper_bound,
+                                      ref.value)]
+        _assert_same_result(res, ref)
+
+    def test_full_rank_d8(self, monkeypatch):
+        """``m_con`` would be 4097 on the solve."""
+        monkeypatch.setattr(dnorm, "solve", _no_solve)
+        phi = _full_rank(8, 8, 8)
+        res = diamond_norm(phi)
+        assert res.upper_bound - res.lower_bound <= 1e-10 * res.upper_bound
+        assert verify_certificate(phi, res.certificate).valid
+
+    def test_multiplicative(self, monkeypatch):
+        """``tensor(phi, psi)`` of two full-rank 3x3 maps has ``r`` = 81."""
+        monkeypatch.setattr(dnorm, "solve", _no_solve)
+        rng = np.random.default_rng(12)
+        phi, psi = (random_superop(rng, 3, 3, terms=9) for _ in range(2))
+        both = tensor(phi, psi)
+        res, ra, rb = (diamond_norm(x) for x in (both, phi, psi))
+        assert res.certificate.pair.dim_env == 81
+        assert verify_certificate(both, res.certificate).valid
+        assert res.lower_bound <= ra.upper_bound * rb.upper_bound
+        assert ra.lower_bound * rb.lower_bound <= res.upper_bound
+
+    @pytest.mark.parametrize("s", [1e-4, 1e-2, 1e2, 1e3])
+    def test_homogeneous(self, monkeypatch, s):
+        """Both Kraus families scaled by ``s`` scale the map by ``s^2``."""
+        monkeypatch.setattr(dnorm, "solve", _no_solve)
+        ref = diamond_norm(_full_rank(4, 4, 4)).value
+        phi = _full_rank(4, 4, 4, scale=s)
+        res = diamond_norm(phi)
+        assert res.value == pytest.approx(s ** 2 * ref, rel=1e-12)
+        assert verify_certificate(phi, res.certificate).valid
+
+    def test_verbose_prints_each_sweep(self, capsys):
+        res = diamond_norm(_full_rank(0, 4, 4), NormOptions(verbose=True))
+        lines = capsys.readouterr().err.splitlines()
+        assert lines and all(line.startswith("sweep") for line in lines)
+        width = float(lines[-1].split()[-1])
+        assert width <= 1e-10 and res.solver_stats.iterations == 0

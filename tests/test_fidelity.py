@@ -58,6 +58,19 @@ class TestClosedForm:
         with pytest.raises(InvalidInputError):
             fidelity_closed_form(np.diag([1.0, -1.0]), np.eye(2))
 
+    def test_exact_over_ranks(self, rng):
+        """Rounding-level eigenvalues of a rank-deficient operator are not
+        rooted: every rank pair of states matches the factors' fidelity."""
+        for d in range(1, 7):
+            for rank_p in range(1, d + 1):
+                for rank_q in range(1, d + 1):
+                    gp, gq = (g / np.linalg.norm(g) for g in (
+                        random_complex(rng, (d, k)) for k in (rank_p, rank_q)))
+                    got = fidelity_closed_form(gp @ gp.conj().T,
+                                               gq @ gq.conj().T)
+                    assert abs(got - factor_fidelity(gp, gq)) <= 1e-13, \
+                        (d, rank_p, rank_q)
+
 
 class TestPurification:
     def test_marginal(self, rng):
@@ -72,6 +85,11 @@ class TestPurification:
         p = random_psd(rng, 3)  # full rank
         with pytest.raises(InvalidInputError):
             purification(p, 2)
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_rank_requirement_at_any_scale(self, rng, c):
+        with pytest.raises(InvalidInputError, match="below rank 2"):
+            purification(c * random_psd(rng, 3, rank=2), 1)
 
     def test_rank_one_allows_small_env(self):
         u = purification(E11, 1)
@@ -180,6 +198,20 @@ class TestFidelitySdp:
             np.sqrt(c) * ref, rel=1e-13)
         assert fidelity_sdp(q, c * p).fidelity == pytest.approx(
             np.sqrt(c) * ref, rel=1e-13)
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8])
+    def test_homogeneous_in_rank_deficient_operator(self, c):
+        """A rank-deficient operator scaled up is still PSD: its rounding is
+        measured against its own largest eigenvalue."""
+        p = random_density(np.random.default_rng(1), 4)
+        q = random_density(np.random.default_rng(0), 4, rank=2)
+        for entry in (lambda x, y: fidelity_sdp(x, y).fidelity,
+                      fidelity_closed_form):
+            ref = entry(p, q)
+            assert entry(p, c * q) == pytest.approx(np.sqrt(c) * ref,
+                                                    rel=1e-13)
+            assert entry(c * q, p) == pytest.approx(np.sqrt(c) * ref,
+                                                    rel=1e-13)
 
     @pytest.mark.parametrize("entry", [fidelity_sdp, fidelity_closed_form])
     def test_validates_each_operator_once(self, monkeypatch, rng, entry):
