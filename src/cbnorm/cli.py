@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certificate", help="write the certificate to this path")
     p.add_argument("--output")
     p.add_argument("--verbose", action="store_true",
-                   help="solver iteration log on stderr")
+                   help="solver iteration or ascent log on stderr")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("certify", help="re-verify a certificate without solving")

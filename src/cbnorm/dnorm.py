@@ -29,16 +29,19 @@ dual constraints already force ``Z >= 0`` and ``lambda >= 0``.
 difference goes general (``1 + r^2`` rows, ``r = rank J``) only when
 ``r < mn`` (``1 + (mn)^2`` rows on the other route); other maps always do.
 
-Both routes run through one build -> solve -> repair -> bounds pipeline,
-but the general route needs no solve on a map with input dimension one (the
-fidelity SDP is one: Uhlmann's and Alberti's theorems give both certificates
-in closed form), nor on a map of full Choi rank ``r = mn`` whose ascent
-sweeps cost less than a Newton system, ``ASCENT_SWEEPS ((mn)^3 + n^6) <=
-(1 + r^2)^3``: the alternating ascent bounds it below and Alberti's dual
-``P^-1 # Q`` of each sweep's marginals above, to a width of ``gap_tol / 100``,
-unless the optimal state is rank-deficient.  A call forms ``J`` once: the
-channel-difference SDP is built from it, the general route's Stinespring
-pair is its SVD.
+Both routes run through one build -> solve -> repair -> bounds pipeline.
+The general route scales its pair by powers of two to spectral norms in
+[1, 2), so its tolerances (the solver's gap test too) are relative, and maps
+the result back exactly.  It needs no solve on a map with input dimension
+one (the fidelity SDP is one: Uhlmann's and Alberti's theorems give both
+certificates in closed form), nor on a map of any Choi rank ``r`` whose
+ascent sweeps cost less than a Newton system, ``ASCENT_SWEEPS ((mn)^3 + n^6)
+<= (1 + r^2)^3``: the alternating ascent bounds it below and, every fifth
+sweep (one ``verbose`` line each), Alberti's dual ``P^-1 # Q`` of the
+marginals, scaled to ``c Z``, above, to a width of ``gap_tol / 100``, unless
+the optimal state is rank-deficient.  A call forms ``J`` once (only ``J = 0``
+takes the zero result): the channel-difference SDP is built from it, the
+general route's Stinespring pair is its SVD.
 Certificates are repaired to be (numerically) exactly feasible, so the
 bounds are sound whatever the solver's termination state, including
 ``numerical_failure``; only a non-finite last iterate raises.
@@ -69,7 +72,6 @@ from .sdp import (
 )
 from .superop import StinespringPair, SuperOp, to_choi
 
-ZERO_MAP_TOL = 1e-14
 # Sweep budget of the certified ascent (_ascent_general).
 ASCENT_SWEEPS = 100
 
@@ -203,13 +205,24 @@ def _purification(rho):
     return mat / np.linalg.norm(mat)
 
 
-def _polar_adjoint(bt, t, v):
-    """``U^dag``, indexed (Y, W, y, w), for the polar factor of the cross
-    operator between ``t = (A (x) 1) u`` and ``(B (x) 1) v``."""
-    s = np.einsum("yzx,xw->yzw", bt, v)
-    mm = np.einsum("yzw,YzW->ywYW", t, s.conj())
-    p, _, qh = np.linalg.svd(mm.reshape(mm.shape[0] * mm.shape[1], -1))
-    return (p @ qh).conj().T.reshape(mm.shape)
+def _polar_adjoint(at, bt, u, v):
+    """``U^dag`` ((Y, W), (y, w)) for the polar factor of ``t s^dag``, and t;
+    ``t = (A (x) 1) u`` and ``s = (B (x) 1) v`` indexed ((y, w), z)."""
+    t, s = (np.swapaxes(x @ y, 1, 2).reshape(-1, x.shape[1])
+            for x, y in ((at, u), (bt, v)))
+    p, _, qh = np.linalg.svd(t @ s.conj().T)
+    return (p @ qh).conj().T, t
+
+
+def _sweep_operator(at, bt, uh):
+    """``(B^dag (x) 1)(U^dag (x) 1_Z)(A (x) 1)``, indexed ((X, W), (x, w)), as
+    ``H U^dag`` for ``H[(X, x), (Y, y)] = sum_z conj(B[Y,z,X]) A[y,z,x]``: no
+    product holds more than ``(mn)^2`` or ``(n nw)^2`` entries."""
+    m, n, nw = at.shape[0], at.shape[2], uh.shape[0] // at.shape[0]
+    h = np.tensordot(bt.conj(), at, axes=(1, 1)).transpose(1, 3, 0, 2)
+    k = h.reshape(n * n, -1) @ \
+        uh.reshape(m, nw, m, nw).transpose(0, 2, 1, 3).reshape(m * m, -1)
+    return k.reshape(n, n, nw, nw).transpose(0, 2, 1, 3).reshape(n * nw, -1)
 
 
 def _ascent_sweep(at, bt, u_mat, v_mat):
@@ -218,11 +231,8 @@ def _ascent_sweep(at, bt, u_mat, v_mat):
     ``(u, v)`` and value: the top singular triple of
     ``(B^dag (x) 1)(U^dag (x) 1_Z)(A (x) 1)``."""
     n, nw = u_mat.shape
-    uh = _polar_adjoint(bt, np.einsum("yzx,xw->yzw", at, u_mat), v_mat)
-    kmat = np.tensordot(
-        bt.conj(), np.einsum("YWyw,yzx->YzWxw", uh, at), axes=([0, 1], [0, 1])
-    ).reshape(n * nw, n * nw)
-    pk, sk, qkh = np.linalg.svd(kmat)
+    uh = _polar_adjoint(at, bt, u_mat, v_mat)[0]
+    pk, sk, qkh = np.linalg.svd(_sweep_operator(at, bt, uh))
     return qkh[0, :].conj().reshape(n, nw), pk[:, 0].reshape(n, nw), \
         float(sk[0])
 
@@ -251,9 +261,9 @@ def _primal_witness(at, bt, u_mat, v_mat):
     """``(rho, W)`` for ``u``, ``v`` and their Uhlmann unitary: feasible to
     roundoff, by unitary invariance, however far from the optimum."""
     m, r = at.shape[:2]
-    t = np.einsum("yzx,xw->yzw", at, u_mat)
-    q = np.einsum("YWyw,yzw->YzW", _polar_adjoint(bt, t, v_mat), t)
-    w = np.einsum("abW,cdW->abcd", q, q.conj()).reshape(m * r, m * r)
+    uh, t = _polar_adjoint(at, bt, u_mat, v_mat)
+    q = (uh @ t).reshape(m, -1, r).transpose(0, 2, 1).reshape(m * r, -1)
+    w = q @ q.conj().T
     w = (w + w.conj().T) / 2
     rho = u_mat @ u_mat.conj().T
     rho = (rho + rho.conj().T) / 2
@@ -337,13 +347,13 @@ def _closed_form_general(pair) -> NormResult | None:
 
 
 def _ascent_general(pair, opt) -> NormResult | None:
-    """The general route by ascent (module docstring), from maximally mixed
-    states, each sweep bounded by ``c Z`` for ``Z = P^-1 # Q``; ``None`` (the
-    solve takes over) outside the rule, for a singular ``Z``, when the last 5
-    sweeps' contraction predicts the target past the budget, or on a miss."""
+    """The general route by ascent (module docstring) from maximally mixed
+    states; ``None`` (the solve takes over) outside the rule, for a singular
+    ``Z``, when the contraction over the last two bounds, 5 sweeps apart,
+    predicts the target past the budget, or on a miss."""
     r, n = pair.dim_env, pair.a.shape[1]
     mn = pair.a.shape[0] // r * n
-    if r != mn or ASCENT_SWEEPS * (mn ** 3 + n ** 6) > (1 + r * r) ** 3:
+    if ASCENT_SWEEPS * (mn ** 3 + n ** 6) > (1 + r * r) ** 3:
         return None
     at, bt = (x.reshape(-1, r, n) for x in (pair.a, pair.b))
     u = v = _purification(np.eye(n) / n)
@@ -351,6 +361,8 @@ def _ascent_general(pair, opt) -> NormResult | None:
     best, widths = (np.inf, None), []
     for sweep in range(1, ASCENT_SWEEPS + 1):
         u, v, lower = _ascent_sweep(at, bt, u, v)
+        if sweep % 5 and sweep < ASCENT_SWEEPS:
+            continue
         # Marginals Tr_Y(A rho0 A^dag) = Tr_{Y,W}(t t^dag), t = (A (x) 1) u.
         t, s = (np.swapaxes(x @ y, 0, 1).reshape(r, -1)
                 for x, y in ((at, u), (bt, v)))
@@ -369,8 +381,8 @@ def _ascent_general(pair, opt) -> NormResult | None:
                   f"  width {widths[-1]:.3e}", file=sys.stderr)
         if widths[-1] <= target:
             break
-        if sweep >= 10 and not (widths[-1] < widths[-6] and sweep + 5 * np.log(
-                target / widths[-1]) / np.log(widths[-1] / widths[-6])
+        if len(widths) >= 2 and not (widths[-1] < widths[-2] and sweep + 5 * \
+                np.log(target / widths[-1]) / np.log(widths[-1] / widths[-2])
                 <= ASCENT_SWEEPS):
             return None
     return _certified_result(pair, *_primal_witness(at, bt, u, v), best[1],
@@ -464,27 +476,40 @@ _ROUTES = {
 
 
 def _solve_route(route: str, data: tuple, opt: NormOptions) -> NormResult:
-    """Build, solve, repair and bound one route's SDP (or its closed form)."""
+    """Build, solve, repair and bound one route's SDP (or its closed form);
+    the general route runs on its pair scaled by powers of two (module doc)."""
+    res = None
     if route == "general":
-        res = _closed_form_general(*data) if data[0].a.shape[1] == 1 else \
+        pair = data[0]
+        sa, sb = (np.ldexp(1.0, 1 - np.frexp(spectral_norm(x))[1])
+                  for x in (pair.a, pair.b))
+        data = (StinespringPair(sa * pair.a, sb * pair.b, pair.dim_env),)
+        res = _closed_form_general(*data) if pair.a.shape[1] == 1 else \
             _ascent_general(*data, opt)
-        if res is not None:
-            return res
-    method, build, repair, bounds, estimate = _ROUTES[route]
-    sol = solve(build(*data), SolveOptions(
-        gap_tol=opt.gap_tol, feas_tol=opt.feas_tol,
-        max_iter=opt.max_iter, verbose=opt.verbose,
-    ))
-    if not all(np.isfinite(x).all() for x in (*sol.X_opt, *sol.Y_opt)):
-        raise NumericalFailureError("interior-point solve failed")
-    cert = repair(*data, sol)
-    lower, upper = bounds(*data, cert)
-    stats = SolverStats(sol.status, sol.iterations, sol.gap,
-                        sol.primal_infeas, sol.dual_infeas)
-    warnings = () if sol.status == "optimal" else (
-        f"solver status {sol.status}; bounds widened",)
-    value = min(max(estimate(sol), lower), upper)
-    return NormResult(value, lower, upper, method, cert, stats, warnings)
+    if res is None:
+        method, build, repair, bounds, estimate = _ROUTES[route]
+        sol = solve(build(*data), SolveOptions(
+            gap_tol=opt.gap_tol, feas_tol=opt.feas_tol,
+            max_iter=opt.max_iter, verbose=opt.verbose,
+        ))
+        if not all(np.isfinite(x).all() for x in (*sol.X_opt, *sol.Y_opt)):
+            raise NumericalFailureError("interior-point solve failed")
+        cert = repair(*data, sol)
+        lower, upper = bounds(*data, cert)
+        stats = SolverStats(sol.status, sol.iterations, sol.gap,
+                            sol.primal_infeas, sol.dual_infeas)
+        warnings = () if sol.status == "optimal" else (
+            f"solver status {sol.status}; bounds widened",)
+        value = min(max(estimate(sol), lower), upper)
+        res = NormResult(value, lower, upper, method, cert, stats, warnings)
+    if route != "general":
+        return res
+    c, cert, stats = sa * sb, res.certificate, res.solver_stats
+    cert = replace(cert, pair=pair, w=cert.w / sa ** 2, lam=cert.lam / c ** 2,
+                   z=cert.z / sb ** 2)
+    return replace(res, value=res.value / c, lower_bound=res.lower_bound / c,
+                   upper_bound=res.upper_bound / c, certificate=cert,
+                   solver_stats=replace(stats, gap=stats.gap / c ** 2))
 
 
 def diamond_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult:
@@ -499,7 +524,7 @@ def diamond_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult
         )
 
     j = to_choi(phi)
-    if spectral_norm(j) <= ZERO_MAP_TOL:
+    if not j.any():
         return _trivial_zero_result(
             phi, "channel_diff_sdp" if is_pair and opt.method != "general"
             else "general_sdp"

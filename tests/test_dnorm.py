@@ -375,6 +375,53 @@ class TestAscentWarmStart:
         assert lower >= _cold_converged(pair, sol) * (1 - 1e-12)
 
 
+def _einsum_sweep(at, bt, u, v):
+    """``U^dag`` (indexed (Y, W, y, w)), the sweep operator and ``W`` of the
+    ascent by explicit ``einsum`` contractions: the oracle of the matrix
+    products in ``dnorm``."""
+    n, nw = u.shape
+    t = np.einsum("yzx,xw->yzw", at, u)
+    s = np.einsum("yzx,xw->yzw", bt, v)
+    mm = np.einsum("yzw,YzW->ywYW", t, s.conj())
+    p, _, qh = np.linalg.svd(mm.reshape(mm.shape[0] * mm.shape[1], -1))
+    uh = (p @ qh).conj().T.reshape(mm.shape)
+    kmat = np.tensordot(
+        bt.conj(), np.einsum("YWyw,yzx->YzWxw", uh, at), axes=([0, 1], [0, 1])
+    ).reshape(n * nw, n * nw)
+    q = np.einsum("YWyw,yzw->YzW", uh, t)
+    w = np.einsum("abW,cdW->abcd", q, q.conj())
+    return uh, kmat, w.reshape(q.shape[0] * q.shape[1], -1)
+
+
+class TestSweepProducts:
+    """The sweep's contractions are matrix products; they match the
+    ``einsum`` oracle at the ascent's start (``u = v``, maximally mixed), where
+    the cross operator of a map of full Choi rank is invertible, so its polar
+    factor is unique."""
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (4, 4), (6, 6), (9, 9)])
+    def test_matches_einsum(self, n, m):
+        if n == 9:  # r = 81: two full-rank 3x3 maps
+            rng = np.random.default_rng(12)
+            phi = tensor(*(random_superop(rng, 3, 3, terms=9)
+                           for _ in range(2)))
+        else:
+            phi = random_superop(np.random.default_rng(n + 10 * m), n, m,
+                                 terms=n * m)
+        pair = to_stinespring(phi)
+        r = pair.dim_env
+        assert r == n * m
+        at, bt = (x.reshape(-1, r, n) for x in (pair.a, pair.b))
+        u = np.eye(n) / np.sqrt(n)
+        uh_ref, k_ref, w_ref = _einsum_sweep(at, bt, u, u)
+        uh = dnorm._polar_adjoint(at, bt, u, u)[0]
+        k = dnorm._sweep_operator(at, bt, uh)
+        w = dnorm._primal_witness(at, bt, u, u)[1]
+        for got, ref in ((uh, uh_ref.reshape(uh.shape)), (k, k_ref),
+                         (w, w_ref)):
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def _assert_same_result(a, b):
     """Bitwise equality of two NormResults."""
     assert (a.value, a.lower_bound, a.upper_bound, a.method) == \
@@ -434,18 +481,27 @@ class TestOneChoiMatrix:
         assert calls == {"to_choi": 3, "is_channel": 0}
 
 
-def _failed_solves():
-    """The scale-1e-3 maps of TestAscentWarmStart whose solve ends
-    ``numerical_failure`` (15 of the 60 with x86-64 OpenBLAS)."""
-    return [(seed, n, m) for n, m in ASCENT_SHAPES for seed in range(12)
-            if _solved_pair(seed, n, m, 1e-3)[2].status == "numerical_failure"]
+def _stop_solves(monkeypatch, stop=6):
+    """Make every solve stop at iteration ``stop`` and report
+    ``numerical_failure``: a failed solve by construction, whose last
+    iterate is far from optimal."""
+    real = dnorm.solve
+
+    def stopped(problem, options):
+        sol = real(problem, dataclasses.replace(options, max_iter=stop))
+        assert sol.iterations == stop
+        return dataclasses.replace(sol, status="numerical_failure")
+
+    monkeypatch.setattr(dnorm, "solve", stopped)
 
 
 class TestNumericalFailure:
-    def test_failed_solve_returns_verified_bracket(self):
-        failed = _failed_solves()
-        assert failed
-        for seed, n, m in failed:
+    def test_failed_solve_returns_verified_bracket(self, monkeypatch):
+        maps = [(seed, n, m) for n, m in ASCENT_SHAPES for seed in range(3)]
+        refs = [diamond_norm(_solved_pair(seed, n, m)[0])
+                for seed, n, m in maps]
+        _stop_solves(monkeypatch)
+        for (seed, n, m), ref in zip(maps, refs):
             phi = _solved_pair(seed, n, m, 1e-3)[0]
             res = diamond_norm(phi)
             assert res.solver_stats.status == "numerical_failure"
@@ -457,15 +513,15 @@ class TestNumericalFailure:
                 (res.lower_bound, res.upper_bound), rel=1e-12, abs=0)
             # Homogeneity: scale 1e-3 on both Kraus families scales the
             # norm by 1e-6.
-            ref = diamond_norm(_solved_pair(seed, n, m)[0])
             assert ref.solver_stats.status == "optimal"
             assert res.lower_bound <= 1e-6 * ref.upper_bound * (1 + 1e-6)
             assert res.upper_bound >= 1e-6 * ref.lower_bound * (1 - 1e-6)
 
-    def test_rebalance_after_failed_solve(self):
-        seed, n, m = _failed_solves()[0]
-        phi, pair, _ = _solved_pair(seed, n, m, 1e-3)
+    def test_rebalance_after_failed_solve(self, monkeypatch):
+        _stop_solves(monkeypatch)
+        phi, pair, _ = _solved_pair(0, 3, 3, 1e-3)
         res = diamond_norm(phi)
+        assert res.solver_stats.status == "numerical_failure"
         out = rebalance_stinespring(pair, 1e-9)
         prod = spectral_norm(out.a) * spectral_norm(out.b)
         assert res.lower_bound * (1 - 1e-12) <= prod
@@ -745,16 +801,57 @@ class TestBracketOrder:
                     (seed, norm.__name__)
 
 
+class TestScaleNormalization:
+    """The general route runs on its pair scaled by powers of two to
+    spectral norms in [1, 2) and maps the result back exactly, so a map's
+    scale moves no tolerance: tiny and large maps get the bracket of the
+    unscaled map."""
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6])
+    def test_homogeneous(self, c):
+        """Rank-2 3x3 maps take the solve.  At ``c`` = 1e8 the absolute
+        ``tol`` of ``verify_certificate`` rejects rounding-level violations."""
+        for seed in range(3, 9):
+            for norm, target in ((diamond_norm, lambda phi: phi),
+                                 (cb_spectral_norm, adjoint)):
+                ref = norm(random_superop(np.random.default_rng(seed), 3, 3,
+                                          terms=2))
+                phi = random_superop(np.random.default_rng(seed), 3, 3,
+                                     terms=2, scale=np.sqrt(c))
+                res = norm(phi)
+                assert res.value / c == pytest.approx(ref.value, rel=1e-12)
+                assert res.solver_stats.status == "optimal"
+                assert res.solver_stats.gap <= 1e-8 * (c * ref.value) ** 2
+                check = verify_certificate(target(phi), res.certificate)
+                assert check.valid, (seed, norm.__name__, check.violations)
+
+    def test_tiny_map_is_not_zero(self):
+        """Only an exactly zero Choi matrix takes the zero result."""
+        ref = diamond_norm(random_superop(np.random.default_rng(3), 2, 2))
+        res = diamond_norm(random_superop(np.random.default_rng(3), 2, 2,
+                                          scale=1e-8))
+        assert res.value / 1e-16 == pytest.approx(ref.value, rel=1e-12)
+
+    @pytest.mark.parametrize("k", range(3, 16))
+    def test_small_phase_difference(self, k):
+        theta = 10.0 ** -k
+        res = diamond_norm(phase_diff(theta))
+        assert res.method == "general_sdp"
+        assert res.value == pytest.approx(2 * np.sin(theta / 2), rel=1e-12)
+        assert res.upper_bound - res.lower_bound <= 1e-12 * res.upper_bound
+
+
 def _full_rank(seed, n, m, scale=1.0):
     return random_superop(np.random.default_rng(seed), n, m, terms=n * m,
                           scale=scale)
 
 
-def _ascent_rule(n, m):
-    """Full Choi rank ``r = mn`` takes the ascent when ``ASCENT_SWEEPS``
-    sweeps cost less than one Newton system."""
+def _ascent_rule(n, m, r=None):
+    """A map of Choi rank ``r`` (``mn`` by default) takes the ascent when
+    ``ASCENT_SWEEPS`` sweeps cost less than one Newton system."""
+    r = r or m * n
     return n >= 2 and dnorm.ASCENT_SWEEPS * ((m * n) ** 3 + n ** 6) <= \
-        (1 + (m * n) ** 2) ** 3
+        (1 + r * r) ** 3
 
 
 def _give_up(pair, options):
@@ -762,7 +859,7 @@ def _give_up(pair, options):
 
 
 class TestCertifiedAscent:
-    """A map of full Choi rank under the cost rule gets its bracket from the
+    """A map under the cost rule, of any Choi rank, gets its bracket from the
     alternating ascent and Alberti's dual ``P^-1 # Q`` of its marginals,
     with no solve; every other map, and any map on which the ascent gives
     up, from the solve."""
@@ -803,11 +900,13 @@ class TestCertifiedAscent:
         assert res.lower_bound <= ref.upper_bound
         assert ref.lower_bound <= res.upper_bound
 
-    @pytest.mark.parametrize("n,m", [(3, 3), (4, 3)])
-    def test_give_up_returns_solve_result(self, monkeypatch, n, m):
+    @pytest.mark.parametrize("n,m,r", [(3, 3, 9), (4, 3, 12), (6, 6, 18)],
+                             ids=["3-3", "4-3", "6-6-r18"])
+    def test_give_up_returns_solve_result(self, monkeypatch, n, m, r):
         """Where the optimal input state is rank-deficient, the geometric
         mean diverges and the ascent gives up; the solve's result is then
         returned bit for bit."""
+        assert _ascent_rule(n, m, r)
         outcomes, real = [], dnorm._ascent_general
 
         def recorded(pair, options):
@@ -817,7 +916,7 @@ class TestCertifiedAscent:
         monkeypatch.setattr(dnorm, "_ascent_general", recorded)
         rng = np.random.default_rng(12)
         for _ in range(16):
-            phi = random_superop(rng, n, m, terms=n * m)
+            phi = random_superop(rng, n, m, terms=r)
             res = diamond_norm(phi)
             if outcomes[-1] is None:
                 break
@@ -829,6 +928,37 @@ class TestCertifiedAscent:
             [float(x).hex() for x in (ref.lower_bound, ref.upper_bound,
                                       ref.value)]
         _assert_same_result(res, ref)
+
+    @pytest.mark.parametrize("r", [30, 35])
+    def test_below_full_rank(self, monkeypatch, r):
+        """A 6x6 map below full Choi rank, which the IPM took at ``m_con``
+        ``1 + r^2``, is bracketed by the ascent alone."""
+        monkeypatch.setattr(dnorm, "solve", _no_solve)
+        phi = random_superop(np.random.default_rng(r), 6, 6, terms=r)
+        res = diamond_norm(phi)
+        assert res.certificate.pair.dim_env == r
+        assert res.upper_bound - res.lower_bound <= 1e-10 * res.upper_bound
+        check = verify_certificate(phi, res.certificate)
+        assert check.valid, check.violations
+
+    @pytest.mark.parametrize("n,m,r,gives_up", [
+        (4, 4, 16, False), (5, 5, 13, True), (3, 3, 9, False)])
+    def test_dual_every_fifth_sweep(self, monkeypatch, n, m, r, gives_up):
+        """The dual bound ``P^-1 # Q`` is formed at every fifth sweep (and the
+        budget's last), whether the ascent converges or gives up."""
+        calls = {"_ascent_sweep": 0, "_geometric_mean": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(dnorm, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(dnorm, name, counted)
+        pair = to_stinespring(
+            random_superop(np.random.default_rng(12), n, m, terms=r))
+        res = dnorm._ascent_general(pair, NormOptions())
+        assert (res is None) == gives_up
+        sweeps, means = calls["_ascent_sweep"], calls["_geometric_mean"]
+        assert sweeps >= 5 and 0 < means <= -(-sweeps // 5) + 1, calls
 
     def test_full_rank_d8(self, monkeypatch):
         """``m_con`` would be 4097 on the solve."""
