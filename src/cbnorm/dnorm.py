@@ -32,16 +32,18 @@ difference goes general (``1 + r^2`` rows, ``r = rank J``) only when
 Both routes run through one build -> solve -> repair -> bounds pipeline.
 The general route scales its pair by powers of two to spectral norms in
 [1, 2), so its tolerances (the solver's gap test too) are relative, and maps
-the result back exactly.  It needs no solve on a map with input dimension
-one (the fidelity SDP is one: Uhlmann's and Alberti's theorems give both
-certificates in closed form), nor on a map of any Choi rank ``r`` whose
-ascent sweeps cost less than a Newton system, ``ASCENT_SWEEPS ((mn)^3 + n^6)
-<= (1 + r^2)^3``: the alternating ascent bounds it below and, every fifth
-sweep (one ``verbose`` line each), Alberti's dual ``P^-1 # Q`` of the
-marginals, scaled to ``c Z``, above, to a width of ``gap_tol / 100``, unless
-the optimal state is rank-deficient.  A call forms ``J`` once (only ``J = 0``
-takes the zero result): the channel-difference SDP is built from it, the
-general route's Stinespring pair is its SVD.
+the result back exactly.  It first tries the alternating ascent, which
+bounds the norm below and, every fifth sweep (one ``verbose`` line each),
+by Alberti's dual ``P^-1 # Q`` of the marginals, scaled to ``c Z``, above,
+to a width of ``gap_tol / 100``, where that pays: at input dimension one
+(one sweep is exact; the fidelity SDP is one), where the sweeps cost fewer
+flops than a Newton system, ``ASCENT_SWEEPS ((mn)^3 + n^6) <= (1 + r^2)^3``
+(``r`` the Choi rank), and at ``r <= 2`` up to ``mn = 25``, where a solve's
+dozen iterations of Python overhead outweigh the sweeps.  It leaves the map
+to the solve when the optimal state is rank-deficient or the width contracts
+too slowly.  A call forms ``J`` once (only ``J = 0`` takes the zero result):
+the channel-difference SDP is built from it, the general route's Stinespring
+pair is its SVD.
 Certificates are repaired to be (numerically) exactly feasible, so the
 bounds are sound whatever the solver's termination state, including
 ``numerical_failure``; only a non-finite last iterate raises.
@@ -214,25 +216,32 @@ def _polar_adjoint(at, bt, u, v):
     return (p @ qh).conj().T, t
 
 
-def _sweep_operator(at, bt, uh):
+def _sweep_operands(pair):
+    """``A``, ``B`` indexed (Y, Z, X), and the Choi matrix reshuffled,
+    ``H[X, x, Y, y] = sum_z conj(B[Y,z,X]) A[y,z,x]``, formed once per pair."""
+    at, bt = (x.reshape(-1, pair.dim_env, x.shape[1]) for x in (pair.a, pair.b))
+    return at, bt, np.ascontiguousarray(
+        np.tensordot(bt.conj(), at, axes=(1, 1)).transpose(1, 3, 0, 2))
+
+
+def _sweep_operator(h, uh):
     """``(B^dag (x) 1)(U^dag (x) 1_Z)(A (x) 1)``, indexed ((X, W), (x, w)), as
-    ``H U^dag`` for ``H[(X, x), (Y, y)] = sum_z conj(B[Y,z,X]) A[y,z,x]``: no
-    product holds more than ``(mn)^2`` or ``(n nw)^2`` entries."""
-    m, n, nw = at.shape[0], at.shape[2], uh.shape[0] // at.shape[0]
-    h = np.tensordot(bt.conj(), at, axes=(1, 1)).transpose(1, 3, 0, 2)
+    ``H U^dag`` for ``H`` of :func:`_sweep_operands`: no product holds more
+    than ``(mn)^2`` or ``(n nw)^2`` entries."""
+    n, m, nw = h.shape[0], h.shape[2], uh.shape[0] // h.shape[2]
     k = h.reshape(n * n, -1) @ \
         uh.reshape(m, nw, m, nw).transpose(0, 2, 1, 3).reshape(m * m, -1)
     return k.reshape(n, n, nw, nw).transpose(0, 2, 1, 3).reshape(n * nw, -1)
 
 
-def _ascent_sweep(at, bt, u_mat, v_mat):
-    """One ascent sweep on ``A``, ``B`` indexed (Y, Z, X): the Uhlmann unitary
-    ``U`` for the purifications ``u``, ``v`` on ``X (x) W``, then the new
-    ``(u, v)`` and value: the top singular triple of
-    ``(B^dag (x) 1)(U^dag (x) 1_Z)(A (x) 1)``."""
+def _ascent_sweep(at, bt, h, u_mat, v_mat):
+    """One ascent sweep on ``A``, ``B`` indexed (Y, Z, X), ``H`` their
+    reshuffled Choi matrix: the Uhlmann unitary ``U`` for the purifications
+    ``u``, ``v`` on ``X (x) W``, then the new ``(u, v)`` and value: the top
+    singular triple of ``(B^dag (x) 1)(U^dag (x) 1_Z)(A (x) 1)``."""
     n, nw = u_mat.shape
     uh = _polar_adjoint(at, bt, u_mat, v_mat)[0]
-    pk, sk, qkh = np.linalg.svd(_sweep_operator(at, bt, uh))
+    pk, sk, qkh = np.linalg.svd(_sweep_operator(h, uh))
     return qkh[0, :].conj().reshape(n, nw), pk[:, 0].reshape(n, nw), \
         float(sk[0])
 
@@ -244,13 +253,12 @@ def _ascent_primal(pair, rho0, rho1, max_iters=300, tol=1e-13):
     ``Tr_Y(B rho1 B^dag)`` over states; sweeps stop when it moves by at most
     ``tol`` relative.  From the solver's near-optimal ``rho0`` (input) and
     ``rho1`` (output side), the first sweep is within the solver gap."""
-    r = pair.dim_env
-    at, bt = (x.reshape(-1, r, x.shape[1]) for x in (pair.a, pair.b))
+    at, bt, h = _sweep_operands(pair)
     u_mat = _purification(rho0)
     v_mat = _purification(rho1)
     prev = -np.inf
     for _ in range(max_iters):
-        u_mat, v_mat, obj = _ascent_sweep(at, bt, u_mat, v_mat)
+        u_mat, v_mat, obj = _ascent_sweep(at, bt, h, u_mat, v_mat)
         if abs(obj - prev) <= tol * obj:
             break
         prev = obj
@@ -319,55 +327,36 @@ def _geometric_mean(p, q):
     return inv_root @ ((mvecs * np.sqrt(mvals)) @ mvecs.conj().T) @ inv_root
 
 
-def _certified_result(pair, rho, w, z, target=np.inf) -> NormResult | None:
-    """The bracket of the primal ``(rho, W)`` and of ``z`` made feasible, with
-    no solve; ``None`` when it is wider than ``target`` relative."""
-    lam, z = _feasible_dual(pair, z)
-    cert = GeneralCertificate(pair=pair, rho=rho, w=w, lam=lam, z=z)
-    lower, upper = _general_certificate_bounds(cert)
-    if (upper - lower) / target > upper:
-        return None
-    stats = SolverStats("optimal", 0, abs(upper ** 2 - lower ** 2), 0.0, 0.0)
-    return NormResult(min(lower, upper), lower, upper, "general_sdp", cert,
-                      stats)
-
-
-def _closed_form_general(pair) -> NormResult | None:
-    """The general route for input dimension one: ``F(P, Q)`` with the primal
-    of the ascent's first sweep and the dual ``F (P^-1 # Q)``; ``None`` for a
-    singular ``P``, whose dual optimum is not attained."""
-    a, b, r = pair.a, pair.b, pair.dim_env
-    m = a.shape[0] // r
-    p, q = (partial_trace(x @ x.conj().T, (m, r), side="first") for x in (a, b))
-    z = _geometric_mean(p, q)
-    if z is None:
-        return None
-    rho, w = _ascent_primal(pair, np.eye(1), np.eye(1), max_iters=1)
-    return _certified_result(pair, rho, w, float(np.vdot(p, z).real) * z)
-
-
 def _ascent_general(pair, opt) -> NormResult | None:
     """The general route by ascent (module docstring) from maximally mixed
     states; ``None`` (the solve takes over) outside the rule, for a singular
-    ``Z``, when the contraction over the last two bounds, 5 sweeps apart,
-    predicts the target past the budget, or on a miss."""
+    ``P`` or ``Z``, when the width's contraction predicts the target past the
+    budget, or on a miss.  At ``n = 1`` one sweep is exact: no target."""
     r, n = pair.dim_env, pair.a.shape[1]
     mn = pair.a.shape[0] // r * n
-    if ASCENT_SWEEPS * (mn ** 3 + n ** 6) > (1 + r * r) ** 3:
+    if not (n == 1 or ASCENT_SWEEPS * (mn ** 3 + n ** 6) <= (1 + r * r) ** 3
+            or (r <= 2 and mn <= 25)):
         return None
-    at, bt = (x.reshape(-1, r, n) for x in (pair.a, pair.b))
+    at, bt, h = _sweep_operands(pair)
     u = v = _purification(np.eye(n) / n)
-    target = opt.gap_tol / 100
+    budget, target = (1, np.inf) if n == 1 else \
+        (ASCENT_SWEEPS, opt.gap_tol / 100)
     best, widths = (np.inf, None), []
-    for sweep in range(1, ASCENT_SWEEPS + 1):
-        u, v, lower = _ascent_sweep(at, bt, u, v)
-        if sweep % 5 and sweep < ASCENT_SWEEPS:
+    for sweep in range(1, budget + 1):
+        u, v, lower = _ascent_sweep(at, bt, h, u, v)
+        if sweep % 5 and sweep < budget:
             continue
         # Marginals Tr_Y(A rho0 A^dag) = Tr_{Y,W}(t t^dag), t = (A (x) 1) u.
         t, s = (np.swapaxes(x @ y, 0, 1).reshape(r, -1)
                 for x, y in ((at, u), (bt, v)))
-        z = _geometric_mean(t @ t.conj().T, s @ s.conj().T)
-        if z is None or not (eig := herm_eig(z)).values[-1] > 0:
+        p = t @ t.conj().T
+        z = _geometric_mean(p, s @ s.conj().T)
+        if z is None:
+            return None
+        if n == 1:  # F(P, Q) Z = <P, Z> Z is the optimal dual
+            best = (lower, float(np.vdot(p, z).real) * z)
+            break
+        if not (eig := herm_eig(z)).values[-1] > 0:
             return None
         # The bound of c Z: lambda_max(A^dag (1 (x) Z) A) times c.
         z_inv = (eig.vectors / eig.values) @ eig.vectors.conj().T
@@ -381,12 +370,23 @@ def _ascent_general(pair, opt) -> NormResult | None:
                   f"  width {widths[-1]:.3e}", file=sys.stderr)
         if widths[-1] <= target:
             break
-        if len(widths) >= 2 and not (widths[-1] < widths[-2] and sweep + 5 * \
-                np.log(target / widths[-1]) / np.log(widths[-1] / widths[-2])
-                <= ASCENT_SWEEPS):
+        # The slowest contraction so far or, when it slowed at each of the
+        # last two bounds, the last one slowed again by half its last step.
+        rates = [w / w0 for w0, w in zip(widths, widths[1:])]
+        if len(rates) >= 3 and rates[-1] > rates[-2] > rates[-3]:
+            rates.append(rates[-1] + (rates[-1] - rates[-2]) / 2)
+        if rates and not (max(rates) < 1 and sweep + 5 * np.log(
+                target / widths[-1]) / np.log(max(rates)) <= budget):
             return None
-    return _certified_result(pair, *_primal_witness(at, bt, u, v), best[1],
-                             target)
+    rho, w = _primal_witness(at, bt, u, v)
+    lam, z = _feasible_dual(pair, best[1])
+    cert = GeneralCertificate(pair=pair, rho=rho, w=w, lam=lam, z=z)
+    lower, upper = _general_certificate_bounds(cert)
+    if (upper - lower) / target > upper:
+        return None
+    stats = SolverStats("optimal", 0, abs(upper ** 2 - lower ** 2), 0.0, 0.0)
+    return NormResult(min(lower, upper), lower, upper, "general_sdp", cert,
+                      stats)
 
 
 def _repair_channel_diff_certificate(phi, j, sol) -> ChannelDiffCertificate:
@@ -476,7 +476,7 @@ _ROUTES = {
 
 
 def _solve_route(route: str, data: tuple, opt: NormOptions) -> NormResult:
-    """Build, solve, repair and bound one route's SDP (or its closed form);
+    """Build, solve, repair and bound one route's SDP (or its ascent);
     the general route runs on its pair scaled by powers of two (module doc)."""
     res = None
     if route == "general":
@@ -484,8 +484,7 @@ def _solve_route(route: str, data: tuple, opt: NormOptions) -> NormResult:
         sa, sb = (np.ldexp(1.0, 1 - np.frexp(spectral_norm(x))[1])
                   for x in (pair.a, pair.b))
         data = (StinespringPair(sa * pair.a, sb * pair.b, pair.dim_env),)
-        res = _closed_form_general(*data) if pair.a.shape[1] == 1 else \
-            _ascent_general(*data, opt)
+        res = _ascent_general(*data, opt)
     if res is None:
         method, build, repair, bounds, estimate = _ROUTES[route]
         sol = solve(build(*data), SolveOptions(

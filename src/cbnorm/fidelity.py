@@ -81,10 +81,10 @@ def _purify(vals, vecs, dim_y, top) -> np.ndarray:
 
 def fidelity_sdp(p, q, purification_dim: int | None = None) -> FidelityResult:
     """Fidelity via the trivial-input-space specialization of the general
-    norm SDP on purifications of ``P`` and ``Q``, solved in closed form by
-    the general route on their compressions onto the numerical support of
-    the better-conditioned one (fidelity sees only those): the value lies in
-    the certificate's bracket, and ``alberti_z`` is its witness ``Z``."""
+    norm SDP on purifications of ``P`` and ``Q``, solved exactly by the
+    general route (one ascent sweep) on their compressions onto the numerical
+    support of the better-conditioned one (fidelity sees only those): the
+    value lies in the certificate's bracket, and ``alberti_z`` its ``Z``."""
     ph, qh = _check_psd_pair(p, q)
     d = ph.shape[0]
     dim_y = purification_dim if purification_dim is not None else d

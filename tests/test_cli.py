@@ -85,7 +85,10 @@ class TestCompute:
 
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch):
         # A solve that ends numerical_failure with a finite last iterate
-        # still reports its repaired bounds.
+        # still reports its repaired bounds.  The identity has Choi rank 1,
+        # which the ascent would take: pin the solve route.
+        monkeypatch.setattr(dnorm, "_ascent_general",
+                            lambda pair, options: None)
         real = dnorm.solve
         monkeypatch.setattr(dnorm, "solve", lambda problem, options=None:
                             dataclasses.replace(real(problem, options),

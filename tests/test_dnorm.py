@@ -411,11 +411,11 @@ class TestSweepProducts:
         pair = to_stinespring(phi)
         r = pair.dim_env
         assert r == n * m
-        at, bt = (x.reshape(-1, r, n) for x in (pair.a, pair.b))
+        at, bt, h = dnorm._sweep_operands(pair)
         u = np.eye(n) / np.sqrt(n)
         uh_ref, k_ref, w_ref = _einsum_sweep(at, bt, u, u)
         uh = dnorm._polar_adjoint(at, bt, u, u)[0]
-        k = dnorm._sweep_operator(at, bt, uh)
+        k = dnorm._sweep_operator(h, uh)
         w = dnorm._primal_witness(at, bt, u, u)[1]
         for got, ref in ((uh, uh_ref.reshape(uh.shape)), (k, k_ref),
                          (w, w_ref)):
@@ -481,6 +481,11 @@ class TestOneChoiMatrix:
         assert calls == {"to_choi": 3, "is_channel": 0}
 
 
+def _give_up(pair, options):
+    """Stands in for ``_ascent_general``: the solve takes every map."""
+    return None
+
+
 def _stop_solves(monkeypatch, stop=6):
     """Make every solve stop at iteration ``stop`` and report
     ``numerical_failure``: a failed solve by construction, whose last
@@ -497,6 +502,8 @@ def _stop_solves(monkeypatch, stop=6):
 
 class TestNumericalFailure:
     def test_failed_solve_returns_verified_bracket(self, monkeypatch):
+        # Rank-2 maps take the ascent: pin the solve route.
+        monkeypatch.setattr(dnorm, "_ascent_general", _give_up)
         maps = [(seed, n, m) for n, m in ASCENT_SHAPES for seed in range(3)]
         refs = [diamond_norm(_solved_pair(seed, n, m)[0])
                 for seed, n, m in maps]
@@ -518,6 +525,7 @@ class TestNumericalFailure:
             assert res.upper_bound >= 1e-6 * ref.lower_bound * (1 - 1e-6)
 
     def test_rebalance_after_failed_solve(self, monkeypatch):
+        monkeypatch.setattr(dnorm, "_ascent_general", _give_up)
         _stop_solves(monkeypatch)
         phi, pair, _ = _solved_pair(0, 3, 3, 1e-3)
         res = diamond_norm(phi)
@@ -598,7 +606,8 @@ def test_channel_values_are_one(rng):
         assert res.value == pytest.approx(1.0, abs=1e-6)
 
 
-def test_solver_stats_surface(rng):
+def test_solver_stats_surface(monkeypatch, rng):
+    monkeypatch.setattr(dnorm, "_ascent_general", _give_up)
     res = diamond_norm(random_superop(rng, 2, 2))
     assert res.solver_stats.status == "optimal"
     assert res.solver_stats.iterations > 0
@@ -808,9 +817,11 @@ class TestScaleNormalization:
     unscaled map."""
 
     @pytest.mark.parametrize("c", [1e-8, 1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6])
-    def test_homogeneous(self, c):
-        """Rank-2 3x3 maps take the solve.  At ``c`` = 1e8 the absolute
-        ``tol`` of ``verify_certificate`` rejects rounding-level violations."""
+    def test_homogeneous(self, monkeypatch, c):
+        """Rank-2 3x3 maps on the solve (the ascent would take them).  At
+        ``c`` = 1e8 the absolute ``tol`` of ``verify_certificate`` rejects
+        rounding-level violations."""
+        monkeypatch.setattr(dnorm, "_ascent_general", _give_up)
         for seed in range(3, 9):
             for norm, target in ((diamond_norm, lambda phi: phi),
                                  (cb_spectral_norm, adjoint)):
@@ -825,8 +836,10 @@ class TestScaleNormalization:
                 check = verify_certificate(target(phi), res.certificate)
                 assert check.valid, (seed, norm.__name__, check.violations)
 
-    def test_tiny_map_is_not_zero(self):
-        """Only an exactly zero Choi matrix takes the zero result."""
+    def test_tiny_map_is_not_zero(self, monkeypatch):
+        """Only an exactly zero Choi matrix takes the zero result (on the
+        solve, which the rank-2 map would skip)."""
+        monkeypatch.setattr(dnorm, "_ascent_general", _give_up)
         ref = diamond_norm(random_superop(np.random.default_rng(3), 2, 2))
         res = diamond_norm(random_superop(np.random.default_rng(3), 2, 2,
                                           scale=1e-8))
@@ -847,43 +860,91 @@ def _full_rank(seed, n, m, scale=1.0):
 
 
 def _ascent_rule(n, m, r=None):
-    """A map of Choi rank ``r`` (``mn`` by default) takes the ascent when
-    ``ASCENT_SWEEPS`` sweeps cost less than one Newton system."""
+    """A map of Choi rank ``r`` (``mn`` by default) takes the ascent at
+    ``n = 1``, when ``ASCENT_SWEEPS`` sweeps cost less than one Newton
+    system, and at ``r <= 2`` up to ``mn = 25``."""
     r = r or m * n
-    return n >= 2 and dnorm.ASCENT_SWEEPS * ((m * n) ** 3 + n ** 6) <= \
-        (1 + r * r) ** 3
-
-
-def _give_up(pair, options):
-    return None
+    return n == 1 or dnorm.ASCENT_SWEEPS * ((m * n) ** 3 + n ** 6) <= \
+        (1 + r * r) ** 3 or (r <= 2 and m * n <= 25)
 
 
 class TestCertifiedAscent:
-    """A map under the cost rule, of any Choi rank, gets its bracket from the
-    alternating ascent and Alberti's dual ``P^-1 # Q`` of its marginals,
-    with no solve; every other map, and any map on which the ascent gives
-    up, from the solve."""
+    """A map under the rule (the cost rule, or Choi rank at most 2 up to
+    ``mn = 25``) gets its bracket from the alternating ascent and Alberti's
+    dual ``P^-1 # Q`` of its marginals, with no solve; every other map, and
+    any map on which the ascent gives up, from the solve."""
 
     def test_rule(self, monkeypatch, rng):
         monkeypatch.setattr(dnorm, "solve", _no_solve)
-        for _ in range(2):
-            res = diamond_norm(random_superop(rng, 4, 4, terms=16))
+        for n, m, r in [(4, 4, 16), (4, 4, 16), (4, 4, 1), (3, 3, 2),
+                        (5, 5, 2), (2, 5, 1)]:
+            assert _ascent_rule(n, m, r)
+            res = diamond_norm(random_superop(rng, n, m, terms=r))
             assert res.method == "general_sdp" and not res.warnings
             assert res.solver_stats.status == "optimal"
             assert res.solver_stats.iterations == 0
         monkeypatch.undo()
         # The ascent forms P^-1 # Q after its first sweep.
         monkeypatch.setattr(dnorm, "_geometric_mean", _no_solve)
-        others = [random_superop(rng, 2, 2, terms=4),
-                  random_superop(rng, 3, 2, terms=6),
-                  random_superop(rng, 4, 4, terms=1),
-                  random_superop(rng, 3, 3, terms=2)]
+        shapes = [(2, 2, 4), (3, 2, 6), (6, 6, 2), (3, 3, 3)]
+        others = [random_superop(rng, n, m, terms=r) for n, m, r in shapes]
         others += [SuperOp.difference(random_channel(rng, 3, 3, env=k),
                                       random_channel(rng, 3, 3, env=k))
                    for k in (2, 9)]
-        assert not _ascent_rule(2, 2) and not _ascent_rule(3, 2)
+        assert not any(_ascent_rule(*shape) for shape in shapes)
         for phi in others:
             assert diamond_norm(phi).solver_stats.iterations > 0
+
+    @pytest.mark.parametrize("n,m,r", [(n, m, r) for n in range(2, 6)
+                                       for m in range(2, 6) for r in (1, 2)])
+    def test_small_rank(self, monkeypatch, n, m, r):
+        """A map of Choi rank 1 or 2 up to ``mn = 25``, which a dozen solver
+        iterations of Python overhead would bracket, is bracketed by the
+        ascent alone, at any scale, within the solve's bracket.  The map is
+        the first of the shape survey's ``default_rng(12)``; the ascent gives
+        up on 13 of that survey's 512 maps of these shapes (all of rank 2),
+        which take the solve (``test_give_up_returns_solve_result``)."""
+        assert _ascent_rule(n, m, r)
+        for c in (1.0, 1e-6, 1e6):
+            phi = random_superop(np.random.default_rng(12), n, m, terms=r,
+                                 scale=np.sqrt(c))
+            monkeypatch.setattr(dnorm, "solve", _no_solve)
+            res = diamond_norm(phi)
+            assert res.upper_bound - res.lower_bound <= \
+                1e-10 * res.upper_bound, c
+            check = verify_certificate(phi, res.certificate)
+            assert check.valid, (c, check.violations)
+            monkeypatch.undo()
+            monkeypatch.setattr(dnorm, "_ascent_general", _give_up)
+            ref = diamond_norm(phi)
+            monkeypatch.undo()
+            assert ref.solver_stats.iterations > 0
+            assert res.lower_bound <= ref.upper_bound, c
+            assert ref.lower_bound <= res.upper_bound, c
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_channel_pair_below_full_rank_solves(self, monkeypatch, d):
+        """Two channels of Kraus rank ``d`` differ by a map of Choi rank
+        ``2d < d^2``: it takes the general route, outside the rule, so it
+        reaches the solve without a sweep."""
+        outcomes, real = [], dnorm._ascent_general
+
+        def no_sweep(pair, options):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dnorm, "_ascent_sweep", _no_solve)
+                outcomes.append(real(pair, options))
+            return outcomes[-1]
+
+        monkeypatch.setattr(dnorm, "_ascent_general", no_sweep)
+        rng = np.random.default_rng(d)
+        diff = SuperOp.difference(random_channel(rng, d, d, env=d),
+                                  random_channel(rng, d, d, env=d))
+        res = diamond_norm(diff)
+        assert not _ascent_rule(d, d, 2 * d) and outcomes == [None]
+        assert res.method == "general_sdp"
+        assert res.certificate.pair.dim_env == 2 * d
+        assert res.solver_stats.iterations > 0
+        assert verify_certificate(diff, res.certificate).valid
 
     @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 6)
                                      for m in range(2, 6) if _ascent_rule(n, m)])
@@ -900,12 +961,14 @@ class TestCertifiedAscent:
         assert res.lower_bound <= ref.upper_bound
         assert ref.lower_bound <= res.upper_bound
 
-    @pytest.mark.parametrize("n,m,r", [(3, 3, 9), (4, 3, 12), (6, 6, 18)],
-                             ids=["3-3", "4-3", "6-6-r18"])
+    @pytest.mark.parametrize("n,m,r", [(3, 3, 9), (4, 3, 12), (6, 6, 18),
+                                       (3, 5, 2)],
+                             ids=["3-3", "4-3", "6-6-r18", "3-5-r2"])
     def test_give_up_returns_solve_result(self, monkeypatch, n, m, r):
         """Where the optimal input state is rank-deficient, the geometric
-        mean diverges and the ascent gives up; the solve's result is then
-        returned bit for bit."""
+        mean diverges, and where the width contracts too slowly for the
+        budget (the rank-2 3x5 map); there the ascent gives up, and the
+        solve's result is returned bit for bit."""
         assert _ascent_rule(n, m, r)
         outcomes, real = [], dnorm._ascent_general
 
