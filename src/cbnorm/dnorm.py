@@ -38,12 +38,13 @@ by Alberti's dual ``P^-1 # Q`` of the marginals, scaled to ``c Z``, above,
 to a width of ``gap_tol / 100``, where that pays: at input dimension one
 (one sweep is exact; the fidelity SDP is one), where the sweeps cost fewer
 flops than a Newton system, ``ASCENT_SWEEPS ((mn)^3 + n^6) <= (1 + r^2)^3``
-(``r`` the Choi rank), and at ``r <= 2`` up to ``mn = 25``, where a solve's
-dozen iterations of Python overhead outweigh the sweeps.  It leaves the map
-to the solve when the optimal state is rank-deficient or the width contracts
-too slowly.  A call forms ``J`` once (only ``J = 0`` takes the zero result):
-the channel-difference SDP is built from it, the general route's Stinespring
-pair is its SVD.
+(``r`` the Choi rank), and at ``r <= 2`` for ``n, m <= 5``, where a solve's
+dozen iterations of Python overhead outweigh the sweeps (beyond that, the
+sweep's ``n^2 x n^2`` SVD costs more, and 6x6 maps were slower on it).  It
+leaves the map to the solve when the optimal state is rank-deficient or the
+width contracts too slowly.  A call forms ``J`` once (only ``J = 0`` takes
+the zero result): the channel-difference SDP is built from it, the general
+route's Stinespring pair is its SVD.
 Certificates are repaired to be (numerically) exactly feasible, so the
 bounds are sound whatever the solver's termination state, including
 ``numerical_failure``; only a non-finite last iterate raises.
@@ -333,9 +334,9 @@ def _ascent_general(pair, opt) -> NormResult | None:
     ``P`` or ``Z``, when the width's contraction predicts the target past the
     budget, or on a miss.  At ``n = 1`` one sweep is exact: no target."""
     r, n = pair.dim_env, pair.a.shape[1]
-    mn = pair.a.shape[0] // r * n
-    if not (n == 1 or ASCENT_SWEEPS * (mn ** 3 + n ** 6) <= (1 + r * r) ** 3
-            or (r <= 2 and mn <= 25)):
+    m = pair.a.shape[0] // r
+    if not (n == 1 or ASCENT_SWEEPS * ((m * n) ** 3 + n ** 6) <=
+            (1 + r * r) ** 3 or (r <= 2 and max(n, m) <= 5)):
         return None
     at, bt, h = _sweep_operands(pair)
     u = v = _purification(np.eye(n) / n)
@@ -370,11 +371,8 @@ def _ascent_general(pair, opt) -> NormResult | None:
                   f"  width {widths[-1]:.3e}", file=sys.stderr)
         if widths[-1] <= target:
             break
-        # The slowest contraction so far or, when it slowed at each of the
-        # last two bounds, the last one slowed again by half its last step.
+        # Extrapolate from the slowest contraction so far.
         rates = [w / w0 for w0, w in zip(widths, widths[1:])]
-        if len(rates) >= 3 and rates[-1] > rates[-2] > rates[-3]:
-            rates.append(rates[-1] + (rates[-1] - rates[-2]) / 2)
         if rates and not (max(rates) < 1 and sweep + 5 * np.log(
                 target / widths[-1]) / np.log(max(rates)) <= budget):
             return None
