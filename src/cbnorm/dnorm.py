@@ -119,13 +119,22 @@ class NormResult:
     warnings: tuple = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormOptions:
     method: str = "auto"  # auto | general | channel-diff
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 200
     verbose: bool = False
+
+    def __post_init__(self):
+        for name in ("gap_tol", "feas_tol"):
+            if not (np.isfinite(value := getattr(self, name)) and value > 0):
+                raise InvalidInputError(
+                    f"{name} must be finite and positive, got {value}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise InvalidInputError(
+                f"max_iter must be an integer >= 1, got {self.max_iter}")
 
 
 def build_general_sdp(pair: StinespringPair) -> SdpProblem:
@@ -410,27 +419,6 @@ def _repair_channel_diff_certificate(phi, j, sol) -> ChannelDiffCertificate:
     return ChannelDiffCertificate(rho=rho, w=w, z=z)
 
 
-def _trivial_zero_result(phi: SuperOp, method: str) -> NormResult:
-    n, m = phi.dim_in, phi.dim_out
-    stats = SolverStats("optimal", 0, 0.0, 0.0, 0.0)
-    if method == "channel_diff_sdp":
-        cert = ChannelDiffCertificate(
-            rho=np.eye(n) / n,
-            w=np.zeros((m * n, m * n)),
-            z=np.zeros((m * n, m * n)),
-        )
-    else:
-        zero = np.zeros((m, n))
-        cert = GeneralCertificate(
-            pair=StinespringPair(zero, zero, 1),
-            rho=np.eye(n) / n,
-            w=np.zeros((m, m)),
-            lam=0.0,
-            z=np.zeros((1, 1)),
-        )
-    return NormResult(0.0, 0.0, 0.0, method, cert, stats)
-
-
 def _general_certificate_bounds(cert: GeneralCertificate) -> tuple:
     a, b = cert.pair.a, cert.pair.b
     m = a.shape[0] // cert.pair.dim_env
@@ -448,11 +436,12 @@ def _channel_diff_certificate_bounds(phi, j, cert) -> tuple:
     return lower, upper
 
 
-# Each route is (method, build, repair, bounds, estimate) over its data:
-# build(*data) makes the SDP, repair(*data, sol) an exactly feasible
+# Each route is (method, build, repair, bounds, estimate, zero) over its
+# data: build(*data) makes the SDP, repair(*data, sol) an exactly feasible
 # certificate from the solver's last iterate, bounds(*data, cert) the bracket
-# it proves, estimate(sol) the norm read off the objectives.  Builders are
-# looked up at call time, so wrappers installed on the module see them.
+# it proves, estimate(sol) the norm read off the objectives, and zero(n, m)
+# the certificate of the zero map.  Builders are looked up at call time, so
+# wrappers installed on the module see them.
 _ROUTES = {
     # data (pair,); the SDP value is the squared norm.
     "general": (
@@ -461,6 +450,9 @@ _ROUTES = {
         _repair_general_certificate,
         lambda pair, cert: _general_certificate_bounds(cert),
         lambda sol: np.sqrt(max(0.0, (sol.primal_value + sol.dual_value) / 2)),
+        lambda n, m: GeneralCertificate(
+            pair=StinespringPair(np.zeros((m, n)), np.zeros((m, n)), 1),
+            rho=np.eye(n) / n, w=np.zeros((m, m)), lam=0.0, z=np.zeros((1, 1))),
     ),
     # data (phi, J), J the Hermitian Choi matrix; the SDP value is half the norm.
     "channel-diff": (
@@ -469,6 +461,9 @@ _ROUTES = {
         _repair_channel_diff_certificate,
         _channel_diff_certificate_bounds,
         lambda sol: sol.primal_value + sol.dual_value,
+        lambda n, m: ChannelDiffCertificate(
+            rho=np.eye(n) / n, w=np.zeros((m * n, m * n)),
+            z=np.zeros((m * n, m * n))),
     ),
 }
 
@@ -484,7 +479,7 @@ def _solve_route(route: str, data: tuple, opt: NormOptions) -> NormResult:
         data = (StinespringPair(sa * pair.a, sb * pair.b, pair.dim_env),)
         res = _ascent_general(*data, opt)
     if res is None:
-        method, build, repair, bounds, estimate = _ROUTES[route]
+        method, build, repair, bounds, estimate, _ = _ROUTES[route]
         sol = solve(build(*data), SolveOptions(
             gap_tol=opt.gap_tol, feas_tol=opt.feas_tol,
             max_iter=opt.max_iter, verbose=opt.verbose,
@@ -522,10 +517,10 @@ def diamond_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult
 
     j = to_choi(phi)
     if not j.any():
-        return _trivial_zero_result(
-            phi, "channel_diff_sdp" if is_pair and opt.method != "general"
-            else "general_sdp"
-        )
+        method, *_, zero = _ROUTES[
+            "channel-diff" if is_pair and opt.method != "general" else "general"]
+        return NormResult(0.0, 0.0, 0.0, method, zero(phi.dim_in, phi.dim_out),
+                          SolverStats("optimal", 0, 0.0, 0.0, 0.0))
     if opt.method != "channel-diff":
         pair = superop._stinespring_of_choi(j, phi.dim_in, phi.dim_out)
         # Newton-system rows: 1 + r^2 here against 1 + (mn)^2; ties go to
@@ -554,81 +549,60 @@ def verify_certificate(phi: SuperOp, cert, tol: float = 1e-6) -> CertificateChec
     """Re-verify a certificate from scratch without solving.
 
     Only basic linear algebra is used; bounds come from the certificate by
-    direct arithmetic and are valid whenever ``valid`` is true.
+    direct arithmetic and are valid whenever ``valid`` is true.  Each kind
+    supplies its shapes, residuals and bounds to one body of checks.
     """
-    violations = []
+    if not (np.isfinite(tol) and tol >= 0):
+        raise InvalidInputError(f"tol must be finite and non-negative, got {tol}")
     n, m = phi.dim_in, phi.dim_out
+    j = to_choi(phi)
     if isinstance(cert, GeneralCertificate):
         a, b, r = cert.pair.a, cert.pair.b, cert.pair.dim_env
-        if a.shape != (m * r, n) or cert.rho.shape != (n, n) or \
-                cert.w.shape != (m * r, m * r) or cert.z.shape != (r, r):
+        if a.shape != (m * r, n) or b.shape != a.shape or \
+                cert.rho.shape != (n, n) or cert.w.shape != (m * r, m * r) or \
+                cert.z.shape != (r, r):
             raise InvalidInputError("certificate dimensions do not match map")
         # The pair must actually represent phi: block (i, k) of its Choi
         # matrix, Tr_Z(A E_ik B^dag), against phi(E_ik).
-        choi = np.einsum("yzi,Yzk->ikyY", a.reshape(m, r, n),
-                         b.reshape(m, r, n).conj())
-        ref = to_choi(phi).reshape(m, n, m, n).transpose(1, 3, 0, 2)
-        dev = np.linalg.norm(choi - ref, 2, axis=(-2, -1))
+        dev = np.linalg.norm((to_choi(SuperOp(n, m, cert.pair)) - j).reshape(
+            m, n, m, n).transpose(1, 3, 0, 2), 2, axis=(-2, -1))
         scale = 1.0 + spectral_norm(a) * spectral_norm(b)
-        for i, k in np.argwhere(dev > max(tol, superop.RECON_TOL) * scale):
-            violations.append(
-                f"stinespring pair does not reproduce the map on E[{i},{k}]"
-            )
-        tr_dev = abs(float(np.trace(cert.rho).real) - 1.0)
-        if tr_dev > tol:
-            violations.append(f"Tr(rho) deviates from 1 by {tr_dev:.3e}")
-        if min_eigenvalue(cert.rho) < -tol:
-            violations.append("rho is not PSD")
-        if min_eigenvalue(cert.w) < -tol:
-            violations.append("W is not PSD")
+        bad = np.argwhere(dev > max(tol, superop.RECON_TOL) * scale)
+        violations = [f"stinespring pair does not reproduce the map on "
+                      f"E[{i},{k}]" for i, k in bad]
         marg = partial_trace(cert.w, (m, r), side="first") - partial_trace(
-            a @ cert.rho @ a.conj().T, (m, r), side="first"
-        )
-        if max_eigenvalue(marg) > tol:
-            violations.append(
-                f"Tr_Y(W) exceeds Tr_Y(A rho A^dag) by {max_eigenvalue(marg):.3e}"
-            )
-        if min_eigenvalue(cert.z) < -tol:
-            violations.append("Z is not PSD")
-        dual_marg = b @ b.conj().T - kron(np.eye(m), cert.z)
-        if max_eigenvalue(dual_marg) > tol:
-            violations.append(
-                f"1 (x) Z fails to dominate B B^dag by "
-                f"{max_eigenvalue(dual_marg):.3e}"
-            )
+            a @ cert.rho @ a.conj().T, (m, r), side="first")
+        marg_text = "Tr_Y(W) exceeds Tr_Y(A rho A^dag)"
+        dom = b @ b.conj().T - kron(np.eye(m), cert.z)
+        dom_text = "1 (x) Z fails to dominate B B^dag"
         lower, upper = _general_certificate_bounds(cert)
-        if cert.lam < upper ** 2 - tol * (1.0 + upper ** 2):
-            violations.append("lambda is below |A^dag(1 (x) Z)A|_inf")
-        return CertificateCheck(not violations, lower, upper, tuple(violations))
-
-    if isinstance(cert, ChannelDiffCertificate):
-        j = to_choi(phi)
-        j = (j + j.conj().T) / 2
+    elif isinstance(cert, ChannelDiffCertificate):
         if cert.rho.shape != (n, n) or cert.w.shape != (m * n, m * n) or \
                 cert.z.shape != (m * n, m * n):
             raise InvalidInputError("certificate dimensions do not match map")
-        tr_dev = abs(float(np.trace(cert.rho).real) - 1.0)
-        if tr_dev > tol:
-            violations.append(f"Tr(rho) deviates from 1 by {tr_dev:.3e}")
-        if min_eigenvalue(cert.rho) < -tol:
-            violations.append("rho is not PSD")
-        if min_eigenvalue(cert.w) < -tol:
-            violations.append("W is not PSD")
-        marg = cert.w - kron(np.eye(m), cert.rho)
-        if max_eigenvalue(marg) > tol:
-            violations.append(
-                f"W exceeds 1 (x) rho by {max_eigenvalue(marg):.3e}"
-            )
-        if min_eigenvalue(cert.z) < -tol:
-            violations.append("Z is not PSD")
-        if max_eigenvalue(j - cert.z) > tol:
-            violations.append(
-                f"Z fails to dominate J(phi) by {max_eigenvalue(j - cert.z):.3e}"
-            )
+        violations = []
+        j = (j + j.conj().T) / 2
+        marg, marg_text = cert.w - kron(np.eye(m), cert.rho), "W exceeds 1 (x) rho"
+        dom, dom_text = j - cert.z, "Z fails to dominate J(phi)"
         lower, upper = _channel_diff_certificate_bounds(phi, j, cert)
-        return CertificateCheck(not violations, lower, upper, tuple(violations))
-
-    raise InvalidInputError(f"unknown certificate type {type(cert).__name__}")
+    else:
+        raise InvalidInputError(
+            f"unknown certificate type {type(cert).__name__}")
+    tr_dev = abs(float(np.trace(cert.rho).real) - 1.0)
+    if tr_dev > tol:
+        violations.append(f"Tr(rho) deviates from 1 by {tr_dev:.3e}")
+    if min_eigenvalue(cert.rho) < -tol:
+        violations.append("rho is not PSD")
+    for name, mat, residual, text in (("W", cert.w, marg, marg_text),
+                                      ("Z", cert.z, dom, dom_text)):
+        if min_eigenvalue(mat) < -tol:
+            violations.append(f"{name} is not PSD")
+        if (top := max_eigenvalue(residual)) > tol:
+            violations.append(f"{text} by {top:.3e}")
+    if isinstance(cert, GeneralCertificate) and \
+            cert.lam < upper ** 2 - tol * (1.0 + upper ** 2):
+        violations.append("lambda is below |A^dag(1 (x) Z)A|_inf")
+    return CertificateCheck(not violations, lower, upper, tuple(violations))
 
 
 def rebalance_stinespring(pair: StinespringPair, eps: float,

@@ -274,7 +274,7 @@ class SdpProblem:
 
 @dataclass
 class SolveOptions:
-    """Stopping rule and logging of :func:`solve`.
+    """Stopping rule and logging (to standard error) of :func:`solve`.
 
     A solve ends ``optimal`` when the relative gap
     ``|p - d| / max(1, |p|, |d|)`` is at most ``gap_tol`` and the primal
@@ -288,7 +288,6 @@ class SolveOptions:
     feas_tol: float = FEAS_TOL
     max_iter: int = MAX_ITER
     verbose: bool = False
-    log_stream: object = None
 
 
 @dataclass
@@ -302,6 +301,12 @@ class SdpSolution:
     primal_infeas: float
     dual_infeas: float
     iterations: int
+
+
+def _require_finite(*arrays):
+    """A non-finite entry raises what :func:`solve` reports as failure."""
+    if not all(np.isfinite(m).all() for m in arrays):
+        raise np.linalg.LinAlgError("non-finite direction or iterate")
 
 
 def _max_step(chol_inv, delta) -> float:
@@ -458,10 +463,6 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     z = [tau * np.eye(d, dtype=complex) for d in dims]
     y = np.zeros(m_con)
 
-    def log(msg):
-        stream = opt.log_stream or sys.stderr
-        print(msg, file=stream)
-
     status = "max_iterations"
     it = 0
     pobj = dobj = 0.0
@@ -478,16 +479,17 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
         pinf = np.linalg.norm(rp) / (1.0 + np.linalg.norm(b))
         dinf = np.sqrt(sum(np.linalg.norm(m) ** 2 for m in rd)) / (1.0 + c_norm)
         if opt.verbose:
-            log(f"iter {it - 1:3d}  pobj {pobj: .9e}  dobj {dobj: .9e}  "
-                f"gap {rel_gap:.3e}  pinf {pinf:.3e}  dinf {dinf:.3e}")
+            print(f"iter {it - 1:3d}  pobj {pobj: .9e}  dobj {dobj: .9e}  "
+                  f"gap {rel_gap:.3e}  pinf {pinf:.3e}  dinf {dinf:.3e}",
+                  file=sys.stderr)
         if rel_gap <= opt.gap_tol and pinf <= opt.feas_tol and dinf <= opt.feas_tol:
             status = "optimal"
             it -= 1
             break
 
-        # Nesterov-Todd scaling per block; inv(L) of X = L L^dag also bounds
-        # the primal step.
         try:
+            # Nesterov-Todd scaling per block; inv(L) of X = L L^dag also bounds
+            # the primal step.
             r_fac, r_inv, lx_inv, v_diag, w_mat = [], [], [], [], []
             for bdx in range(nb):
                 lx = np.linalg.cholesky(x[bdx])
@@ -503,96 +505,80 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
                 lx_inv.append(li)
                 v_diag.append(np.sqrt(lam))
                 w_mat.append(rf @ rf.conj().T)
-        except np.linalg.LinAlgError:
-            status = "numerical_failure"
-            break
 
-        # Schur complement M[j,k] = <row_j, W row_k W>.
-        schur = np.zeros((m_con, m_con))
-        for bdx in range(nb):
-            if embedded[bdx] is None:
-                t = np.matmul(np.matmul(w_mat[bdx][None], rows[bdx]),
-                              w_mat[bdx][None])
-                schur += (rows_conj[bdx] @ t.reshape(m_con, -1).T).real
-            else:
-                sl, k, index = embedded[bdx]
-                schur[sl, sl] += _embedded_schur(w_mat[bdx], k, index)
-        schur = (schur + schur.T) / 2
-        schur += 1e-14 * np.trace(schur) / m_con * np.eye(m_con)
+            # Schur complement M[j,k] = <row_j, W row_k W>.
+            schur = np.zeros((m_con, m_con))
+            for bdx in range(nb):
+                if embedded[bdx] is None:
+                    t = np.matmul(np.matmul(w_mat[bdx][None], rows[bdx]),
+                                  w_mat[bdx][None])
+                    schur += (rows_conj[bdx] @ t.reshape(m_con, -1).T).real
+                else:
+                    sl, k, index = embedded[bdx]
+                    schur[sl, sl] += _embedded_schur(w_mat[bdx], k, index)
+            schur = (schur + schur.T) / 2
+            schur += 1e-14 * np.trace(schur) / m_con * np.eye(m_con)
 
-        # The Cholesky factor only tests positive definiteness; numpy has no
-        # triangular solve, so each direction is one LU solve.
-        try:
+            # The Cholesky factor only tests positive definiteness; numpy has no
+            # triangular solve, so each direction is one LU solve.
             np.linalg.cholesky(schur)
-        except np.linalg.LinAlgError:
-            status = "numerical_failure"
-            break
 
-        def direction(rc):
-            """Solve the Newton system for a given complementarity target."""
-            rhs_vec = _rows_apply(rows, embedded, [
-                rc[bdx] - w_mat[bdx] @ rd[bdx] @ w_mat[bdx]
-                for bdx in range(nb)], m_con) - rp
-            dy = np.linalg.solve(schur, rhs_vec)
-            aty_d = _rows_adj(rows, embedded, dy)
-            dz = [aty_d[bdx] + rd[bdx] for bdx in range(nb)]
-            dx = [rc[bdx] - w_mat[bdx] @ dz[bdx] @ w_mat[bdx] for bdx in range(nb)]
-            dx = [(m + m.conj().T) / 2 for m in dx]
-            dz = [(m + m.conj().T) / 2 for m in dz]
-            return dx, dy, dz
+            def direction(rc):
+                """Solve the Newton system for a given complementarity target."""
+                rhs_vec = _rows_apply(rows, embedded, [
+                    rc[bdx] - w_mat[bdx] @ rd[bdx] @ w_mat[bdx]
+                    for bdx in range(nb)], m_con) - rp
+                dy = np.linalg.solve(schur, rhs_vec)
+                aty_d = _rows_adj(rows, embedded, dy)
+                dz = [aty_d[bdx] + rd[bdx] for bdx in range(nb)]
+                dx = [rc[bdx] - w_mat[bdx] @ dz[bdx] @ w_mat[bdx] for bdx in range(nb)]
+                dx = [(m + m.conj().T) / 2 for m in dx]
+                dz = [(m + m.conj().T) / 2 for m in dz]
+                _require_finite(*dx, dy, *dz)
+                return dx, dy, dz
 
-        # Predictor (affine scaling).  Directions that overflow (as on an
-        # infeasible problem) stop the solve before the step eigensolves.
-        rc_aff = [-x[bdx] for bdx in range(nb)]
-        dx_a, dy_a, dz_a = direction(rc_aff)
-        if not all(np.isfinite(m).all() for m in (*dx_a, dy_a, *dz_a)):
-            status = "numerical_failure"
-            break
-
-        try:
+            # Predictor (affine scaling).  Directions that overflow (as on an
+            # infeasible problem) stop the solve before the step eigensolves.
+            rc_aff = [-x[bdx] for bdx in range(nb)]
+            dx_a, dy_a, dz_a = direction(rc_aff)
             lz_inv = [np.linalg.inv(np.linalg.cholesky(m)) for m in z]
+
+            ap = min([1.0] + [_max_step(lx_inv[bdx], dx_a[bdx]) for bdx in range(nb)])
+            ad = min([1.0] + [_max_step(lz_inv[bdx], dz_a[bdx]) for bdx in range(nb)])
+            mu_aff = sum(
+                np.vdot(x[bdx] + ap * dx_a[bdx], z[bdx] + ad * dz_a[bdx]).real
+                for bdx in range(nb)
+            ) / nu
+            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
+
+            # Corrector in the scaled space where Xhat = Zhat = diag(v).
+            rc = []
+            for bdx in range(nb):
+                dxh = r_inv[bdx] @ dx_a[bdx] @ r_inv[bdx].conj().T
+                dzh = r_fac[bdx].conj().T @ dz_a[bdx] @ r_fac[bdx]
+                hcorr = (dxh @ dzh + dzh @ dxh) / 2
+                v = v_diag[bdx]
+                rc_hat = sigma * mu * np.eye(len(v)) - np.diag(v * v) - hcorr
+                rc_hat = (rc_hat + rc_hat.conj().T) / 2
+                denom = (v[:, None] + v[None, :]) / 2
+                rc_hat = rc_hat / denom
+                rc.append(r_fac[bdx] @ rc_hat @ r_fac[bdx].conj().T)
+            dx, dy, dz = direction(rc)
+
+            ap = min([1.0] + [
+                STEP_FRACTION * _max_step(lx_inv[bdx], dx[bdx]) for bdx in range(nb)
+            ])
+            ad = min([1.0] + [
+                STEP_FRACTION * _max_step(lz_inv[bdx], dz[bdx]) for bdx in range(nb)
+            ])
+
+            x = [(x[bdx] + ap * dx[bdx]) for bdx in range(nb)]
+            z = [(z[bdx] + ad * dz[bdx]) for bdx in range(nb)]
+            x = [(m + m.conj().T) / 2 for m in x]
+            z = [(m + m.conj().T) / 2 for m in z]
+            y = y + ad * dy
+            _require_finite(*x, y, *z)
         except np.linalg.LinAlgError:
-            status = "numerical_failure"
-            break
-
-        ap = min([1.0] + [_max_step(lx_inv[bdx], dx_a[bdx]) for bdx in range(nb)])
-        ad = min([1.0] + [_max_step(lz_inv[bdx], dz_a[bdx]) for bdx in range(nb)])
-        mu_aff = sum(
-            np.vdot(x[bdx] + ap * dx_a[bdx], z[bdx] + ad * dz_a[bdx]).real
-            for bdx in range(nb)
-        ) / nu
-        sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
-
-        # Corrector in the scaled space where Xhat = Zhat = diag(v).
-        rc = []
-        for bdx in range(nb):
-            dxh = r_inv[bdx] @ dx_a[bdx] @ r_inv[bdx].conj().T
-            dzh = r_fac[bdx].conj().T @ dz_a[bdx] @ r_fac[bdx]
-            hcorr = (dxh @ dzh + dzh @ dxh) / 2
-            v = v_diag[bdx]
-            rc_hat = sigma * mu * np.eye(len(v)) - np.diag(v * v) - hcorr
-            rc_hat = (rc_hat + rc_hat.conj().T) / 2
-            denom = (v[:, None] + v[None, :]) / 2
-            rc_hat = rc_hat / denom
-            rc.append(r_fac[bdx] @ rc_hat @ r_fac[bdx].conj().T)
-        dx, dy, dz = direction(rc)
-        if not all(np.isfinite(m).all() for m in (*dx, dy, *dz)):
-            status = "numerical_failure"
-            break
-
-        ap = min([1.0] + [
-            STEP_FRACTION * _max_step(lx_inv[bdx], dx[bdx]) for bdx in range(nb)
-        ])
-        ad = min([1.0] + [
-            STEP_FRACTION * _max_step(lz_inv[bdx], dz[bdx]) for bdx in range(nb)
-        ])
-
-        x = [(x[bdx] + ap * dx[bdx]) for bdx in range(nb)]
-        z = [(z[bdx] + ad * dz[bdx]) for bdx in range(nb)]
-        x = [(m + m.conj().T) / 2 for m in x]
-        z = [(m + m.conj().T) / 2 for m in z]
-        y = y + ad * dy
-        if not all(np.isfinite(m).all() for m in (*x, y, *z)):
             status = "numerical_failure"
             break
 

@@ -19,6 +19,7 @@ from .superop import StinespringPair, SuperOp
 FORMAT_VERSION = "1"
 
 PROBLEM_KINDS = ("choi", "kraus", "stinespring_pair", "channel_pair", "fidelity")
+NORMS = ("diamond", "cb-spectral")
 
 
 class ProblemFormatError(InvalidInputError):
@@ -32,6 +33,12 @@ class ProblemFormatError(InvalidInputError):
 def matrix_to_json(m) -> list:
     a = np.asarray(m, dtype=complex)
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+
+
+def _is_number(x) -> bool:
+    """A parsed JSON number; ``true`` and ``false`` parse as ``bool``, an
+    ``int`` subclass, and are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def matrix_from_json(obj, path: str, shape: tuple | None = None) -> np.ndarray:
@@ -49,7 +56,7 @@ def matrix_from_json(obj, path: str, shape: tuple | None = None) -> np.ndarray:
         entries = []
         for k, cell in enumerate(row):
             if (not isinstance(cell, list) or len(cell) != 2 or
-                    not all(isinstance(x, (int, float)) for x in cell)):
+                    not all(_is_number(x) for x in cell)):
                 raise ProblemFormatError(
                     f"{path}[{i}][{k}]", "expected an [re, im] pair"
                 )
@@ -158,15 +165,18 @@ def parse_problem(obj) -> dict:
     return {"kind": kind, "superop": phi}
 
 
-def load_problem(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFormatError("$", f"malformed JSON: {exc}") from exc
-    return parse_problem(obj)
+
+
+def load_problem(path: str) -> dict:
+    return parse_problem(_load_json(path))
 
 
 def problem_to_json(phi: SuperOp, kind: str) -> dict:
@@ -233,6 +243,8 @@ def certificate_from_json(obj) -> tuple:
         raise ProblemFormatError("$", "expected a JSON object")
     kind = _require(obj, "kind", "$")
     norm = obj.get("norm", "diamond")
+    if norm not in NORMS:
+        raise ProblemFormatError("$.norm", f"unknown norm {norm!r}")
     if kind == "general":
         r = _positive_int(_require(obj, "dim_env", "$"), "$.dim_env")
         a = matrix_from_json(_require(obj, "a", "$"), "$.a")
@@ -242,7 +254,7 @@ def certificate_from_json(obj) -> tuple:
         rho = matrix_from_json(_require(obj, "rho", "$"), "$.rho")
         w = matrix_from_json(_require(obj, "w", "$"), "$.w")
         lam = _require(obj, "lambda", "$")
-        if not isinstance(lam, (int, float)):
+        if not _is_number(lam):
             raise ProblemFormatError("$.lambda", "expected a number")
         z = matrix_from_json(_require(obj, "z", "$"), "$.z")
         cert = GeneralCertificate(
@@ -258,14 +270,7 @@ def certificate_from_json(obj) -> tuple:
 
 
 def load_certificate(path: str) -> tuple:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError("$", f"malformed JSON: {exc}") from exc
-    return certificate_from_json(obj)
+    return certificate_from_json(_load_json(path))
 
 
 def dump_json(obj, stream) -> None:

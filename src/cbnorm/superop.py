@@ -161,22 +161,19 @@ def to_choi(phi: SuperOp) -> np.ndarray:
             # (K (x) 1) omega, omega = sum_j e_j (x) e_j, is K read row-wise.
             j += np.outer(l.reshape(-1), r.reshape(-1).conj())
         return j
-    # Stinespring: evaluate on the matrix unit basis.
-    j = np.zeros((m * n, m * n), dtype=complex)
-    for i in range(n):
-        for k in range(n):
-            e = np.zeros((n, n))
-            e[i, k] = 1.0
-            out = apply(phi, e)
-            j += np.kron(out, e)
-    return j
+    # Stinespring: J = A' B'^dag with A'[(y, x), z] = A[(y, z), x], the
+    # inverse of _stinespring_of_choi's reshape.
+    a, b = (x.reshape(m, rep.dim_env, n).transpose(0, 2, 1).reshape(m * n, -1)
+            for x in (rep.a, rep.b))
+    return a @ b.conj().T
 
 
 def to_kraus(phi: SuperOp) -> SuperOp:
     """Minimal generalized Kraus representation derived from the Choi matrix.
 
     CP maps (Choi PSD within tolerance) get ``left == right`` from the
-    eigendecomposition; general maps use the SVD rank decomposition.
+    eigendecomposition; general maps read theirs off the environment blocks
+    of :func:`to_stinespring`'s pair.
     """
     n, m = phi.dim_in, phi.dim_out
     j = to_choi(phi)
@@ -194,13 +191,10 @@ def to_kraus(phi: SuperOp) -> SuperOp:
                 (np.sqrt(vals[i]) * vecs[:, i]).reshape(m, n) for i in keep
             )
             return SuperOp(n, m, Kraus(ops, ops))
-    u, s, vh = np.linalg.svd(j)
-    cut = RANK_TOL * (s[0] if s.size else 0.0)
-    r = max(1, int(np.sum(s > cut)))
-    left = tuple((np.sqrt(s[l]) * u[:, l]).reshape(m, n) for l in range(r))
-    right = tuple(
-        (np.sqrt(s[l]) * vh[l, :].conj()).reshape(m, n) for l in range(r)
-    )
+    pair = _stinespring_of_choi(j, n, m)
+    left, right = (tuple(np.ascontiguousarray(
+        x.reshape(m, pair.dim_env, n).transpose(1, 0, 2)))
+        for x in (pair.a, pair.b))
     return SuperOp(n, m, Kraus(left, right))
 
 

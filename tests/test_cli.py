@@ -6,7 +6,12 @@ import pytest
 
 from cbnorm import dnorm
 from cbnorm.cli import main
-from cbnorm.serialize import matrix_to_json
+from cbnorm.serialize import (
+    ProblemFormatError,
+    certificate_from_json,
+    matrix_from_json,
+    matrix_to_json,
+)
 
 from conftest import random_channel
 
@@ -302,3 +307,59 @@ class TestCheckChannel:
                      "--output", str(out)]) == 0
         res = read_json(out)
         assert res["is_cp"] and not res["is_tp"]
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("tol", ["inf", "0", "-1e-8", "nan"])
+    def test_compute_tolerance(self, tmp_path, capsys, tol):
+        assert main(["compute", "--input", identity_problem(tmp_path),
+                     f"--tol={tol}"]) == 1
+        assert "gap_tol must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "-1e-6", "nan"])
+    def test_certify_tolerance(self, tmp_path, capsys, tol):
+        prob = identity_problem(tmp_path)
+        cert = tmp_path / "cert.json"
+        assert main(["compute", "--input", prob, "--certificate", str(cert),
+                     "--output", str(tmp_path / "res.json")]) == 0
+        assert main(["certify", "--input", prob, "--certificate", str(cert),
+                     f"--tol={tol}"]) == 1
+        assert "tol must be finite and non-negative" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", [[True, False], [1.0, False]])
+    def test_boolean_matrix_entry(self, cell):
+        with pytest.raises(ProblemFormatError, match=r"\$\.m\[0\]\[0\]"):
+            matrix_from_json([[cell]], "$.m")
+
+    def test_boolean_entry_in_problem_file(self, tmp_path, capsys):
+        obj = kraus_problem([np.eye(2)], 2, 2)
+        obj["payload"]["left"][0][1][1] = [True, 0.0]
+        prob = write_json(tmp_path / "bool.json", obj)
+        assert main(["compute", "--input", prob]) == 1
+        assert "$.payload.left[0][1][1]" in capsys.readouterr().err
+
+    def _certificate(self, tmp_path):
+        prob = identity_problem(tmp_path)
+        cert = tmp_path / "cert.json"
+        assert main(["compute", "--input", prob, "--certificate", str(cert),
+                     "--output", str(tmp_path / "res.json")]) == 0
+        return prob, cert, read_json(cert)
+
+    def test_boolean_lambda(self, tmp_path):
+        obj = self._certificate(tmp_path)[2]
+        assert obj["kind"] == "general"
+        obj["lambda"] = True
+        with pytest.raises(ProblemFormatError, match=r"\$\.lambda"):
+            certificate_from_json(obj)
+
+    @pytest.mark.parametrize("norm", ["cb_spectral", "trace", 1])
+    def test_unknown_norm(self, tmp_path, capsys, norm):
+        prob, cert, obj = self._certificate(tmp_path)
+        obj["norm"] = norm
+        write_json(cert, obj)
+        with pytest.raises(ProblemFormatError, match=r"\$\.norm"):
+            certificate_from_json(obj)
+        assert main(["certify", "--input", prob,
+                     "--certificate", str(cert)]) == 1
+        assert "$.norm" in capsys.readouterr().err

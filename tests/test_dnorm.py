@@ -194,6 +194,43 @@ class TestDiamondNorm:
             diamond_norm(SuperOp.identity(2), NormOptions(method="magic"))
 
 
+class TestOptionValidation:
+    @pytest.mark.parametrize("name", ["gap_tol", "feas_tol"])
+    @pytest.mark.parametrize("value", [np.inf, 0.0, -1e-8, np.nan])
+    def test_rejects_tolerance(self, name, value):
+        with pytest.raises(InvalidInputError,
+                           match=f"{name} must be finite and positive"):
+            NormOptions(**{name: value})
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5])
+    def test_rejects_max_iter(self, value):
+        with pytest.raises(InvalidInputError, match="max_iter"):
+            NormOptions(max_iter=value)
+
+    def test_fixed_after_construction(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            NormOptions().gap_tol = 0.0
+
+    def test_one_iteration_accepted(self):
+        res = diamond_norm(random_superop(np.random.default_rng(1), 2, 2,
+                                          terms=3), NormOptions(max_iter=1))
+        assert res.solver_stats.status == "max_iterations"
+        assert res.lower_bound <= res.upper_bound
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-6])
+    def test_verifier_rejects_tolerance(self, tol):
+        phi = SuperOp.identity(2)
+        cert = diamond_norm(phi).certificate
+        with pytest.raises(InvalidInputError,
+                           match="tol must be finite and non-negative"):
+            verify_certificate(phi, cert, tol)
+
+    def test_verifier_accepts_zero_tolerance(self):
+        phi = SuperOp.identity(2)
+        check = verify_certificate(phi, diamond_norm(phi).certificate, 0.0)
+        assert (check.lower, check.upper) == pytest.approx((1.0, 1.0))
+
+
 class TestCbSpectral:
     def test_identity(self):
         res = cb_spectral_norm(SuperOp.identity(2))
@@ -254,6 +291,13 @@ class TestCertificates:
         with pytest.raises(InvalidInputError):
             verify_certificate(phi3, cert)
 
+    def test_pair_shape_mismatch(self):
+        cert = diamond_norm(SuperOp.identity(2)).certificate
+        bad = dataclasses.replace(cert, pair=StinespringPair(
+            cert.pair.a, np.zeros((4, 2)), cert.pair.dim_env))
+        with pytest.raises(InvalidInputError, match="dimensions"):
+            verify_certificate(SuperOp.identity(2), bad)
+
     def test_unknown_certificate_type(self):
         with pytest.raises(InvalidInputError):
             verify_certificate(SuperOp.identity(2), object())
@@ -282,6 +326,48 @@ class TestCertificates:
         check = verify_certificate(shifted, cert)
         assert check.violations == (
             f"stinespring pair does not reproduce the map on E[{i},{k}]",)
+
+    def test_general_violations_in_order(self):
+        """A general certificate broken in every constraint: each check
+        reports once, in a fixed order, with its residual."""
+        cert = GeneralCertificate(
+            pair=StinespringPair(np.eye(2), np.diag([1.0, 2.0]), 1),
+            rho=np.diag([1.5, -0.25]), w=np.diag([-1.0, 3.0]), lam=0.0,
+            z=np.array([[-1.0]]))
+        check = verify_certificate(SuperOp.identity(2), cert)
+        assert not check.valid
+        assert check.violations == (
+            "stinespring pair does not reproduce the map on E[0,1]",
+            "stinespring pair does not reproduce the map on E[1,1]",
+            "Tr(rho) deviates from 1 by 2.500e-01",
+            "rho is not PSD",
+            "W is not PSD",
+            "Tr_Y(W) exceeds Tr_Y(A rho A^dag) by 7.500e-01",
+            "Z is not PSD",
+            "1 (x) Z fails to dominate B B^dag by 5.000e+00",
+            "lambda is below |A^dag(1 (x) Z)A|_inf",
+        )
+        assert (check.lower, check.upper) == (np.sqrt(11.0), 1.0)
+
+    def test_channel_diff_violations_in_order(self):
+        """The same for a channel-difference certificate, on the identity
+        minus the completely dephasing channel of C^2."""
+        dephasing = SuperOp.from_kraus([np.diag([1.0, 0.0]),
+                                        np.diag([0.0, 1.0])])
+        phi = SuperOp.difference(SuperOp.identity(2), dephasing)
+        cert = ChannelDiffCertificate(
+            rho=np.diag([1.5, -0.25]), w=np.diag([-1.0, 3.0, 0.0, 0.0]),
+            z=np.diag([-2.0, 0.0, 0.0, 0.0]))
+        check = verify_certificate(phi, cert)
+        assert not check.valid
+        assert check.violations == (
+            "Tr(rho) deviates from 1 by 2.500e-01",
+            "rho is not PSD",
+            "W is not PSD",
+            "W exceeds 1 (x) rho by 3.250e+00",
+            "Z is not PSD",
+            "Z fails to dominate J(phi) by 2.414e+00",
+        )
 
 
 ASCENT_SHAPES = [(3, 3), (2, 4), (4, 2), (3, 5), (5, 3)]

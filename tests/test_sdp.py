@@ -274,12 +274,8 @@ class TestSolve:
             assert all(np.isfinite(m).all() for m in (*sol.X_opt, *sol.Y_opt))
 
     def test_verbose_log(self, capsys):
-        import io
-
-        stream = io.StringIO()
-        solve(identity_problem(2), SolveOptions(verbose=True,
-                                                log_stream=stream))
-        lines = stream.getvalue().strip().splitlines()
+        solve(identity_problem(2), SolveOptions(verbose=True))
+        lines = capsys.readouterr().err.strip().splitlines()
         assert lines and all("pobj" in ln and "gap" in ln for ln in lines)
 
 

@@ -61,6 +61,24 @@ class TestChoi:
         diff = SuperOp.difference(c0, c1)
         assert np.allclose(to_choi(diff), to_choi(c0) - to_choi(c1))
 
+    @pytest.mark.parametrize("n, m, r", [
+        (1, 1, 1), (1, 3, 2), (3, 1, 2), (2, 3, 1), (3, 2, 4), (4, 4, 3)])
+    def test_stinespring_pair_matches_definition(self, rng, n, m, r):
+        """The Choi matrix of a Stinespring pair against its definition
+        ``sum_ik phi(E_ik) (x) E_ik``, ``phi(X) = Tr_Z(A X B^dag)``."""
+        a, b = random_complex(rng, (m * r, n)), random_complex(rng, (m * r, n))
+        phi = SuperOp.from_stinespring(a, b, r)
+        oracle = sum(np.kron(linalg.partial_trace(
+            a @ basis_unit(n, i, k) @ b.conj().T, (m, r), side="second"),
+            basis_unit(n, i, k)) for i in range(n) for k in range(n))
+        j = to_choi(phi)
+        assert j.shape == (m * n, m * n)
+        assert np.linalg.norm(j - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+    def test_zero_stinespring_pair(self):
+        zero = SuperOp.from_stinespring(np.zeros((6, 2)), np.zeros((6, 2)), 2)
+        assert np.array_equal(to_choi(zero), np.zeros((6, 6)))
+
 
 class TestApply:
     def test_identity(self, rng):
