@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .dnorm import (  # noqa: F401
     NormOptions,
     NormResult,
-    build_channel_diff_sdp,
     build_general_sdp,
     cb_spectral_norm,
     diamond_norm,

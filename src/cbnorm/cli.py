@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input error, 2 solver did not reach optimality,
-``numerical_failure`` included (repaired bounds still reported), 3
-certificate invalid.
+Exit codes: 0 success, 1 input error (a malformed command line too), 2
+solver did not reach optimality, ``numerical_failure`` included (repaired
+bounds still reported), 3 certificate invalid.
 """
 
 from __future__ import annotations
@@ -50,12 +50,8 @@ def _require_superop(problem: dict) -> superop.SuperOp:
 def cmd_compute(args) -> int:
     problem = load_problem(args.input)
     phi = _require_superop(problem)
-    options = NormOptions(
-        method=args.method,
-        gap_tol=args.tol,
-        feas_tol=args.tol,
-        verbose=args.verbose,
-    )
+    options = NormOptions(gap_tol=args.tol, feas_tol=args.tol,
+                          verbose=args.verbose)
     start = time.perf_counter()
     if args.norm == "diamond":
         result = diamond_norm(phi, options)
@@ -156,8 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="compute a completely bounded norm")
     p.add_argument("--input", required=True)
     p.add_argument("--norm", choices=("diamond", "cb-spectral"), default="diamond")
-    p.add_argument("--method", choices=("auto", "general", "channel-diff"),
-                   default="auto")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--certificate", help="write the certificate to this path")
     p.add_argument("--output")
@@ -192,8 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error
+        return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     if getattr(args, "to", None) == "stinespring":
         args.to = "stinespring_pair"
     try:

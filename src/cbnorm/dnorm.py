@@ -1,38 +1,25 @@
 """Completely bounded norms via semidefinite programming, with certificates.
 
-Two routes:
+Every super-operator, a difference of channels included, takes one route:
+for a minimal Stinespring pair ``(A, B)`` of the map, the squared norm is
+the optimum of
 
-* the general route, for any super-operator given by a minimal Stinespring
-  pair ``(A, B)``: the squared norm is the optimum of
+    maximize <B B^dag, W>  s.t.  Tr_Y(W) = Tr_Y(A X A^dag), Tr X = 1
 
-      maximize <B B^dag, W>  s.t.  Tr_Y(W) = Tr_Y(A X A^dag), Tr X = 1
-
-  with dual  minimize lambda  s.t.  lambda 1 >= A^dag(1 (x) Z)A,
-  1 (x) Z >= B B^dag;
-
-* the channel-difference route for ``phi0 - phi1`` with both channels:
-
-      maximize <J(phi), W>  s.t.  W <= 1 (x) rho, Tr rho = 1
-
-  whose optimum is half the norm, with dual  minimize |Tr_Y(Z)|_inf
-  s.t. Z >= J(phi).
+with dual  minimize lambda  s.t.  lambda 1 >= A^dag(1 (x) Z)A,
+1 (x) Z >= B B^dag.
 
 The paper states every constraint with ``<=``.  Those written with ``=``
 here are tight at some optimum, so the optimum is the same: ``B B^dag >= 0``
 lets ``W + (1_m / m) (x) Delta`` close a gap ``Delta`` in the marginal
-without lowering the objective, and scaling by ``1 / Tr X`` (or
-``1 / Tr rho``) does not lower it either.  Held as equalities, they need no
-slack block in the solver, and their duals need no sign constraint: the
-dual constraints already force ``Z >= 0`` and ``lambda >= 0``.
+without lowering the objective, and scaling by ``1 / Tr X`` does not lower
+it either.  Held as equalities, they need no slack block in the solver, and
+their duals need no sign constraint: the dual constraints already force
+``Z >= 0`` and ``lambda >= 0``.
 
-``method="auto"`` takes the route with the smaller Newton system: a channel
-difference goes general (``1 + r^2`` rows, ``r = rank J``) only when
-``r < mn`` (``1 + (mn)^2`` rows on the other route); other maps always do.
-
-Both routes run through one build -> solve -> repair -> bounds pipeline.
-The general route scales its pair by powers of two to spectral norms in
-[1, 2), so its tolerances (the solver's gap test too) are relative, and maps
-the result back exactly.  It first tries the alternating ascent, which
+The route scales its pair by powers of two to spectral norms in [1, 2), so
+its tolerances (the solver's gap test too) are relative, and maps the
+result back exactly.  It first tries the alternating ascent, which
 bounds the norm below and, every fifth sweep (one ``verbose`` line each),
 by Alberti's dual ``P^-1 # Q`` of the marginals, scaled to ``c Z``, above,
 to a width of ``gap_tol / 100``, where that pays: at input dimension one
@@ -41,10 +28,9 @@ flops than a Newton system, ``ASCENT_SWEEPS ((mn)^3 + n^6) <= (1 + r^2)^3``
 (``r`` the Choi rank), and at ``r <= 2`` for ``n, m <= 5``, where a solve's
 dozen iterations of Python overhead outweigh the sweeps (beyond that, the
 sweep's ``n^2 x n^2`` SVD costs more, and 6x6 maps were slower on it).  It
-leaves the map to the solve when the optimal state is rank-deficient or the
-width contracts too slowly.  A call forms ``J`` once (only ``J = 0`` takes
-the zero result): the channel-difference SDP is built from it, the general
-route's Stinespring pair is its SVD.
+leaves the map to the interior-point solve when the optimal state is
+rank-deficient or the width contracts too slowly.  A call forms ``J`` once
+(only ``J = 0`` takes the zero result); the Stinespring pair is its SVD.
 Certificates are repaired to be (numerically) exactly feasible, so the
 bounds are sound whatever the solver's termination state, including
 ``numerical_failure``; only a non-finite last iterate raises.
@@ -93,6 +79,11 @@ class GeneralCertificate:
 
 @dataclass(frozen=True)
 class ChannelDiffCertificate:
+    """Witness pair of the paper's SDP for a channel difference ``phi``,
+    ``maximize <J(phi), W> s.t. W <= 1 (x) rho, Tr rho = 1`` (half the norm)
+    with dual ``minimize |Tr_Y(Z)|_inf s.t. Z >= J(phi)``, as earlier
+    versions wrote for channel pairs; :func:`verify_certificate` reads it."""
+
     rho: np.ndarray
     w: np.ndarray
     z: np.ndarray
@@ -121,20 +112,20 @@ class NormResult:
 
 @dataclass(frozen=True)
 class NormOptions:
-    method: str = "auto"  # auto | general | channel-diff
+    method: str = "auto"  # auto | general: the same route
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 200
     verbose: bool = False
 
     def __post_init__(self):
-        for name in ("gap_tol", "feas_tol"):
-            if not (np.isfinite(value := getattr(self, name)) and value > 0):
-                raise InvalidInputError(
-                    f"{name} must be finite and positive, got {value}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
-            raise InvalidInputError(
-                f"max_iter must be an integer >= 1, got {self.max_iter}")
+        if self.method not in ("auto", "general"):
+            raise InvalidInputError(f"unknown method {self.method!r}")
+        self.solve_options()  # checks the tolerances and max_iter
+
+    def solve_options(self) -> SolveOptions:
+        return SolveOptions(gap_tol=self.gap_tol, feas_tol=self.feas_tol,
+                            max_iter=self.max_iter, verbose=self.verbose)
 
 
 def build_general_sdp(pair: StinespringPair) -> SdpProblem:
@@ -164,38 +155,6 @@ def build_general_sdp(pair: StinespringPair) -> SdpProblem:
     # Equalities: W + (1_m / m) (x) Delta and X / Tr X never lower the value.
     return SdpProblem.from_maps(var, con, psi, psi_adj, obj, rhs,
                                 embedded={1: (1, m)}, equality=(0, 1))
-
-
-def build_channel_diff_sdp(phi: SuperOp, j: np.ndarray) -> SdpProblem:
-    """Triple-form problem whose primal optimum is half the norm of the
-    channel difference ``phi``; ``j`` is its Hermitian Choi matrix."""
-    if not isinstance(phi.rep, superop.ChannelDifference):
-        raise InvalidInputError(
-            "channel-diff SDP requires a channel-difference representation")
-    n, m = phi.dim_in, phi.dim_out
-    var = BlockStructure((n, m * n))
-    con = BlockStructure((1, m * n))
-    eye_m = np.eye(m)
-
-    def psi(blocks):
-        rho, w = blocks
-        return [np.array([[np.trace(rho)]]), w - kron(eye_m, rho)]
-
-    def psi_adj(blocks):
-        lam, z = blocks[0][0, 0], blocks[1]
-        return [lam * np.eye(n) - partial_trace(z, (m, n), side="first"), z]
-
-    obj = [np.zeros((n, n)), j]
-    rhs = [np.eye(1), np.zeros((m * n, m * n))]
-    # W enters Psi^* as Z itself, the dual of constraint block 1.
-    # Tr rho = 1: (rho, W) / Tr rho never lowers the value; W keeps its slack.
-    return SdpProblem.from_maps(var, con, psi, psi_adj, obj, rhs,
-                                embedded={1: (1, 1)}, equality=(0,))
-
-
-def _psd_part(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = herm_eig(mat)
-    return (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
 
 
 def _normalized_state(x, n):
@@ -396,29 +355,6 @@ def _ascent_general(pair, opt) -> NormResult | None:
                       stats)
 
 
-def _repair_channel_diff_certificate(phi, j, sol) -> ChannelDiffCertificate:
-    n, m = phi.dim_in, phi.dim_out
-    rho = _normalized_state(sol.X_opt[0], n)
-    # Inner optimum for this rho in closed form: with
-    # W = (1 (x) sqrt(rho)) P (1 (x) sqrt(rho)) and P the projector onto the
-    # positive part of (1 (x) sqrt(rho)) J (1 (x) sqrt(rho)), the constraint
-    # W <= 1 (x) rho is exact and <J, W> is maximal for this rho.
-    vals, vecs = herm_eig(rho)
-    root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
-    s = kron(np.eye(m), root)
-    c = s @ j @ s
-    cvals, cvecs = herm_eig((c + c.conj().T) / 2)
-    keep = cvecs[:, cvals > 0]
-    proj = keep @ keep.conj().T
-    w = s @ proj @ s
-    w = (w + w.conj().T) / 2
-    z = _psd_part(sol.Y_opt[1])
-    shift = max(0.0, -min_eigenvalue(z - j))
-    if shift > 0:
-        z = z + shift * np.eye(m * n)
-    return ChannelDiffCertificate(rho=rho, w=w, z=z)
-
-
 def _general_certificate_bounds(cert: GeneralCertificate) -> tuple:
     a, b = cert.pair.a, cert.pair.b
     m = a.shape[0] // cert.pair.dim_env
@@ -436,66 +372,29 @@ def _channel_diff_certificate_bounds(phi, j, cert) -> tuple:
     return lower, upper
 
 
-# Each route is (method, build, repair, bounds, estimate, zero) over its
-# data: build(*data) makes the SDP, repair(*data, sol) an exactly feasible
-# certificate from the solver's last iterate, bounds(*data, cert) the bracket
-# it proves, estimate(sol) the norm read off the objectives, and zero(n, m)
-# the certificate of the zero map.  Builders are looked up at call time, so
-# wrappers installed on the module see them.
-_ROUTES = {
-    # data (pair,); the SDP value is the squared norm.
-    "general": (
-        "general_sdp",
-        lambda pair: build_general_sdp(pair),
-        _repair_general_certificate,
-        lambda pair, cert: _general_certificate_bounds(cert),
-        lambda sol: np.sqrt(max(0.0, (sol.primal_value + sol.dual_value) / 2)),
-        lambda n, m: GeneralCertificate(
-            pair=StinespringPair(np.zeros((m, n)), np.zeros((m, n)), 1),
-            rho=np.eye(n) / n, w=np.zeros((m, m)), lam=0.0, z=np.zeros((1, 1))),
-    ),
-    # data (phi, J), J the Hermitian Choi matrix; the SDP value is half the norm.
-    "channel-diff": (
-        "channel_diff_sdp",
-        lambda phi, j: build_channel_diff_sdp(phi, j),
-        _repair_channel_diff_certificate,
-        _channel_diff_certificate_bounds,
-        lambda sol: sol.primal_value + sol.dual_value,
-        lambda n, m: ChannelDiffCertificate(
-            rho=np.eye(n) / n, w=np.zeros((m * n, m * n)),
-            z=np.zeros((m * n, m * n))),
-    ),
-}
-
-
-def _solve_route(route: str, data: tuple, opt: NormOptions) -> NormResult:
-    """Build, solve, repair and bound one route's SDP (or its ascent);
-    the general route runs on its pair scaled by powers of two (module doc)."""
-    res = None
-    if route == "general":
-        pair = data[0]
-        sa, sb = (np.ldexp(1.0, 1 - np.frexp(spectral_norm(x))[1])
-                  for x in (pair.a, pair.b))
-        data = (StinespringPair(sa * pair.a, sb * pair.b, pair.dim_env),)
-        res = _ascent_general(*data, opt)
+def _solve_route(pair: StinespringPair, opt: NormOptions) -> NormResult:
+    """The ascent, or build, solve, repair and bound the SDP, on ``pair``
+    scaled by powers of two (module doc)."""
+    sa, sb = (np.ldexp(1.0, 1 - np.frexp(spectral_norm(x))[1])
+              for x in (pair.a, pair.b))
+    scaled = StinespringPair(sa * pair.a, sb * pair.b, pair.dim_env)
+    res = _ascent_general(scaled, opt)
     if res is None:
-        method, build, repair, bounds, estimate, _ = _ROUTES[route]
-        sol = solve(build(*data), SolveOptions(
-            gap_tol=opt.gap_tol, feas_tol=opt.feas_tol,
-            max_iter=opt.max_iter, verbose=opt.verbose,
-        ))
+        # build_general_sdp is looked up at call time, so wrappers installed
+        # on the module see it.
+        sol = solve(build_general_sdp(scaled), opt.solve_options())
         if not all(np.isfinite(x).all() for x in (*sol.X_opt, *sol.Y_opt)):
             raise NumericalFailureError("interior-point solve failed")
-        cert = repair(*data, sol)
-        lower, upper = bounds(*data, cert)
+        cert = _repair_general_certificate(scaled, sol)
+        lower, upper = _general_certificate_bounds(cert)
         stats = SolverStats(sol.status, sol.iterations, sol.gap,
                             sol.primal_infeas, sol.dual_infeas)
         warnings = () if sol.status == "optimal" else (
             f"solver status {sol.status}; bounds widened",)
-        value = min(max(estimate(sol), lower), upper)
-        res = NormResult(value, lower, upper, method, cert, stats, warnings)
-    if route != "general":
-        return res
+        # The SDP value is the squared norm.
+        estimate = np.sqrt(max(0.0, (sol.primal_value + sol.dual_value) / 2))
+        res = NormResult(min(max(estimate, lower), upper), lower, upper,
+                         "general_sdp", cert, stats, warnings)
     c, cert, stats = sa * sb, res.certificate, res.solver_stats
     cert = replace(cert, pair=pair, w=cert.w / sa ** 2, lam=cert.lam / c ** 2,
                    z=cert.z / sb ** 2)
@@ -507,28 +406,15 @@ def _solve_route(route: str, data: tuple, opt: NormOptions) -> NormResult:
 def diamond_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult:
     """Completely bounded trace norm with a verifiable certificate."""
     opt = options or NormOptions()
-    if opt.method not in ("auto", "general", "channel-diff"):
-        raise InvalidInputError(f"unknown method {opt.method!r}")
-    is_pair = isinstance(phi.rep, superop.ChannelDifference)
-    if opt.method == "channel-diff" and not is_pair:
-        raise InvalidInputError(
-            "channel-diff route requires a channel-difference representation"
-        )
-
+    n, m = phi.dim_in, phi.dim_out
     j = to_choi(phi)
     if not j.any():
-        method, *_, zero = _ROUTES[
-            "channel-diff" if is_pair and opt.method != "general" else "general"]
-        return NormResult(0.0, 0.0, 0.0, method, zero(phi.dim_in, phi.dim_out),
+        zero = GeneralCertificate(
+            pair=StinespringPair(np.zeros((m, n)), np.zeros((m, n)), 1),
+            rho=np.eye(n) / n, w=np.zeros((m, m)), lam=0.0, z=np.zeros((1, 1)))
+        return NormResult(0.0, 0.0, 0.0, "general_sdp", zero,
                           SolverStats("optimal", 0, 0.0, 0.0, 0.0))
-    if opt.method != "channel-diff":
-        pair = superop._stinespring_of_choi(j, phi.dim_in, phi.dim_out)
-        # Newton-system rows: 1 + r^2 here against 1 + (mn)^2; ties go to
-        # the channel-difference route.
-        if not is_pair or opt.method == "general" or \
-                pair.dim_env < phi.dim_in * phi.dim_out:
-            return _solve_route("general", (pair,), opt)
-    return _solve_route("channel-diff", (phi, (j + j.conj().T) / 2), opt)
+    return _solve_route(superop._stinespring_of_choi(j, n, m), opt)
 
 
 def cb_spectral_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult:
@@ -624,7 +510,7 @@ def rebalance_stinespring(pair: StinespringPair, eps: float,
     # Solve the general SDP on the *given* pair: the dual witness must
     # dominate this pair's B B^dag, and strict dual feasibility holds for
     # any pair, minimal or not.
-    z = _solve_route("general", (pair,), options or NormOptions()).certificate.z
+    z = _solve_route(pair, options or NormOptions()).certificate.z
     delta = max(eps ** 2 / (4.0 * a_norm ** 2),
                 1e-12 * spectral_norm(z))
     z_reg = z + delta * np.eye(r)

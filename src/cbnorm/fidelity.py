@@ -104,7 +104,7 @@ def fidelity_sdp(p, q, purification_dim: int | None = None) -> FidelityResult:
     v = _purify(*herm_eig((g * other.values) @ g.conj().T), dim_y,
                 other.values[0])
     pair = StinespringPair(u.reshape(-1, 1), v.reshape(-1, 1), k)
-    res = _solve_route("general", (pair,), NormOptions())
+    res = _solve_route(pair, NormOptions())
     # Alberti's bound is an infimum where Z vanishes or is unbounded (off the
     # compressed space): clamped into [s, 1 / s] lambda_max, s = sqrt(eps),
     # Z is positive definite; inverted, it takes the caller's (P, Q) order.

@@ -282,12 +282,23 @@ class SolveOptions:
     at most ``feas_tol``, all measured on the data scaled to
     ``|A| = |B| = 1``.  The gap test is relative for large objectives and
     absolute near a zero optimum, where a relative test could never pass.
+    Both tolerances must be finite and positive, ``max_iter`` an integer
+    of at least 1.
     """
 
     gap_tol: float = GAP_TOL
     feas_tol: float = FEAS_TOL
     max_iter: int = MAX_ITER
     verbose: bool = False
+
+    def __post_init__(self):
+        for name in ("gap_tol", "feas_tol"):
+            if not (np.isfinite(value := getattr(self, name)) and value > 0):
+                raise InvalidInputError(
+                    f"{name} must be finite and positive, got {value}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise InvalidInputError(
+                f"max_iter must be an integer >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -415,7 +426,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     The Newton system is formed per variable block.  A block embedded as
     ``1_k (x) F_j`` over the basis of one constraint block (every slack
     block, and each block the problem declares so, like the ``W`` block of
-    both norm SDPs) contributes its Schur block, ``A`` and ``A^*`` by
+    the norm SDP) contributes its Schur block, ``A`` and ``A^*`` by
     Kronecker identities and partial traces; any other block through its
     stored rows.
 

@@ -9,7 +9,6 @@ import pytest
 
 from cbnorm.dnorm import (
     GeneralCertificate,
-    NormOptions,
     build_general_sdp,
     cb_spectral_norm,
     diamond_norm,
@@ -35,6 +34,7 @@ from cbnorm.superop import (
 )
 
 from conftest import (
+    channel_diff_norm,
     random_channel,
     random_complex,
     random_density,
@@ -76,15 +76,16 @@ def solves():
         c = random_channel(rng, n, m)
         data["channels"].append((c, record(c, diamond_norm(c))))
 
-    # Criterion 2: random channel pairs, both routes.
+    # Criterion 2: random channel pairs, diamond_norm against the paper's
+    # channel-difference SDP.
     data["routes"] = []
     for _ in range(50):
         n = int(rng.integers(2, 4))
         m = int(rng.integers(2, 4))
         diff = SuperOp.difference(random_channel(rng, n, m),
                                   random_channel(rng, n, m))
-        cd = record(diff, diamond_norm(diff, NormOptions(method="channel-diff")))
-        gen = record(diff, diamond_norm(diff, NormOptions(method="general")))
+        cd = record(diff, channel_diff_norm(diff))
+        gen = record(diff, diamond_norm(diff))
         data["routes"].append((cd.value, gen.value))
 
     # Criterion 3: unitary-difference instances against the oracle.

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from cbnorm.serialize import (
 )
 
 from conftest import random_channel
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_json(path, obj):
@@ -78,7 +81,8 @@ class TestCompute:
         assert main(["compute", "--input", prob, "--output", str(out)]) == 0
         res = read_json(out)
         assert res["value"] <= 1e-6
-        assert res["method"] == "channel_diff_sdp"
+        assert res["method"] == "general_sdp"
+        assert res["certificate"]["kind"] == "general"
 
     def test_unitary_pair(self, tmp_path):
         v = np.diag([1.0, np.exp(1j * np.pi / 2)])
@@ -159,8 +163,8 @@ class TestCertify:
         assert check["upper_bound"] - check["lower_bound"] < 1e-5
 
     def test_channel_pair_on_general_route(self, tmp_path):
-        # Two unitary channels: rank J = 2 < 4, so auto takes the general
-        # route and writes a general certificate for the pair.
+        # A channel pair (here two unitary channels, rank J = 2) takes the
+        # general route and gets a general certificate for its pair.
         v = np.diag([1.0, np.exp(1j * np.pi / 3)])
         prob = write_json(tmp_path / "pair.json",
                           channel_pair_problem([np.eye(2)], [v], 2))
@@ -178,6 +182,29 @@ class TestCertify:
         assert check["valid"]
         for key in ("lower_bound", "upper_bound"):
             assert check[key] == pytest.approx(res[key], rel=1e-12, abs=0)
+
+    def test_channel_diff_certificate_file(self, tmp_path):
+        """A ``channel_diff`` certificate, written by ``compute`` when a
+        full-rank channel pair took the channel-difference SDP, still
+        certifies with the bounds it was written with; ``compute`` now
+        writes a general certificate whose bracket overlaps them."""
+        prob = str(DATA / "channel_pair_2x2.json")
+        cert = str(DATA / "channel_diff_certificate_2x2.json")
+        cout = tmp_path / "check.json"
+        assert main(["certify", "--input", prob, "--certificate", cert,
+                     "--output", str(cout)]) == 0
+        check = read_json(cout)
+        assert check["valid"] and not check["violations"]
+        written = (1.1631822271763808, 1.1631822283909872)
+        assert (check["lower_bound"], check["upper_bound"]) == \
+            pytest.approx(written, rel=1e-12, abs=0)
+        out = tmp_path / "res.json"
+        assert main(["compute", "--input", prob, "--output", str(out)]) == 0
+        res = read_json(out)
+        assert res["method"] == "general_sdp"
+        assert res["certificate"]["kind"] == "general"
+        assert res["lower_bound"] <= written[1]
+        assert written[0] <= res["upper_bound"]
 
     def test_embedded_certificate_reverifies(self, tmp_path):
         prob = identity_problem(tmp_path)
@@ -307,6 +334,31 @@ class TestCheckChannel:
                      "--output", str(out)]) == 0
         res = read_json(out)
         assert res["is_cp"] and not res["is_tp"]
+
+
+class TestUsage:
+    """A malformed command line is an input error (exit 1); exit 2 is kept
+    for a solve that stops short of optimality."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compute"],
+        ["certify", "--input", "problem.json"],
+        ["compute", "--input", "problem.json", "--bogus"],
+        ["compute", "--input", "problem.json", "--method", "general"],
+        ["compute", "--input", "problem.json", "--norm", "trace"],
+        [],
+    ], ids=["missing-input", "missing-certificate", "unknown-flag",
+            "removed-method-flag", "bad-choice", "no-command"])
+    def test_exit_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                      ["compute", "--help"]],
+                             ids=["help", "version", "compute-help"])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
 
 
 class TestRejectedInput:

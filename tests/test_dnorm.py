@@ -14,7 +14,6 @@ from cbnorm.dnorm import (
     ChannelDiffCertificate,
     GeneralCertificate,
     NormOptions,
-    build_channel_diff_sdp,
     build_general_sdp,
     cb_spectral_norm,
     diamond_norm,
@@ -37,8 +36,12 @@ from cbnorm.superop import (
     to_stinespring,
 )
 
+import conftest
 from conftest import (
+    _psd_part,
+    build_channel_diff_sdp,
     channel_diff_data,
+    channel_diff_norm,
     random_channel,
     undeclared,
     random_complex,
@@ -65,7 +68,16 @@ def transpose_map():
     return SuperOp.from_choi(swap, 2, 2)
 
 
-CHANNEL_DIFF = NormOptions(method="channel-diff")
+def weyl_channel(p):
+    """``X -> sum_ab p_ab W_ab X W_ab^dag`` for the Weyl operators
+    ``W_ab = X^a Z^b`` on C^d, ``p`` a d x d probability array."""
+    d = len(p)
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    return SuperOp.from_kraus([
+        np.sqrt(p[a, b]) * np.linalg.matrix_power(shift, a)
+        @ np.linalg.matrix_power(clock, b)
+        for a in range(d) for b in range(d)])
 
 
 class TestBuildGeneral:
@@ -94,21 +106,29 @@ class TestBuildGeneral:
 
 
 class TestBuildChannelDiff:
+    """Channel pairs take the general route like any other map; the paper's
+    channel-difference SDP (``conftest.channel_diff_norm``) is the oracle."""
+
     def test_equal_channels(self, rng):
         c = random_channel(rng, 2, 2)
-        res = diamond_norm(SuperOp.difference(c, c))
-        assert res.method == "channel_diff_sdp"
-        assert res.value <= 1e-7
+        diff = SuperOp.difference(c, c)
+        res = diamond_norm(diff)
+        assert res.method == "general_sdp"
+        assert res.value == res.lower_bound == res.upper_bound == 0.0
+        assert verify_certificate(diff, res.certificate).valid
 
     def test_unitary_difference_angles(self):
         for theta in (np.pi / 2, np.pi):
-            res = diamond_norm(phase_diff(theta), CHANNEL_DIFF)
-            assert res.method == "channel_diff_sdp"
             oracle = induced_trace_norm_lower_bound(
                 phase_diff(theta), restarts=50, seed=1
             )
-            assert res.value == pytest.approx(oracle, abs=1e-6)
-            assert res.value == pytest.approx(2 * np.sin(theta / 2), abs=1e-6)
+            for norm, method in ((diamond_norm, "general_sdp"),
+                                 (channel_diff_norm, "channel_diff_sdp")):
+                res = norm(phase_diff(theta))
+                assert res.method == method
+                assert res.value == pytest.approx(oracle, abs=1e-6)
+                assert res.value == pytest.approx(2 * np.sin(theta / 2),
+                                                  abs=1e-6)
 
     def test_depolarizing_vs_identity(self, rng):
         kraus = [e / 2.0 for e in (
@@ -117,8 +137,8 @@ class TestBuildChannelDiff:
         )]
         depol = SuperOp.from_kraus(kraus)
         diff = SuperOp.difference(SuperOp.identity(2), depol)
-        res_cd = diamond_norm(diff, CHANNEL_DIFF)
-        res_gen = diamond_norm(diff, NormOptions(method="general"))
+        res_cd = channel_diff_norm(diff)
+        res_gen = diamond_norm(diff)
         oracle = induced_trace_norm_lower_bound(diff, restarts=50, seed=1)
         assert res_cd.value == pytest.approx(res_gen.value, abs=1e-6)
         assert res_cd.value == pytest.approx(oracle, abs=1e-6)
@@ -132,8 +152,26 @@ class TestBuildChannelDiff:
 
     def test_channel_diff_requires_difference_rep(self):
         with pytest.raises(InvalidInputError):
-            diamond_norm(SuperOp.identity(2),
-                         NormOptions(method="channel-diff"))
+            channel_diff_norm(SuperOp.identity(2))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_weyl_covariant_pairs(self, d):
+        """``|Phi_p - Phi_q|_diamond = |p - q|_1`` for Weyl-covariant
+        channels, whose Kraus rank is ``d^2``: a maximally entangled input
+        is optimal, where the Choi matrices are diagonal in the Bell basis
+        with eigenvalues ``p`` and ``q``."""
+        rng = np.random.default_rng(9014709 + d)
+        p, q = (x / x.sum() for x in rng.random((2, d, d)))
+        diff = SuperOp.difference(weyl_channel(p), weyl_channel(q))
+        exact = np.abs(p - q).sum()
+        res = diamond_norm(diff)
+        assert res.method == "general_sdp"
+        assert res.certificate.pair.dim_env == d * d
+        assert res.lower_bound <= exact * (1 + 1e-9)
+        assert res.upper_bound >= exact * (1 - 1e-9)
+        assert res.value == pytest.approx(exact, rel=1e-9)
+        check = verify_certificate(diff, res.certificate)
+        assert check.valid, check.violations
 
 
 class TestDiamondNorm:
@@ -171,8 +209,8 @@ class TestDiamondNorm:
             c0 = random_channel(rng, 2, 2)
             c1 = random_channel(rng, 2, 2)
             diff = SuperOp.difference(c0, c1)
-            v_cd = diamond_norm(diff, CHANNEL_DIFF).value
-            v_gen = diamond_norm(diff, NormOptions(method="general")).value
+            v_cd = channel_diff_norm(diff).value
+            v_gen = diamond_norm(diff).value
             assert abs(v_cd - v_gen) <= 1e-5
 
     def test_oracle_is_lower_bound(self, rng):
@@ -190,8 +228,9 @@ class TestDiamondNorm:
         assert vab == pytest.approx(va * vb, abs=1e-5 * (1 + va * vb))
 
     def test_bad_method(self):
-        with pytest.raises(InvalidInputError):
-            diamond_norm(SuperOp.identity(2), NormOptions(method="magic"))
+        for method in ("magic", "channel-diff"):
+            with pytest.raises(InvalidInputError, match="unknown method"):
+                diamond_norm(SuperOp.identity(2), NormOptions(method=method))
 
 
 class TestOptionValidation:
@@ -258,7 +297,7 @@ class TestCertificates:
     def test_channel_diff_certificate_valid(self, rng):
         diff = SuperOp.difference(random_channel(rng, 2, 2),
                                   random_channel(rng, 2, 2))
-        res = diamond_norm(diff, CHANNEL_DIFF)
+        res = channel_diff_norm(diff)
         assert isinstance(res.certificate, ChannelDiffCertificate)
         check = verify_certificate(diff, res.certificate)
         assert check.valid
@@ -522,33 +561,35 @@ def _assert_same_result(a, b):
 class TestAutoRoute:
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 3), (4, 4)])
     def test_route_follows_newton_system_size(self, n, m):
-        # Two Kraus-rank-k channels: generically rank J(phi) = min(2k, nm),
-        # so the general Newton system (1 + r^2 rows) is the smaller one
-        # exactly when 2k < nm.
+        """Whatever the size of either SDP's Newton system, a channel pair
+        takes the general route (ascent or IPM), ties at ``r = mn``
+        included, and its bracket overlaps the channel-difference
+        oracle's."""
+        # Two Kraus-rank-k channels: generically rank J(phi) = min(2k, nm).
         rng = np.random.default_rng(100 * n + m)
         for k in range(1, n * m + 1):
             diff = SuperOp.difference(random_channel(rng, n, m, env=k),
                                       random_channel(rng, n, m, env=k))
             assert to_stinespring(diff).dim_env == min(2 * k, n * m)
             res = diamond_norm(diff)
-            general = 2 * k < n * m
-            assert res.method == ("general_sdp" if general
-                                  else "channel_diff_sdp"), k
-            if general:
-                _assert_same_result(
-                    res, diamond_norm(diff, NormOptions(method="general")))
-                assert isinstance(res.certificate, GeneralCertificate)
-            else:
-                _assert_same_result(res, diamond_norm(diff, CHANNEL_DIFF))
+            assert res.method == "general_sdp", k
+            # "auto" (the default) and "general" name the same route.
+            _assert_same_result(
+                res, diamond_norm(diff, NormOptions(method="general")))
+            assert isinstance(res.certificate, GeneralCertificate)
             assert verify_certificate(diff, res.certificate).valid
+            ref = channel_diff_norm(diff)
+            assert res.lower_bound <= ref.upper_bound, k
+            assert ref.lower_bound <= res.upper_bound, k
 
 
 class TestOneChoiMatrix:
     @pytest.mark.parametrize("route", ["general", "channel-diff"])
     def test_channel_pair_forms_choi_once(self, monkeypatch, rng, route):
-        """``diamond_norm`` forms ``J(phi0) - J(phi1)`` once, from one Choi
-        matrix of each channel, and does not re-test the channels that
-        ``SuperOp.difference`` has already tested."""
+        """``diamond_norm`` (and the channel-difference oracle) forms
+        ``J(phi0) - J(phi1)`` once, from one Choi matrix of each channel,
+        and does not re-test the channels that ``SuperOp.difference`` has
+        already tested."""
         diff = SuperOp.difference(random_channel(rng, 2, 2),
                                   random_channel(rng, 2, 2))
         calls = {"to_choi": 0, "is_channel": 0}
@@ -562,7 +603,8 @@ class TestOneChoiMatrix:
             for module in (superop, dnorm):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
-        res = diamond_norm(diff, NormOptions(method=route))
+        norm = diamond_norm if route == "general" else channel_diff_norm
+        res = norm(diff)
         assert res.method == route.replace("-", "_") + "_sdp"
         assert calls == {"to_choi": 3, "is_channel": 0}
 
@@ -627,7 +669,11 @@ class TestNumericalFailure:
     ])
     def test_non_finite_iterate_raises(self, monkeypatch, rng, route, side,
                                        block):
-        real = dnorm.solve
+        """A non-finite last iterate raises, on ``diamond_norm`` and on the
+        channel-difference oracle."""
+        module, norm = (dnorm, diamond_norm) if route == "general" else \
+            (conftest, channel_diff_norm)
+        real = module.solve
 
         def broken(problem, options=None):
             sol = real(problem, options)
@@ -636,11 +682,11 @@ class TestNumericalFailure:
             return dataclasses.replace(sol, status="numerical_failure",
                                        **{side: blocks})
 
-        monkeypatch.setattr(dnorm, "solve", broken)
+        monkeypatch.setattr(module, "solve", broken)
         diff = SuperOp.difference(random_channel(rng, 2, 2),
                                   random_channel(rng, 2, 2))
         with pytest.raises(NumericalFailureError):
-            diamond_norm(diff, NormOptions(method=route))
+            norm(diff)
 
 
 class TestRebalance:
@@ -701,8 +747,9 @@ def test_solver_stats_surface(monkeypatch, rng):
 
 
 class TestEqualityForm:
-    """Both norm SDPs hold the constraints every optimum makes tight with
-    ``=``, so those blocks carry no slack."""
+    """Both norm SDPs (the general one and the channel-difference oracle)
+    hold the constraints every optimum makes tight with ``=``, so those
+    blocks carry no slack."""
 
     def test_declarations(self, rng):
         pair = to_stinespring(random_superop(rng, 2, 3))
@@ -737,7 +784,7 @@ class TestEqualityForm:
         """The bound of the additive repair alone: Z + delta 1, with delta
         the worst violation plus the rounding allowance ``8 eps m r |B|^2``."""
         m = pair.a.shape[0] // pair.dim_env
-        z = dnorm._psd_part(sol.Y_opt[1])
+        z = _psd_part(sol.Y_opt[1])
         bbdag = pair.b @ pair.b.conj().T
         shift = max(0.0, -min_eigenvalue(kron(np.eye(m), z) - bbdag)) + \
             8 * np.finfo(float).eps * m * pair.dim_env * spectral_norm(pair.b) ** 2
@@ -869,7 +916,7 @@ class TestTrivialInput:
         a[:2, 0] = [1.0, 1.0j]
         b = random_complex(rng, (6, 1))
         pair = StinespringPair(a, b, 3)
-        res = dnorm._solve_route("general", (pair,), NormOptions())
+        res = dnorm._solve_route(pair, NormOptions())
         assert res.solver_stats.iterations > 0
         norm = diamond_norm(SuperOp.from_stinespring(a, b, 3)).value
         assert res.lower_bound <= norm * (1 + 1e-12)
@@ -975,12 +1022,17 @@ class TestCertifiedAscent:
         shapes = [(2, 2, 4), (3, 2, 6), (6, 6, 2), (3, 3, 3), (6, 2, 2),
                   (7, 1, 1)]
         others = [random_superop(rng, n, m, terms=r) for n, m, r in shapes]
-        others += [SuperOp.difference(random_channel(rng, 3, 3, env=k),
-                                      random_channel(rng, 3, 3, env=k))
-                   for k in (2, 9)]
-        assert not any(_ascent_rule(*shape) for shape in shapes)
-        for phi in others:
+        low, full = (SuperOp.difference(random_channel(rng, 3, 3, env=k),
+                                        random_channel(rng, 3, 3, env=k))
+                     for k in (2, 9))
+        assert not any(_ascent_rule(*shape) for shape in shapes + [(3, 3, 4)])
+        for phi in others + [low]:
             assert diamond_norm(phi).solver_stats.iterations > 0
+        # A channel pair of full Choi rank is admitted like any other map.
+        monkeypatch.undo()
+        monkeypatch.setattr(dnorm, "solve", _no_solve)
+        assert _ascent_rule(3, 3, 9)
+        assert diamond_norm(full).solver_stats.iterations == 0
 
     @pytest.mark.parametrize("n,m,r", [(n, m, r) for n in range(2, 6)
                                        for m in range(2, 6) for r in (1, 2)])
@@ -1032,6 +1084,29 @@ class TestCertifiedAscent:
         assert res.certificate.pair.dim_env == 2 * d
         assert res.solver_stats.iterations > 0
         assert verify_certificate(diff, res.certificate).valid
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_full_rank_channel_pairs(self, monkeypatch, d):
+        """Two channels of full Kraus rank differ by a map of Choi rank
+        ``d^2``: it is bracketed by the ascent alone, and the bracket
+        overlaps the channel-difference oracle's."""
+        monkeypatch.setattr(dnorm, "solve", _no_solve)
+        rng = np.random.default_rng(d)
+        diff = SuperOp.difference(random_channel(rng, d, d, env=d * d),
+                                  random_channel(rng, d, d, env=d * d))
+        res = diamond_norm(diff)
+        assert res.method == "general_sdp"
+        assert res.certificate.pair.dim_env == d * d
+        assert res.solver_stats.iterations == 0
+        assert res.upper_bound - res.lower_bound <= 1e-10 * res.upper_bound
+        check = verify_certificate(diff, res.certificate)
+        assert check.valid, check.violations
+        monkeypatch.undo()
+        ref = channel_diff_norm(diff)
+        assert ref.solver_stats.status == "optimal"
+        assert verify_certificate(diff, ref.certificate).valid
+        assert res.lower_bound <= ref.upper_bound
+        assert ref.lower_bound <= res.upper_bound
 
     @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 6)
                                      for m in range(2, 6) if _ascent_rule(n, m)])

@@ -159,9 +159,9 @@ class TestFidelitySdp:
         the value is the fidelity of the factors."""
         routed, solve_route = [], fidelity._solve_route
 
-        def record(route, data, options):
-            res = solve_route(route, data, options)
-            routed.append((data[0], res))
+        def record(pair, options):
+            res = solve_route(pair, options)
+            routed.append((pair, res))
             return res
 
         monkeypatch.setattr(fidelity, "_solve_route", record)

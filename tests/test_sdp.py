@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cbnorm.dnorm import build_channel_diff_sdp, build_general_sdp, diamond_norm
+from cbnorm.dnorm import build_general_sdp, diamond_norm
 from cbnorm.errors import InvalidInputError
 from cbnorm.sdp import (
     BlockStructure,
@@ -21,6 +21,7 @@ from cbnorm.sdp import (
 from cbnorm.superop import StinespringPair, to_stinespring
 
 from conftest import (
+    build_channel_diff_sdp,
     channel_diff_data,
     undeclared,
     random_channel,
@@ -279,6 +280,21 @@ class TestSolve:
         assert lines and all("pobj" in ln and "gap" in ln for ln in lines)
 
 
+class TestSolveOptions:
+    @pytest.mark.parametrize("name", ["gap_tol", "feas_tol"])
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -1.0, np.inf])
+    def test_rejects_tolerance(self, name, value):
+        with pytest.raises(InvalidInputError,
+                           match=f"{name} must be finite and positive"):
+            SolveOptions(**{name: value})
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5])
+    def test_rejects_max_iter(self, value):
+        with pytest.raises(InvalidInputError,
+                           match="max_iter must be an integer >= 1"):
+            SolveOptions(max_iter=value)
+
+
 class TestCheckFeasibility:
     def test_zero_point_feasible(self):
         prob = identity_problem(2)
@@ -341,7 +357,8 @@ class TestCheckFeasibility:
 def _w_block_problems():
     """(problem, oracle, k) whose W block (index 1) is declared embedded."""
     rng = np.random.default_rng(7)
-    # Channel-difference route: W enters as F_j itself, k = 1.
+    # Channel-difference SDP (the tests' oracle): W enters as F_j itself,
+    # k = 1.
     chan = undeclared(build_channel_diff_sdp, *channel_diff_data(
         random_channel(rng, 2, 3), random_channel(rng, 2, 3)))
     # General route with n != m: W enters as 1_m (x) F_j, k = m = 3.
