@@ -82,12 +82,9 @@ def cmd_compute(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    problem = load_problem(args.input)
-    phi = _require_superop(problem)
-    cert, norm = load_certificate(args.certificate)
-    if norm == "cb-spectral":
-        phi = superop.adjoint(phi)
-    check = verify_certificate(phi, cert, tol=args.tol)
+    phi = _require_superop(load_problem(args.input))
+    cert, target = load_certificate(args.certificate, phi)
+    check = verify_certificate(target, cert, tol=args.tol)
     out = {
         "tool_version": __version__,
         "valid": check.valid,

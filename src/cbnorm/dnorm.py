@@ -17,23 +17,40 @@ it either.  Held as equalities, they need no slack block in the solver, and
 their duals need no sign constraint: the dual constraints already force
 ``Z >= 0`` and ``lambda >= 0``.
 
+The certificate is that of Watrous's simpler SDP (Chicago J. Theor.
+Comput. Sci. 2013), which states the norm by the Choi matrix ``J`` on ``Y
+(x) X`` alone.  States ``rho``, ``sigma`` on ``X`` bound it below by
+``|(1 (x) sqrt(rho)^T) J (1 (x) sqrt(sigma)^T)|_1``; ``Y0``, ``Y1`` with
+``[[Y0, -J], [-J^dag, Y1]] >= 0`` bound it above by
+``sqrt(lambda_max(Tr_Y Y0) lambda_max(Tr_Y Y1))`` (Watrous's dual objective
+``(|Tr_Y Y0| + |Tr_Y Y1|) / 2`` at ``(t Y0, Y1 / t)``, the best ``t``).  Any
+``Z > 0`` of the dual above gives ``Y0 = A' Z^T A'^dag`` and ``Y1 = B'
+(Z^T)^-1 B'^dag`` (``A'``, ``B'`` the reshapes of ``to_choi``, ``J = A'
+B'^dag``), whose block matrix is ``G [[Z^T, -1], [-1, Z^-T]] G^dag >= 0``
+by construction, with the bound ``lambda_max(A^dag (1 (x) Z) A)
+lambda_max(B^dag (1 (x) Z^-1) B)``: the squared norm at the optimum.
+``rho`` and ``sigma`` are the states ``u u^dag``, ``v v^dag`` of the
+ascent's unit vectors on ``X (x) W``, and their bound is the ascent's value
+there.  So the bounds are sound whatever the solver's termination state,
+``numerical_failure`` included (only a non-finite last iterate raises), and
+``diamond_norm`` reports those that :func:`verify_certificate` computes from
+the certificate and ``J``.
+
 The route scales its pair by powers of two to spectral norms in [1, 2), so
-its tolerances (the solver's gap test too) are relative, and maps the
-result back exactly.  It first tries the alternating ascent, which
-bounds the norm below and, every fifth sweep (one ``verbose`` line each),
-by Alberti's dual ``P^-1 # Q`` of the marginals, scaled to ``c Z``, above,
-to a width of ``gap_tol / 100``, where that pays: at input dimension one
-(one sweep is exact; the fidelity SDP is one), where the sweeps cost fewer
-flops than a Newton system, ``ASCENT_SWEEPS ((mn)^3 + n^6) <= (1 + r^2)^3``
-(``r`` the Choi rank), and at ``r <= 2`` for ``n, m <= 5``, where a solve's
-dozen iterations of Python overhead outweigh the sweeps (beyond that, the
-sweep's ``n^2 x n^2`` SVD costs more, and 6x6 maps were slower on it).  It
-leaves the map to the interior-point solve when the optimal state is
-rank-deficient or the width contracts too slowly.  A call forms ``J`` once
-(only ``J = 0`` takes the zero result); the Stinespring pair is its SVD.
-Certificates are repaired to be (numerically) exactly feasible, so the
-bounds are sound whatever the solver's termination state, including
-``numerical_failure``; only a non-finite last iterate raises.
+its tolerances (the solver's gap test too) are relative; the certificate is
+built on the pair itself.  It first tries the alternating ascent, which
+bounds the norm below and, every fifth sweep (one ``verbose`` line each), by
+Alberti's dual ``Z = P^-1 # Q`` of the marginals above, to a width of
+``gap_tol / 100``, where that pays: at input dimension one (one sweep is
+exact; the fidelity SDP is one), where the sweeps cost fewer flops than a
+Newton system, ``ASCENT_SWEEPS ((mn)^3 + n^6) <= (1 + r^2)^3`` (``r`` the
+Choi rank), and at ``r <= 2`` for ``n, m <= 5``, where a solve's dozen
+iterations of Python overhead outweigh the sweeps (beyond that, the sweep's
+``n^2 x n^2`` SVD costs more, and 6x6 maps were slower on it).  It leaves
+the map to the interior-point solve, whose ``Z`` it takes and whose states it
+polishes by sweeps, when the optimal state is rank-deficient or the width
+contracts too slowly.  A call forms ``J`` once (only ``J = 0`` takes the
+zero result); the Stinespring pair is its SVD.
 """
 
 from __future__ import annotations
@@ -52,6 +69,7 @@ from .linalg import (
     min_eigenvalue,
     partial_trace,
     spectral_norm,
+    trace_norm,
 )
 from .sdp import (
     BlockStructure,
@@ -64,30 +82,18 @@ from .superop import StinespringPair, SuperOp, to_choi
 # Sweep budget of the certified ascent (_ascent_general).
 ASCENT_SWEEPS = 100
 
-
-@dataclass(frozen=True)
-class GeneralCertificate:
-    """Witness pair for the general route, tied to a Stinespring pair."""
-
-    pair: StinespringPair
-    rho: np.ndarray
-    w: np.ndarray
-    lam: float
-    z: np.ndarray
-    kind: str = "general"
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
-class ChannelDiffCertificate:
-    """Witness pair of the paper's SDP for a channel difference ``phi``,
-    ``maximize <J(phi), W> s.t. W <= 1 (x) rho, Tr rho = 1`` (half the norm)
-    with dual ``minimize |Tr_Y(Z)|_inf s.t. Z >= J(phi)``, as earlier
-    versions wrote for channel pairs; :func:`verify_certificate` reads it."""
+class Certificate:
+    """Certificate format "2" (module docstring): input states ``rho`` and
+    ``sigma`` for the lower bound, ``Y0`` and ``Y1`` for the upper."""
 
     rho: np.ndarray
-    w: np.ndarray
-    z: np.ndarray
-    kind: str = "channel_diff"
+    sigma: np.ndarray
+    y0: np.ndarray
+    y1: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -177,12 +183,12 @@ def _purification(rho):
 
 
 def _polar_adjoint(at, bt, u, v):
-    """``U^dag`` ((Y, W), (y, w)) for the polar factor of ``t s^dag``, and t;
+    """``U^dag`` ((Y, W), (y, w)) for the polar factor of ``t s^dag``, with
     ``t = (A (x) 1) u`` and ``s = (B (x) 1) v`` indexed ((y, w), z)."""
     t, s = (np.swapaxes(x @ y, 1, 2).reshape(-1, x.shape[1])
             for x, y in ((at, u), (bt, v)))
     p, _, qh = np.linalg.svd(t @ s.conj().T)
-    return (p @ qh).conj().T, t
+    return (p @ qh).conj().T
 
 
 def _sweep_operands(pair):
@@ -209,14 +215,14 @@ def _ascent_sweep(at, bt, h, u_mat, v_mat):
     ``u``, ``v`` on ``X (x) W``, then the new ``(u, v)`` and value: the top
     singular triple of ``(B^dag (x) 1)(U^dag (x) 1_Z)(A (x) 1)``."""
     n, nw = u_mat.shape
-    uh = _polar_adjoint(at, bt, u_mat, v_mat)[0]
+    uh = _polar_adjoint(at, bt, u_mat, v_mat)
     pk, sk, qkh = np.linalg.svd(_sweep_operator(h, uh))
     return qkh[0, :].conj().reshape(n, nw), pk[:, 0].reshape(n, nw), \
         float(sk[0])
 
 
 def _ascent_primal(pair, rho0, rho1, max_iters=300, tol=1e-13):
-    """Exactly feasible primal witness (rho, W) from alternating ascent.
+    """Unit vectors ``(u, v)`` from alternating ascent.
 
     The norm is the largest fidelity between ``Tr_Y(A rho0 A^dag)`` and
     ``Tr_Y(B rho1 B^dag)`` over states; sweeps stop when it moves by at most
@@ -231,55 +237,44 @@ def _ascent_primal(pair, rho0, rho1, max_iters=300, tol=1e-13):
         if abs(obj - prev) <= tol * obj:
             break
         prev = obj
-    return _primal_witness(at, bt, u_mat, v_mat)
+    return u_mat, v_mat
 
 
-def _primal_witness(at, bt, u_mat, v_mat):
-    """``(rho, W)`` for ``u``, ``v`` and their Uhlmann unitary: feasible to
-    roundoff, by unitary invariance, however far from the optimum."""
-    m, r = at.shape[:2]
-    uh, t = _polar_adjoint(at, bt, u_mat, v_mat)
-    q = (uh @ t).reshape(m, -1, r).transpose(0, 2, 1).reshape(m * r, -1)
-    w = q @ q.conj().T
-    w = (w + w.conj().T) / 2
-    rho = u_mat @ u_mat.conj().T
-    rho = (rho + rho.conj().T) / 2
-    return rho, w
-
-
-def _repair_general_certificate(pair, sol) -> GeneralCertificate:
-    n = pair.a.shape[1]
-    # The optimal output-side state is proportional to B^dag W B.
-    x1 = pair.b.conj().T @ sol.X_opt[1] @ pair.b
-    rho, w = _ascent_primal(
-        pair,
-        _normalized_state(sol.X_opt[0], n),
-        _normalized_state((x1 + x1.conj().T) / 2, n),
-    )
-    lam, z = _feasible_dual(pair, sol.Y_opt[1])
-    return GeneralCertificate(pair=pair, rho=rho, w=w, lam=lam, z=z)
-
-
-def _feasible_dual(pair, z):
-    """``(lambda, Z)``: the positive part of ``z`` made exactly feasible."""
-    a, b, r = pair.a, pair.b, pair.dim_env
-    m = a.shape[0] // r
-    # Two ways to make 1 (x) Z dominate B B^dag: shift Z by the worst
-    # violation, or, for Z > 0, scale it by c = lambda_max(B^dag (1 (x) Z)^-1
-    # B), since 1 (x) Z >= B B^dag iff that is at most 1.  Keep the Z with the
-    # smaller bound; both carry an allowance for rounding.
+def _certificate(pair, rho, sigma, z):
+    """The certificate of the states ``rho``, ``sigma`` and a dual ``Z`` of
+    ``pair`` (module docstring), and the ``Z`` it holds: that ``Z`` with its
+    eigenvalues lifted to a rounding floor (``1`` when none is positive), so
+    ``Z > 0``, and scaled so that ``Y0`` and ``Y1`` have one trace (the
+    block matrix is then tested at the scale of the norm).  ``Y0`` and
+    ``Y1`` are the Gram matrices of ``A' conj(V) D^(1/2)`` and ``B' conj(V)
+    D^(-1/2)``, ``Z = V D V^dag``; ``Y0`` carries an allowance for
+    rounding, so that bounds which meet are not inverted."""
+    n, r = pair.a.shape[1], pair.dim_env
+    m = pair.a.shape[0] // r
     vals, vecs = herm_eig(z)
-    z = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
-    rounding = 8 * np.finfo(float).eps * m * r
-    shift = max(0.0, -min_eigenvalue(kron(np.eye(m), z) - b @ b.conj().T))
-    candidates = [z + (shift + rounding * spectral_norm(b) ** 2) * np.eye(r)]
-    if vals[-1] > 0:
-        inv_root = (vecs * vals ** -0.5).conj().T
-        c = spectral_norm(kron(np.eye(m), inv_root) @ b) ** 2
-        candidates.append(c * (1 + rounding) * z)
-    return min(
-        ((spectral_norm(a.conj().T @ kron(np.eye(m), zc) @ a), zc)
-         for zc in candidates), key=lambda t: t[0])
+    vals = np.maximum(vals, r * EPS * vals[0]) if vals[0] > 0 else np.ones(r)
+    f0, f1 = (superop._choi_factor(x, m, r) @ vecs.conj() * vals ** e
+              for x, e in ((pair.a, 0.5), (pair.b, -0.5)))
+    if f0.any() and f1.any():  # Z -> t^2 Z
+        t = np.sqrt(np.linalg.norm(f1) / np.linalg.norm(f0))
+        f0, f1, vals = t * f0, f1 / t, t * t * vals
+    y0 = (1 + 8 * (m * n + r) * EPS) * (f0 @ f0.conj().T)
+    return Certificate(rho, sigma, y0, f1 @ f1.conj().T), \
+        (vecs * vals) @ vecs.conj().T
+
+
+def _certificate_bounds(j, cert: Certificate) -> tuple:
+    """``(lower, upper)`` of ``cert`` for the map of Choi matrix ``j``
+    (module docstring); the states' negative parts are dropped."""
+    n = len(cert.rho)
+    m = len(j) // n
+    left, right = (kron(np.eye(m), ((vecs * np.sqrt(np.maximum(vals, 0.0)))
+                                    @ vecs.conj().T).T)
+                   for vals, vecs in map(herm_eig, (cert.rho, cert.sigma)))
+    lower = trace_norm(left @ j @ right)
+    upper = np.sqrt(np.prod([max(0.0, max_eigenvalue(
+        partial_trace(y, (m, n), side="first"))) for y in (cert.y0, cert.y1)]))
+    return lower, float(upper)
 
 
 def _geometric_mean(p, q):
@@ -287,7 +282,7 @@ def _geometric_mean(p, q):
     inner root above rounding level), with ``<P, Z> = <Q, Z^-1> = F(P, Q)``;
     ``None`` for a ``P`` singular at rounding level."""
     vals, vecs = herm_eig(p)
-    rounding = len(p) * np.finfo(float).eps  # relative to the largest one
+    rounding = len(p) * EPS  # relative to the largest one
     if not vals[-1] > rounding * vals[0]:
         return None
     root, inv_root = ((vecs * vals ** e) @ vecs.conj().T for e in (0.5, -0.5))
@@ -296,11 +291,11 @@ def _geometric_mean(p, q):
     return inv_root @ ((mvecs * np.sqrt(mvals)) @ mvecs.conj().T) @ inv_root
 
 
-def _ascent_general(pair, opt) -> NormResult | None:
-    """The general route by ascent (module docstring) from maximally mixed
+def _ascent_general(pair, opt):
+    """``(u, v, Z)`` of the ascent (module docstring) from maximally mixed
     states; ``None`` (the solve takes over) outside the rule, for a singular
-    ``P`` or ``Z``, when the width's contraction predicts the target past the
-    budget, or on a miss.  At ``n = 1`` one sweep is exact: no target."""
+    ``P`` or ``Z``, or when the width's contraction predicts the target past
+    the budget.  At ``n = 1`` one sweep is exact: no target."""
     r, n = pair.dim_env, pair.a.shape[1]
     m = pair.a.shape[0] // r
     if not (n == 1 or ASCENT_SWEEPS * ((m * n) ** 3 + n ** 6) <=
@@ -318,16 +313,14 @@ def _ascent_general(pair, opt) -> NormResult | None:
         # Marginals Tr_Y(A rho0 A^dag) = Tr_{Y,W}(t t^dag), t = (A (x) 1) u.
         t, s = (np.swapaxes(x @ y, 0, 1).reshape(r, -1)
                 for x, y in ((at, u), (bt, v)))
-        p = t @ t.conj().T
-        z = _geometric_mean(p, s @ s.conj().T)
+        z = _geometric_mean(t @ t.conj().T, s @ s.conj().T)
         if z is None:
             return None
-        if n == 1:  # F(P, Q) Z = <P, Z> Z is the optimal dual
-            best = (lower, float(np.vdot(p, z).real) * z)
-            break
+        if n == 1:  # P^-1 # Q is the optimal dual
+            return u, v, z
         if not (eig := herm_eig(z)).values[-1] > 0:
             return None
-        # The bound of c Z: lambda_max(A^dag (1 (x) Z) A) times c.
+        # The bound of Z: lambda_max(A^dag (1 (x) Z) A) times that of Z^-1.
         z_inv = (eig.vectors / eig.values) @ eig.vectors.conj().T
         upper = np.sqrt(np.prod([np.linalg.eigvalsh(
             x.reshape(-1, n).conj().T @ (y @ x).reshape(-1, n))[-1]
@@ -338,69 +331,51 @@ def _ascent_general(pair, opt) -> NormResult | None:
             print(f"sweep {sweep:3d}  lower {lower: .9e}  upper {best[0]: .9e}"
                   f"  width {widths[-1]:.3e}", file=sys.stderr)
         if widths[-1] <= target:
-            break
+            return u, v, best[1]
         # Extrapolate from the slowest contraction so far.
         rates = [w / w0 for w0, w in zip(widths, widths[1:])]
         if rates and not (max(rates) < 1 and sweep + 5 * np.log(
                 target / widths[-1]) / np.log(max(rates)) <= budget):
             return None
-    rho, w = _primal_witness(at, bt, u, v)
-    lam, z = _feasible_dual(pair, best[1])
-    cert = GeneralCertificate(pair=pair, rho=rho, w=w, lam=lam, z=z)
-    lower, upper = _general_certificate_bounds(cert)
-    if (upper - lower) / target > upper:
-        return None
-    stats = SolverStats("optimal", 0, abs(upper ** 2 - lower ** 2), 0.0, 0.0)
-    return NormResult(min(lower, upper), lower, upper, "general_sdp", cert,
-                      stats)
 
 
-def _general_certificate_bounds(cert: GeneralCertificate) -> tuple:
-    a, b = cert.pair.a, cert.pair.b
-    m = a.shape[0] // cert.pair.dim_env
-    lower = np.sqrt(max(0.0, float(np.vdot(b @ b.conj().T, cert.w).real)))
-    upper = np.sqrt(
-        max(0.0, spectral_norm(a.conj().T @ kron(np.eye(m), cert.z) @ a))
-    )
-    return lower, upper
-
-
-def _channel_diff_certificate_bounds(phi, j, cert) -> tuple:
-    n, m = phi.dim_in, phi.dim_out
-    lower = 2.0 * max(0.0, float(np.vdot(j, cert.w).real))
-    upper = 2.0 * spectral_norm(partial_trace(cert.z, (m, n), side="first"))
-    return lower, upper
-
-
-def _solve_route(pair: StinespringPair, opt: NormOptions) -> NormResult:
-    """The ascent, or build, solve, repair and bound the SDP, on ``pair``
-    scaled by powers of two (module doc)."""
+def _solve_route(pair: StinespringPair, opt: NormOptions, j=None) -> tuple:
+    """``(result, Z)`` for the map of ``pair``: the ascent, or build, solve
+    and polish, on ``pair`` scaled by powers of two (module doc); the
+    certificate of the ``Z`` returned is bounded against ``j``, the Choi
+    matrix of the map (by default the pair's)."""
+    n, r = pair.a.shape[1], pair.dim_env
+    m = pair.a.shape[0] // r
     sa, sb = (np.ldexp(1.0, 1 - np.frexp(spectral_norm(x))[1])
               for x in (pair.a, pair.b))
-    scaled = StinespringPair(sa * pair.a, sb * pair.b, pair.dim_env)
-    res = _ascent_general(scaled, opt)
-    if res is None:
+    c = sa * sb
+    scaled = StinespringPair(sa * pair.a, sb * pair.b, r)
+    found, estimate, stats = _ascent_general(scaled, opt), 0.0, None
+    if found is None:
         # build_general_sdp is looked up at call time, so wrappers installed
         # on the module see it.
         sol = solve(build_general_sdp(scaled), opt.solve_options())
         if not all(np.isfinite(x).all() for x in (*sol.X_opt, *sol.Y_opt)):
             raise NumericalFailureError("interior-point solve failed")
-        cert = _repair_general_certificate(scaled, sol)
-        lower, upper = _general_certificate_bounds(cert)
-        stats = SolverStats(sol.status, sol.iterations, sol.gap,
-                            sol.primal_infeas, sol.dual_infeas)
-        warnings = () if sol.status == "optimal" else (
-            f"solver status {sol.status}; bounds widened",)
+        # The optimal output-side state is proportional to B^dag W B.
+        x1 = scaled.b.conj().T @ sol.X_opt[1] @ scaled.b
+        found = (*_ascent_primal(scaled, _normalized_state(sol.X_opt[0], n),
+                                 _normalized_state((x1 + x1.conj().T) / 2, n)),
+                 sol.Y_opt[1])
         # The SDP value is the squared norm.
         estimate = np.sqrt(max(0.0, (sol.primal_value + sol.dual_value) / 2))
-        res = NormResult(min(max(estimate, lower), upper), lower, upper,
-                         "general_sdp", cert, stats, warnings)
-    c, cert, stats = sa * sb, res.certificate, res.solver_stats
-    cert = replace(cert, pair=pair, w=cert.w / sa ** 2, lam=cert.lam / c ** 2,
-                   z=cert.z / sb ** 2)
-    return replace(res, value=res.value / c, lower_bound=res.lower_bound / c,
-                   upper_bound=res.upper_bound / c, certificate=cert,
-                   solver_stats=replace(stats, gap=stats.gap / c ** 2))
+        stats = SolverStats(sol.status, sol.iterations, sol.gap / c ** 2,
+                            sol.primal_infeas, sol.dual_infeas)
+    u, v, z = found
+    cert, z = _certificate(pair, u @ u.conj().T, v @ v.conj().T, z)
+    lower, upper = _certificate_bounds(
+        to_choi(SuperOp(n, m, pair)) if j is None else j, cert)
+    stats = stats or SolverStats("optimal", 0, abs(upper ** 2 - lower ** 2),
+                                 0.0, 0.0)
+    warnings = () if stats.status == "optimal" else (
+        f"solver status {stats.status}; bounds widened",)
+    return NormResult(min(max(estimate / c, lower), upper), lower, upper,
+                      "general_sdp", cert, stats, warnings), z
 
 
 def diamond_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult:
@@ -409,12 +384,11 @@ def diamond_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult
     n, m = phi.dim_in, phi.dim_out
     j = to_choi(phi)
     if not j.any():
-        zero = GeneralCertificate(
-            pair=StinespringPair(np.zeros((m, n)), np.zeros((m, n)), 1),
-            rho=np.eye(n) / n, w=np.zeros((m, m)), lam=0.0, z=np.zeros((1, 1)))
-        return NormResult(0.0, 0.0, 0.0, "general_sdp", zero,
+        state, zero = np.eye(n) / n, np.zeros((m * n, m * n))
+        return NormResult(0.0, 0.0, 0.0, "general_sdp",
+                          Certificate(state, state, zero, zero),
                           SolverStats("optimal", 0, 0.0, 0.0, 0.0))
-    return _solve_route(superop._stinespring_of_choi(j, n, m), opt)
+    return _solve_route(superop._stinespring_of_choi(j, n, m), opt, j)[0]
 
 
 def cb_spectral_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult:
@@ -434,61 +408,34 @@ class CertificateCheck:
 def verify_certificate(phi: SuperOp, cert, tol: float = 1e-6) -> CertificateCheck:
     """Re-verify a certificate from scratch without solving.
 
-    Only basic linear algebra is used; bounds come from the certificate by
-    direct arithmetic and are valid whenever ``valid`` is true.  Each kind
-    supplies its shapes, residuals and bounds to one body of checks.
+    Only basic linear algebra on the Choi matrix ``J`` of ``phi`` is used:
+    two state checks, one PSD test of ``[[Y0, -J], [-J^dag, Y1]]``, two
+    partial traces and one trace norm.  The bounds are valid whenever
+    ``valid`` is true.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise InvalidInputError(f"tol must be finite and non-negative, got {tol}")
-    n, m = phi.dim_in, phi.dim_out
-    j = to_choi(phi)
-    if isinstance(cert, GeneralCertificate):
-        a, b, r = cert.pair.a, cert.pair.b, cert.pair.dim_env
-        if a.shape != (m * r, n) or b.shape != a.shape or \
-                cert.rho.shape != (n, n) or cert.w.shape != (m * r, m * r) or \
-                cert.z.shape != (r, r):
-            raise InvalidInputError("certificate dimensions do not match map")
-        # The pair must actually represent phi: block (i, k) of its Choi
-        # matrix, Tr_Z(A E_ik B^dag), against phi(E_ik).
-        dev = np.linalg.norm((to_choi(SuperOp(n, m, cert.pair)) - j).reshape(
-            m, n, m, n).transpose(1, 3, 0, 2), 2, axis=(-2, -1))
-        scale = 1.0 + spectral_norm(a) * spectral_norm(b)
-        bad = np.argwhere(dev > max(tol, superop.RECON_TOL) * scale)
-        violations = [f"stinespring pair does not reproduce the map on "
-                      f"E[{i},{k}]" for i, k in bad]
-        marg = partial_trace(cert.w, (m, r), side="first") - partial_trace(
-            a @ cert.rho @ a.conj().T, (m, r), side="first")
-        marg_text = "Tr_Y(W) exceeds Tr_Y(A rho A^dag)"
-        dom = b @ b.conj().T - kron(np.eye(m), cert.z)
-        dom_text = "1 (x) Z fails to dominate B B^dag"
-        lower, upper = _general_certificate_bounds(cert)
-    elif isinstance(cert, ChannelDiffCertificate):
-        if cert.rho.shape != (n, n) or cert.w.shape != (m * n, m * n) or \
-                cert.z.shape != (m * n, m * n):
-            raise InvalidInputError("certificate dimensions do not match map")
-        violations = []
-        j = (j + j.conj().T) / 2
-        marg, marg_text = cert.w - kron(np.eye(m), cert.rho), "W exceeds 1 (x) rho"
-        dom, dom_text = j - cert.z, "Z fails to dominate J(phi)"
-        lower, upper = _channel_diff_certificate_bounds(phi, j, cert)
-    else:
+    if not isinstance(cert, Certificate):
         raise InvalidInputError(
             f"unknown certificate type {type(cert).__name__}")
-    tr_dev = abs(float(np.trace(cert.rho).real) - 1.0)
-    if tr_dev > tol:
-        violations.append(f"Tr(rho) deviates from 1 by {tr_dev:.3e}")
-    if min_eigenvalue(cert.rho) < -tol:
-        violations.append("rho is not PSD")
-    for name, mat, residual, text in (("W", cert.w, marg, marg_text),
-                                      ("Z", cert.z, dom, dom_text)):
-        if min_eigenvalue(mat) < -tol:
+    n, mn = phi.dim_in, phi.dim_in * phi.dim_out
+    if cert.rho.shape != (n, n) or cert.sigma.shape != (n, n) or \
+            cert.y0.shape != (mn, mn) or cert.y1.shape != (mn, mn):
+        raise InvalidInputError("certificate dimensions do not match map")
+    j = to_choi(phi)
+    violations = []
+    for name, state in (("rho", cert.rho), ("sigma", cert.sigma)):
+        tr_dev = abs(float(np.trace(state).real) - 1.0)
+        if tr_dev > tol:
+            violations.append(f"Tr({name}) deviates from 1 by {tr_dev:.3e}")
+        if min_eigenvalue(state) < -tol:
             violations.append(f"{name} is not PSD")
-        if (top := max_eigenvalue(residual)) > tol:
-            violations.append(f"{text} by {top:.3e}")
-    if isinstance(cert, GeneralCertificate) and \
-            cert.lam < upper ** 2 - tol * (1.0 + upper ** 2):
-        violations.append("lambda is below |A^dag(1 (x) Z)A|_inf")
-    return CertificateCheck(not violations, lower, upper, tuple(violations))
+    low = min_eigenvalue(np.block([[cert.y0, -j], [-j.conj().T, cert.y1]]))
+    if low < -tol:
+        violations.append(
+            f"[[Y0, -J], [-J^dag, Y1]] has eigenvalue {low:.3e}")
+    return CertificateCheck(not violations, *_certificate_bounds(j, cert),
+                            tuple(violations))
 
 
 def rebalance_stinespring(pair: StinespringPair, eps: float,
@@ -496,21 +443,25 @@ def rebalance_stinespring(pair: StinespringPair, eps: float,
     """Rescale a Stinespring pair so the product of spectral norms is within
     ``eps`` of the completely bounded trace norm.
 
-    Uses the dual witness ``Z`` of the general SDP, regularized to be
-    positive definite, and returns
+    Uses the dual witness ``Z`` of the general SDP, scaled so that ``1 (x) Z
+    >= B B^dag`` and regularized to be positive definite, and returns
     ``((1 (x) Z^{1/2}) A, (1 (x) Z^{-1/2}) B)``.
     """
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise InvalidInputError(f"eps must be finite and positive, got {eps}")
     a, b, r = pair.a, pair.b, pair.dim_env
     a_norm = spectral_norm(a)
     if a_norm == 0.0 or spectral_norm(b) == 0.0:
         raise InvalidInputError("rebalancing requires a nonzero map")
-    m = a.shape[0] // r
+    m, n = a.shape[0] // r, a.shape[1]
     # Solve the general SDP on the *given* pair: the dual witness must
     # dominate this pair's B B^dag, and strict dual feasibility holds for
     # any pair, minimal or not.
-    z = _solve_route(pair, options or NormOptions()).certificate.z
+    res, z = _solve_route(pair, options or NormOptions())
+    # lambda_max(Tr_Y Y1) = lambda_max(B^dag (1 (x) Z^-1) B) scales Z to
+    # 1 (x) Z >= B B^dag.
+    z = z * max_eigenvalue(partial_trace(res.certificate.y1, (m, n),
+                                         side="first"))
     delta = max(eps ** 2 / (4.0 * a_norm ** 2),
                 1e-12 * spectral_norm(z))
     z_reg = z + delta * np.eye(r)

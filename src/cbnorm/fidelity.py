@@ -104,11 +104,11 @@ def fidelity_sdp(p, q, purification_dim: int | None = None) -> FidelityResult:
     v = _purify(*herm_eig((g * other.values) @ g.conj().T), dim_y,
                 other.values[0])
     pair = StinespringPair(u.reshape(-1, 1), v.reshape(-1, 1), k)
-    res = _solve_route(pair, NormOptions())
+    res, z = _solve_route(pair, NormOptions())
     # Alberti's bound is an infimum where Z vanishes or is unbounded (off the
     # compressed space): clamped into [s, 1 / s] lambda_max, s = sqrt(eps),
     # Z is positive definite; inverted, it takes the caller's (P, Q) order.
-    zvals, zvecs = herm_eig(res.certificate.z)
+    zvals, zvecs = herm_eig(z)
     top = zvals[0] if zvals[0] > 0 else 1.0
     zvals = np.concatenate([np.maximum(zvals, np.sqrt(EPS) * top),
                             np.full(d - k, top / np.sqrt(EPS))])

@@ -12,11 +12,13 @@ import json
 
 import numpy as np
 
-from .dnorm import ChannelDiffCertificate, GeneralCertificate
+from . import superop
+from .dnorm import Certificate, _certificate, _normalized_state
 from .errors import InvalidInputError
 from .superop import StinespringPair, SuperOp
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "1"  # of problem files
+CERTIFICATE_VERSION = "2"  # format "1" certificates are still read
 
 PROBLEM_KINDS = ("choi", "kraus", "stinespring_pair", "channel_pair", "fidelity")
 NORMS = ("diamond", "cb-spectral")
@@ -181,20 +183,19 @@ def load_problem(path: str) -> dict:
 
 def problem_to_json(phi: SuperOp, kind: str) -> dict:
     """Serialize a super-operator under the requested representation kind."""
-    from . import superop as so
-
     n, m = phi.dim_in, phi.dim_out
     if kind == "choi":
-        payload = {"choi": matrix_to_json(so.to_choi(phi))}
+        payload = {"choi": matrix_to_json(superop.to_choi(phi))}
     elif kind == "kraus":
-        kr = phi.rep if isinstance(phi.rep, so.Kraus) else so.to_kraus(phi).rep
+        kr = (phi.rep if isinstance(phi.rep, superop.Kraus)
+              else superop.to_kraus(phi).rep)
         payload = {
             "left": [matrix_to_json(k) for k in kr.left],
             "right": [matrix_to_json(k) for k in kr.right],
         }
     elif kind == "stinespring_pair":
-        pair = (phi.rep if isinstance(phi.rep, so.StinespringPair)
-                else so.to_stinespring(phi))
+        pair = (phi.rep if isinstance(phi.rep, superop.StinespringPair)
+                else superop.to_stinespring(phi))
         payload = {
             "a": matrix_to_json(pair.a),
             "b": matrix_to_json(pair.b),
@@ -211,66 +212,59 @@ def problem_to_json(phi: SuperOp, kind: str) -> dict:
     }
 
 
-def certificate_to_json(cert, norm: str) -> dict:
-    if isinstance(cert, GeneralCertificate):
-        return {
-            "version": FORMAT_VERSION,
-            "kind": "general",
-            "norm": norm,
-            "a": matrix_to_json(cert.pair.a),
-            "b": matrix_to_json(cert.pair.b),
-            "dim_env": cert.pair.dim_env,
-            "rho": matrix_to_json(cert.rho),
-            "w": matrix_to_json(cert.w),
-            "lambda": float(cert.lam),
-            "z": matrix_to_json(cert.z),
-        }
-    if isinstance(cert, ChannelDiffCertificate):
-        return {
-            "version": FORMAT_VERSION,
-            "kind": "channel_diff",
-            "norm": norm,
-            "rho": matrix_to_json(cert.rho),
-            "w": matrix_to_json(cert.w),
-            "z": matrix_to_json(cert.z),
-        }
-    raise InvalidInputError(f"unknown certificate type {type(cert).__name__}")
+def certificate_to_json(cert: Certificate, norm: str) -> dict:
+    return {
+        "version": CERTIFICATE_VERSION,
+        "norm": norm,
+        **{key: matrix_to_json(getattr(cert, key))
+           for key in ("rho", "sigma", "y0", "y1")},
+    }
 
 
-def certificate_from_json(obj) -> tuple:
-    """Returns ``(certificate, norm)``."""
+def certificate_from_json(obj, phi: SuperOp) -> tuple:
+    """``(certificate, target)`` of a certificate file for the map ``phi``:
+    ``target`` is the map it certifies, ``phi`` or, for the cb spectral norm,
+    its adjoint.  A format-"1" file is converted to format "2": a ``general``
+    one by the Stinespring pair it holds, with ``sigma`` the normalized
+    ``B^dag W B``; a ``channel_diff`` one by the Choi matrix ``J`` of the
+    target, with ``rho`` and ``sigma`` the transpose of its ``rho`` and ``Y0
+    = Y1 = 2 Z - J`` (``Z >= J``, ``Z >= 0`` and ``Tr_Y J = 0``)."""
     if not isinstance(obj, dict):
         raise ProblemFormatError("$", "expected a JSON object")
-    kind = _require(obj, "kind", "$")
+    version = _require(obj, "version", "$")
+    if version not in ("1", CERTIFICATE_VERSION):
+        raise ProblemFormatError("$.version", f"unrecognized version {version!r}")
     norm = obj.get("norm", "diamond")
     if norm not in NORMS:
         raise ProblemFormatError("$.norm", f"unknown norm {norm!r}")
+    target = superop.adjoint(phi) if norm == "cb-spectral" else phi
+
+    def field(key, shape=None):
+        return matrix_from_json(_require(obj, key, "$"), f"$.{key}", shape)
+
+    if version == CERTIFICATE_VERSION:
+        return Certificate(*map(field, ("rho", "sigma", "y0", "y1"))), target
+    kind = _require(obj, "kind", "$")
     if kind == "general":
         r = _positive_int(_require(obj, "dim_env", "$"), "$.dim_env")
-        a = matrix_from_json(_require(obj, "a", "$"), "$.a")
-        b = matrix_from_json(_require(obj, "b", "$"), "$.b")
-        if a.shape != b.shape or a.shape[0] % r != 0:
+        a = field("a")
+        if a.shape[0] % r != 0:
             raise ProblemFormatError("$", "inconsistent Stinespring dimensions")
-        rho = matrix_from_json(_require(obj, "rho", "$"), "$.rho")
-        w = matrix_from_json(_require(obj, "w", "$"), "$.w")
-        lam = _require(obj, "lambda", "$")
-        if not _is_number(lam):
-            raise ProblemFormatError("$.lambda", "expected a number")
-        z = matrix_from_json(_require(obj, "z", "$"), "$.z")
-        cert = GeneralCertificate(
-            pair=StinespringPair(a, b, r), rho=rho, w=w, lam=float(lam), z=z
-        )
-        return cert, norm
+        b, n = field("b", a.shape), a.shape[1]
+        rho, w, z = field("rho", (n, n)), field("w", (len(a), len(a))), \
+            field("z", (r, r))
+        sigma = _normalized_state(b.conj().T @ w @ b, n)
+        return _certificate(StinespringPair(a, b, r), rho, sigma, z)[0], target
     if kind == "channel_diff":
-        rho = matrix_from_json(_require(obj, "rho", "$"), "$.rho")
-        w = matrix_from_json(_require(obj, "w", "$"), "$.w")
-        z = matrix_from_json(_require(obj, "z", "$"), "$.z")
-        return ChannelDiffCertificate(rho=rho, w=w, z=z), norm
+        j = superop.to_choi(target)
+        rho = field("rho", (target.dim_in, target.dim_in)).T
+        y = 2 * field("z", j.shape) - j
+        return Certificate(rho, rho, y, y), target
     raise ProblemFormatError("$.kind", f"unknown certificate kind {kind!r}")
 
 
-def load_certificate(path: str) -> tuple:
-    return certificate_from_json(_load_json(path))
+def load_certificate(path: str, phi: SuperOp) -> tuple:
+    return certificate_from_json(_load_json(path), phi)
 
 
 def dump_json(obj, stream) -> None:

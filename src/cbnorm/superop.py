@@ -20,7 +20,6 @@ from .linalg import as_matrix, kron, partial_trace
 
 RANK_TOL = 1e-9
 TP_TOL = 1e-8
-RECON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -161,11 +160,16 @@ def to_choi(phi: SuperOp) -> np.ndarray:
             # (K (x) 1) omega, omega = sum_j e_j (x) e_j, is K read row-wise.
             j += np.outer(l.reshape(-1), r.reshape(-1).conj())
         return j
-    # Stinespring: J = A' B'^dag with A'[(y, x), z] = A[(y, z), x], the
-    # inverse of _stinespring_of_choi's reshape.
-    a, b = (x.reshape(m, rep.dim_env, n).transpose(0, 2, 1).reshape(m * n, -1)
-            for x in (rep.a, rep.b))
-    return a @ b.conj().T
+    return _choi_factor(rep.a, m, rep.dim_env) @ \
+        _choi_factor(rep.b, m, rep.dim_env).conj().T
+
+
+def _choi_factor(x, m, r):
+    """``X'[(y, x), z] = X[(y, z), x]``, the inverse of
+    :func:`_stinespring_of_choi`'s reshape: a Stinespring pair ``(A, B)`` has
+    the Choi matrix ``A' B'^dag``."""
+    n = x.shape[1]
+    return x.reshape(m, r, n).transpose(0, 2, 1).reshape(m * n, r)
 
 
 def to_kraus(phi: SuperOp) -> SuperOp:

@@ -3,10 +3,9 @@ import pytest
 
 from cbnorm import superop
 from cbnorm.dnorm import (
-    ChannelDiffCertificate,
+    Certificate,
     NormResult,
     SolverStats,
-    _channel_diff_certificate_bounds,
     _normalized_state,
 )
 from cbnorm.errors import InvalidInputError, NumericalFailureError
@@ -109,6 +108,7 @@ def _psd_part(mat):
 
 
 def _repair_channel_diff_certificate(phi, j, sol):
+    """``(rho, W, Z)`` made exactly feasible from the solver's last iterate."""
     n, m = phi.dim_in, phi.dim_out
     rho = _normalized_state(sol.X_opt[0], n)
     # Inner optimum for this rho in closed form: with
@@ -127,23 +127,30 @@ def _repair_channel_diff_certificate(phi, j, sol):
     shift = max(0.0, -min_eigenvalue(z - j))
     if shift > 0:
         z = z + shift * np.eye(m * n)
-    return ChannelDiffCertificate(rho=rho, w=(w + w.conj().T) / 2, z=z)
+    return rho, (w + w.conj().T) / 2, z
 
 
 def channel_diff_norm(phi):
     """The norm of the channel difference ``phi`` by the SDP above at the
-    default tolerances, as a ``NormResult`` (method ``channel_diff_sdp``)
-    whose certificate ``verify_certificate`` checks; the repaired bounds are
-    sound whatever the solver's status."""
+    default tolerances, as a ``NormResult`` (method ``channel_diff_sdp``):
+    its bounds are the SDP's own, ``2 <J, W>`` and ``2 |Tr_Y(Z)|_inf``, sound
+    whatever the solver's status, and its certificate, which
+    ``verify_certificate`` checks, their Choi form ``(rho^T, rho^T, 2 Z - J,
+    2 Z - J)``: ``Z >= J``, ``Z >= 0`` and ``Tr_Y J = 0`` make
+    ``[[2 Z - J, -J], [-J, 2 Z - J]] >= 0`` with ``Tr_Y(2 Z - J) = 2 Tr_Y Z``."""
+    n, m = phi.dim_in, phi.dim_out
     j = superop.to_choi(phi)
     j = (j + j.conj().T) / 2
     sol = solve(build_channel_diff_sdp(phi, j))
     if not all(np.isfinite(x).all() for x in (*sol.X_opt, *sol.Y_opt)):
         raise NumericalFailureError("interior-point solve failed")
-    cert = _repair_channel_diff_certificate(phi, j, sol)
-    lower, upper = _channel_diff_certificate_bounds(phi, j, cert)
+    rho, w, z = _repair_channel_diff_certificate(phi, j, sol)
+    lower = 2.0 * max(0.0, float(np.vdot(j, w).real))
+    upper = 2.0 * np.linalg.norm(partial_trace(z, (m, n), side="first"), 2)
     value = min(max(sol.primal_value + sol.dual_value, lower), upper)
-    return NormResult(value, lower, upper, "channel_diff_sdp", cert,
+    y = 2 * z - j
+    return NormResult(value, lower, upper, "channel_diff_sdp",
+                      Certificate(rho.T, rho.T, y, y),
                       SolverStats(sol.status, sol.iterations, sol.gap,
                                   sol.primal_infeas, sol.dual_infeas))
 

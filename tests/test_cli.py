@@ -10,11 +10,12 @@ from cbnorm.cli import main
 from cbnorm.serialize import (
     ProblemFormatError,
     certificate_from_json,
+    load_problem,
     matrix_from_json,
     matrix_to_json,
 )
 
-from conftest import random_channel
+from conftest import random_channel, random_superop
 
 DATA = Path(__file__).parent / "data"
 
@@ -82,7 +83,7 @@ class TestCompute:
         res = read_json(out)
         assert res["value"] <= 1e-6
         assert res["method"] == "general_sdp"
-        assert res["certificate"]["kind"] == "general"
+        assert res["certificate"]["version"] == "2"
 
     def test_unitary_pair(self, tmp_path):
         v = np.diag([1.0, np.exp(1j * np.pi / 2)])
@@ -164,7 +165,7 @@ class TestCertify:
 
     def test_channel_pair_on_general_route(self, tmp_path):
         # A channel pair (here two unitary channels, rank J = 2) takes the
-        # general route and gets a general certificate for its pair.
+        # general route and gets the one certificate kind, format "2".
         v = np.diag([1.0, np.exp(1j * np.pi / 3)])
         prob = write_json(tmp_path / "pair.json",
                           channel_pair_problem([np.eye(2)], [v], 2))
@@ -174,7 +175,8 @@ class TestCertify:
                      "--output", str(out)]) == 0
         res = read_json(out)
         assert res["method"] == "general_sdp"
-        assert read_json(cert)["kind"] == "general"
+        assert sorted(read_json(cert)) == ["norm", "rho", "sigma", "version",
+                                           "y0", "y1"]
         cout = tmp_path / "check.json"
         assert main(["certify", "--input", prob, "--certificate", str(cert),
                      "--output", str(cout)]) == 0
@@ -184,10 +186,11 @@ class TestCertify:
             assert check[key] == pytest.approx(res[key], rel=1e-12, abs=0)
 
     def test_channel_diff_certificate_file(self, tmp_path):
-        """A ``channel_diff`` certificate, written by ``compute`` when a
-        full-rank channel pair took the channel-difference SDP, still
-        certifies with the bounds it was written with; ``compute`` now
-        writes a general certificate whose bracket overlaps them."""
+        """A format-"1" ``channel_diff`` certificate, written by ``compute``
+        when a full-rank channel pair took the channel-difference SDP, still
+        certifies, in its Choi form, with the bounds it was written with;
+        ``compute`` now writes a format-"2" certificate whose bracket
+        overlaps them."""
         prob = str(DATA / "channel_pair_2x2.json")
         cert = str(DATA / "channel_diff_certificate_2x2.json")
         cout = tmp_path / "check.json"
@@ -202,9 +205,80 @@ class TestCertify:
         assert main(["compute", "--input", prob, "--output", str(out)]) == 0
         res = read_json(out)
         assert res["method"] == "general_sdp"
-        assert res["certificate"]["kind"] == "general"
+        assert res["certificate"]["version"] == "2"
         assert res["lower_bound"] <= written[1]
         assert written[0] <= res["upper_bound"]
+
+    def test_general_certificate_file(self, tmp_path):
+        """A format-"1" ``general`` certificate, written by ``compute``
+        before format "2" (an interior-point solve of a rank-3 2x3 map),
+        certifies in its Choi form within the bounds it was written with."""
+        cout = tmp_path / "check.json"
+        assert main(["certify", "--input", str(DATA / "general_map_2x3.json"),
+                     "--certificate", str(DATA / "general_certificate_2x3.json"),
+                     "--output", str(cout)]) == 0
+        check = read_json(cout)
+        assert check["valid"] and not check["violations"]
+        written = (24.502715089449165, 24.502715090664747)
+        assert check["lower_bound"] >= written[0] * (1 - 1e-12)
+        assert check["upper_bound"] <= written[1] * (1 + 1e-12)
+
+    def test_full_rank_6x6_certificate_size(self, tmp_path):
+        """A certificate holds two ``mn x mn`` and two ``n x n`` matrices,
+        whatever the Choi rank: under 1 MB for a full-rank 6x6 map."""
+        phi = random_superop(np.random.default_rng(6), 6, 6, terms=36)
+        prob = write_json(tmp_path / "map.json", kraus_problem(
+            phi.rep.left, 6, 6, right=phi.rep.right))
+        cert = tmp_path / "cert.json"
+        assert main(["compute", "--input", prob, "--certificate", str(cert),
+                     "--output", str(tmp_path / "res.json")]) == 0
+        assert cert.stat().st_size < 1e6
+        assert main(["certify", "--input", prob,
+                     "--certificate", str(cert)]) == 0
+
+    @pytest.mark.parametrize("field,change,named", [
+        ("rho", lambda x: -x, "rho"), ("sigma", lambda x: -x, "sigma"),
+        ("y0", lambda x: x / 2, "[[Y0, -J], [-J^dag, Y1]]")])
+    def test_tampered_certificate_exits_3(self, tmp_path, capsys, field,
+                                          change, named):
+        """A negated state, or a ``Y0`` halved (the block matrix is then
+        indefinite), is a rejected certificate (exit 3) with a violation
+        naming it, not an input error."""
+        phi = random_superop(np.random.default_rng(3), 3, 3, terms=2)
+        prob = write_json(tmp_path / "map.json", kraus_problem(
+            phi.rep.left, 3, 3, right=phi.rep.right))
+        cert = tmp_path / "cert.json"
+        assert main(["compute", "--input", prob, "--certificate", str(cert),
+                     "--output", str(tmp_path / "res.json")]) == 0
+        obj = read_json(cert)
+        obj[field] = matrix_to_json(change(matrix_from_json(obj[field], "$")))
+        write_json(cert, obj)
+        cout = tmp_path / "check.json"
+        assert main(["certify", "--input", prob, "--certificate", str(cert),
+                     "--output", str(cout)]) == 3
+        check = read_json(cout)
+        assert not check["valid"]
+        assert any(named in v for v in check["violations"]), \
+            check["violations"]
+        assert not capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", ["7", None, 2])
+    def test_certificate_version(self, tmp_path, capsys, version):
+        """Only the versions "1" and "2" are read; any other, or none, is an
+        input error at ``$.version``."""
+        prob = identity_problem(tmp_path)
+        cert = tmp_path / "cert.json"
+        assert main(["compute", "--input", prob, "--certificate", str(cert),
+                     "--output", str(tmp_path / "res.json")]) == 0
+        obj = read_json(cert)
+        if version is None:
+            del obj["version"]
+        else:
+            obj["version"] = version
+        write_json(cert, obj)
+        assert main(["certify", "--input", prob,
+                     "--certificate", str(cert)]) == 1
+        assert "$.version" in capsys.readouterr().err
 
     def test_embedded_certificate_reverifies(self, tmp_path):
         prob = identity_problem(tmp_path)
@@ -398,12 +472,11 @@ class TestRejectedInput:
                      "--output", str(tmp_path / "res.json")]) == 0
         return prob, cert, read_json(cert)
 
-    def test_boolean_lambda(self, tmp_path):
-        obj = self._certificate(tmp_path)[2]
-        assert obj["kind"] == "general"
-        obj["lambda"] = True
-        with pytest.raises(ProblemFormatError, match=r"\$\.lambda"):
-            certificate_from_json(obj)
+    def test_boolean_certificate_entry(self, tmp_path):
+        prob, _, obj = self._certificate(tmp_path)
+        obj["y0"][0][0] = [True, 0.0]
+        with pytest.raises(ProblemFormatError, match=r"\$\.y0\[0\]\[0\]"):
+            certificate_from_json(obj, load_problem(prob)["superop"])
 
     @pytest.mark.parametrize("norm", ["cb_spectral", "trace", 1])
     def test_unknown_norm(self, tmp_path, capsys, norm):
@@ -411,7 +484,7 @@ class TestRejectedInput:
         obj["norm"] = norm
         write_json(cert, obj)
         with pytest.raises(ProblemFormatError, match=r"\$\.norm"):
-            certificate_from_json(obj)
+            certificate_from_json(obj, load_problem(prob)["superop"])
         assert main(["certify", "--input", prob,
                      "--certificate", str(cert)]) == 1
         assert "$.norm" in capsys.readouterr().err

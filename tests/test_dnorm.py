@@ -8,11 +8,8 @@ from cbnorm import superop
 from cbnorm import dnorm
 from cbnorm.dnorm import (
     _ascent_primal,
-    _general_certificate_bounds,
     _normalized_state,
-    _repair_general_certificate,
-    ChannelDiffCertificate,
-    GeneralCertificate,
+    Certificate,
     NormOptions,
     build_general_sdp,
     cb_spectral_norm,
@@ -25,6 +22,7 @@ from cbnorm import fidelity
 from cbnorm.linalg import kron, max_eigenvalue, min_eigenvalue, partial_trace, \
     spectral_norm
 from cbnorm.sdp import SolveOptions, solve
+from cbnorm.serialize import certificate_from_json, matrix_to_json
 from cbnorm.superop import (
     StinespringPair,
     SuperOp,
@@ -166,7 +164,7 @@ class TestBuildChannelDiff:
         exact = np.abs(p - q).sum()
         res = diamond_norm(diff)
         assert res.method == "general_sdp"
-        assert res.certificate.pair.dim_env == d * d
+        assert to_stinespring(diff).dim_env == d * d
         assert res.lower_bound <= exact * (1 + 1e-9)
         assert res.upper_bound >= exact * (1 - 1e-9)
         assert res.value == pytest.approx(exact, rel=1e-9)
@@ -298,7 +296,7 @@ class TestCertificates:
         diff = SuperOp.difference(random_channel(rng, 2, 2),
                                   random_channel(rng, 2, 2))
         res = channel_diff_norm(diff)
-        assert isinstance(res.certificate, ChannelDiffCertificate)
+        assert isinstance(res.certificate, Certificate)
         check = verify_certificate(diff, res.certificate)
         assert check.valid
         assert check.lower <= res.value <= check.upper + 1e-9
@@ -310,9 +308,7 @@ class TestCertificates:
         bad_rho = np.array(cert.rho, dtype=complex)
         vals, vecs = np.linalg.eigh(bad_rho)
         bad_rho -= (vals[0] + 1e-3) * np.outer(vecs[:, 0], vecs[:, 0].conj())
-        bad = GeneralCertificate(pair=cert.pair, rho=bad_rho, w=cert.w,
-                                 lam=cert.lam, z=cert.z)
-        check = verify_certificate(phi, bad)
+        check = verify_certificate(phi, dataclasses.replace(cert, rho=bad_rho))
         assert not check.valid
         assert any("not PSD" in v for v in check.violations)
 
@@ -331,9 +327,9 @@ class TestCertificates:
             verify_certificate(phi3, cert)
 
     def test_pair_shape_mismatch(self):
+        """A ``Y1`` whose shape is not the map's Choi matrix's."""
         cert = diamond_norm(SuperOp.identity(2)).certificate
-        bad = dataclasses.replace(cert, pair=StinespringPair(
-            cert.pair.a, np.zeros((4, 2)), cert.pair.dim_env))
+        bad = dataclasses.replace(cert, y1=np.zeros((3, 3)))
         with pytest.raises(InvalidInputError, match="dimensions"):
             verify_certificate(SuperOp.identity(2), bad)
 
@@ -342,70 +338,61 @@ class TestCertificates:
             verify_certificate(SuperOp.identity(2), object())
 
     def test_wrong_pair_flagged(self, rng):
+        """A certificate of one map fails the block test on another."""
         phi = random_superop(rng, 2, 2)
         other = random_superop(rng, 2, 2)
         cert = diamond_norm(phi).certificate
         check = verify_certificate(other, cert)
         assert not check.valid
-        assert any("reproduce" in v for v in check.violations)
-
-    @pytest.mark.parametrize("i, k", [(2, 0), (1, 1), (0, 2)])
-    def test_wrong_pair_flagged_per_block(self, rng, i, k):
-        """A map that differs from the pair's only on ``E[i,k]`` is flagged
-        on that matrix unit alone."""
-        n, m = 3, 2
-        phi = random_superop(rng, n, m)
-        cert = diamond_norm(phi).certificate
-        assert verify_certificate(phi, cert).valid
-        unit = np.zeros((n, n))
-        unit[i, k] = 1.0
-        shifted = SuperOp.from_choi(
-            to_choi(phi) + np.kron(1e-3 * random_complex(rng, (m, m)), unit),
-            n, m)
-        check = verify_certificate(shifted, cert)
-        assert check.violations == (
-            f"stinespring pair does not reproduce the map on E[{i},{k}]",)
+        assert check.violations[0].startswith(
+            "[[Y0, -J], [-J^dag, Y1]] has eigenvalue -")
 
     def test_general_violations_in_order(self):
-        """A general certificate broken in every constraint: each check
-        reports once, in a fixed order, with its residual."""
-        cert = GeneralCertificate(
-            pair=StinespringPair(np.eye(2), np.diag([1.0, 2.0]), 1),
-            rho=np.diag([1.5, -0.25]), w=np.diag([-1.0, 3.0]), lam=0.0,
-            z=np.array([[-1.0]]))
+        """A certificate broken in every constraint: each check reports
+        once, in a fixed order, with its residual.  On the identity of C^2,
+        ``J`` has the eigenvalues 2, 0, 0, 0, so the block matrix has the
+        smallest eigenvalue ``(3 - sqrt(17)) / 2`` of ``[[1, -2], [-2, 2]]``."""
+        cert = Certificate(rho=np.diag([1.5, -0.25]), sigma=np.diag([-1.0, 3.0]),
+                           y0=np.eye(4), y1=2 * np.eye(4))
         check = verify_certificate(SuperOp.identity(2), cert)
         assert not check.valid
         assert check.violations == (
-            "stinespring pair does not reproduce the map on E[0,1]",
-            "stinespring pair does not reproduce the map on E[1,1]",
             "Tr(rho) deviates from 1 by 2.500e-01",
             "rho is not PSD",
-            "W is not PSD",
-            "Tr_Y(W) exceeds Tr_Y(A rho A^dag) by 7.500e-01",
-            "Z is not PSD",
-            "1 (x) Z fails to dominate B B^dag by 5.000e+00",
-            "lambda is below |A^dag(1 (x) Z)A|_inf",
+            "Tr(sigma) deviates from 1 by 1.000e+00",
+            "sigma is not PSD",
+            "[[Y0, -J], [-J^dag, Y1]] has eigenvalue -5.616e-01",
         )
-        assert (check.lower, check.upper) == (np.sqrt(11.0), 1.0)
+        # The positive parts diag(1.5, 0) and diag(0, 3) keep one entry of
+        # J each; Tr_Y Y0 = 2 and Tr_Y Y1 = 4 (times 1).
+        assert (check.lower, check.upper) == pytest.approx(
+            (np.sqrt(4.5), np.sqrt(8.0)), rel=1e-15)
 
     def test_channel_diff_violations_in_order(self):
-        """The same for a channel-difference certificate, on the identity
-        minus the completely dephasing channel of C^2."""
+        """A format-"1" channel-difference certificate is checked in its
+        Choi form: ``rho`` and ``sigma`` its ``rho`` transposed, ``Y0 = Y1 =
+        2 Z - J``.  On the identity minus the completely dephasing channel
+        of C^2, ``J`` couples entries 0 and 3 only, and ``Z = diag(-2, 0,
+        0, 0)`` gives the block the eigenvalue ``-2 - 2 sqrt(2)``."""
         dephasing = SuperOp.from_kraus([np.diag([1.0, 0.0]),
                                         np.diag([0.0, 1.0])])
         phi = SuperOp.difference(SuperOp.identity(2), dephasing)
-        cert = ChannelDiffCertificate(
-            rho=np.diag([1.5, -0.25]), w=np.diag([-1.0, 3.0, 0.0, 0.0]),
-            z=np.diag([-2.0, 0.0, 0.0, 0.0]))
+        cert, target = certificate_from_json({
+            "version": "1", "kind": "channel_diff", "norm": "diamond",
+            "rho": matrix_to_json(np.diag([1.5, -0.25])),
+            "w": matrix_to_json(np.diag([-1.0, 3.0, 0.0, 0.0])),
+            "z": matrix_to_json(np.diag([-2.0, 0.0, 0.0, 0.0]))}, phi)
+        assert target is phi
+        y = np.diag([-4.0, 0.0, 0.0, 0.0]) - to_choi(phi)
+        assert np.array_equal(cert.y0, y) and np.array_equal(cert.y1, y)
         check = verify_certificate(phi, cert)
         assert not check.valid
         assert check.violations == (
             "Tr(rho) deviates from 1 by 2.500e-01",
             "rho is not PSD",
-            "W is not PSD",
-            "W exceeds 1 (x) rho by 3.250e+00",
-            "Z is not PSD",
-            "Z fails to dominate J(phi) by 2.414e+00",
+            "Tr(sigma) deviates from 1 by 2.500e-01",
+            "sigma is not PSD",
+            "[[Y0, -J], [-J^dag, Y1]] has eigenvalue -4.828e+00",
         )
 
 
@@ -429,8 +416,14 @@ def _warm_states(pair, sol):
             _normalized_state((x1 + x1.conj().T) / 2, n))
 
 
-def _witness_value(pair, w):
-    return np.sqrt(max(0.0, np.vdot(pair.b @ pair.b.conj().T, w).real))
+def _witness_value(pair, uv):
+    """The ascent's value at its unit vectors ``uv = (u, v)``: the trace
+    norm of ``t s^dag`` over the environment, ``t = (A (x) 1) u`` and ``s =
+    (B (x) 1) v`` (the lower bound of the certificate, by the Choi matrix)."""
+    at, bt, _ = dnorm._sweep_operands(pair)
+    t, s = (np.swapaxes(x @ y, 1, 2).reshape(-1, x.shape[1])
+            for x, y in zip((at, bt), uv))
+    return np.linalg.svd(t @ s.conj().T, compute_uv=False).sum()
 
 
 def _cold_converged(pair, sol):
@@ -438,7 +431,18 @@ def _cold_converged(pair, sol):
     convergence."""
     rho0, _ = _warm_states(pair, sol)
     return _witness_value(pair, _ascent_primal(pair, rho0, rho0,
-                                               max_iters=5000)[1])
+                                               max_iters=5000))
+
+
+def _repaired(pair, sol):
+    """``_solve_route``'s result and ``Z`` from the solver's last iterate
+    ``sol``: its states polished by the ascent, its ``Z`` in the
+    certificate.  (``sol`` is of the unscaled pair; its states and the
+    certificate do not see the scale.)"""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dnorm, "_ascent_general", _give_up)
+        mp.setattr(dnorm, "solve", lambda problem, options: sol)
+        return dnorm._solve_route(pair, NormOptions())
 
 
 class TestAscentWarmStart:
@@ -448,7 +452,7 @@ class TestAscentWarmStart:
             _, pair, sol = _solved_pair(seed, n, m)
             rho0, rho1 = _warm_states(pair, sol)
             short = _witness_value(
-                pair, _ascent_primal(pair, rho0, rho1, max_iters=3)[1])
+                pair, _ascent_primal(pair, rho0, rho1, max_iters=3))
             ref = _cold_converged(pair, sol)
             assert abs(short - ref) <= 1e-8 * ref, (seed, short, ref)
 
@@ -458,26 +462,24 @@ class TestAscentWarmStart:
         # scale 1e-3 on both Kraus families scales the map by 1e-6.
         for seed in range(12):
             _, pair, sol = _solved_pair(seed, n, m, scale)
-            cert = _repair_general_certificate(pair, sol)
-            lower = _general_certificate_bounds(cert)[0]
+            lower = _repaired(pair, sol)[0].lower_bound
             ref = _cold_converged(pair, sol)
             assert lower >= ref * (1 - 1e-12), (seed, lower, ref)
 
-    def _assert_exactly_feasible(self, phi, pair, cert):
-        a, r = pair.a, pair.dim_env
-        m = a.shape[0] // r
-        marg = partial_trace(cert.w, (m, r), side="first") - partial_trace(
-            a @ cert.rho @ a.conj().T, (m, r), side="first")
-        assert max_eigenvalue(marg) <= 1e-12 * spectral_norm(a) ** 2
-        assert abs(np.trace(cert.rho).real - 1.0) <= 1e-12
+    def _assert_exactly_feasible(self, phi, cert):
+        j = to_choi(phi)
+        block = np.block([[cert.y0, -j], [-j.conj().T, cert.y1]])
+        assert min_eigenvalue(block) >= -1e-12 * spectral_norm(block)
+        for state in (cert.rho, cert.sigma):
+            assert abs(np.trace(state).real - 1.0) <= 1e-12
         assert verify_certificate(phi, cert).valid
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_one_dimensional_input(self, m):
         for seed in range(4):
             phi, pair, sol = _solved_pair(seed, 1, m)
-            cert = _repair_general_certificate(pair, sol)
-            self._assert_exactly_feasible(phi, pair, cert)
+            self._assert_exactly_feasible(
+                phi, _repaired(pair, sol)[0].certificate)
 
     def test_output_state_at_any_scale(self):
         _, pair, sol = _solved_pair(0, 3, 3)
@@ -494,16 +496,15 @@ class TestAscentWarmStart:
         no_w = dataclasses.replace(
             sol, X_opt=[sol.X_opt[0], np.zeros_like(sol.X_opt[1])])
         assert np.array_equal(_warm_states(pair, no_w)[1], np.eye(n) / n)
-        cert = _repair_general_certificate(pair, no_w)
-        self._assert_exactly_feasible(phi, pair, cert)
-        lower = _general_certificate_bounds(cert)[0]
-        assert lower >= _cold_converged(pair, sol) * (1 - 1e-12)
+        res = _repaired(pair, no_w)[0]
+        self._assert_exactly_feasible(phi, res.certificate)
+        assert res.lower_bound >= _cold_converged(pair, sol) * (1 - 1e-12)
 
 
 def _einsum_sweep(at, bt, u, v):
-    """``U^dag`` (indexed (Y, W, y, w)), the sweep operator and ``W`` of the
-    ascent by explicit ``einsum`` contractions: the oracle of the matrix
-    products in ``dnorm``."""
+    """``U^dag`` (indexed (Y, W, y, w)) and the sweep operator of the ascent
+    by explicit ``einsum`` contractions: the oracle of the matrix products in
+    ``dnorm``."""
     n, nw = u.shape
     t = np.einsum("yzx,xw->yzw", at, u)
     s = np.einsum("yzx,xw->yzw", bt, v)
@@ -513,9 +514,7 @@ def _einsum_sweep(at, bt, u, v):
     kmat = np.tensordot(
         bt.conj(), np.einsum("YWyw,yzx->YzWxw", uh, at), axes=([0, 1], [0, 1])
     ).reshape(n * nw, n * nw)
-    q = np.einsum("YWyw,yzw->YzW", uh, t)
-    w = np.einsum("abW,cdW->abcd", q, q.conj())
-    return uh, kmat, w.reshape(q.shape[0] * q.shape[1], -1)
+    return uh, kmat
 
 
 class TestSweepProducts:
@@ -538,12 +537,10 @@ class TestSweepProducts:
         assert r == n * m
         at, bt, h = dnorm._sweep_operands(pair)
         u = np.eye(n) / np.sqrt(n)
-        uh_ref, k_ref, w_ref = _einsum_sweep(at, bt, u, u)
-        uh = dnorm._polar_adjoint(at, bt, u, u)[0]
+        uh_ref, k_ref = _einsum_sweep(at, bt, u, u)
+        uh = dnorm._polar_adjoint(at, bt, u, u)
         k = dnorm._sweep_operator(h, uh)
-        w = dnorm._primal_witness(at, bt, u, u)[1]
-        for got, ref in ((uh, uh_ref.reshape(uh.shape)), (k, k_ref),
-                         (w, w_ref)):
+        for got, ref in ((uh, uh_ref.reshape(uh.shape)), (k, k_ref)):
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -554,7 +551,7 @@ def _assert_same_result(a, b):
     assert a.solver_stats == b.solver_stats and a.warnings == b.warnings
     ca, cb = a.certificate, b.certificate
     assert type(ca) is type(cb)
-    for f in ("rho", "w", "z"):
+    for f in ("rho", "sigma", "y0", "y1"):
         assert np.array_equal(getattr(ca, f), getattr(cb, f))
 
 
@@ -576,7 +573,7 @@ class TestAutoRoute:
             # "auto" (the default) and "general" name the same route.
             _assert_same_result(
                 res, diamond_norm(diff, NormOptions(method="general")))
-            assert isinstance(res.certificate, GeneralCertificate)
+            assert isinstance(res.certificate, Certificate)
             assert verify_certificate(diff, res.certificate).valid
             ref = channel_diff_norm(diff)
             assert res.lower_bound <= ref.upper_bound, k
@@ -731,6 +728,14 @@ class TestRebalance:
         with pytest.raises(InvalidInputError):
             rebalance_stinespring(pair, 0.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+    def test_rejects_unusable_eps(self, eps):
+        """Rejected up front, before any solve, naming ``eps``."""
+        pair = to_stinespring(SuperOp.identity(2))
+        with pytest.raises(InvalidInputError,
+                           match="eps must be finite and positive"):
+            rebalance_stinespring(pair, eps)
+
 
 def test_channel_values_are_one(rng):
     for _ in range(5):
@@ -781,8 +786,9 @@ class TestEqualityForm:
 
     @staticmethod
     def _shifted_lam(pair, sol):
-        """The bound of the additive repair alone: Z + delta 1, with delta
-        the worst violation plus the rounding allowance ``8 eps m r |B|^2``."""
+        """The squared bound of the additive repair of the dual: Z + delta
+        1, with delta the worst violation plus the rounding allowance ``8 eps
+        m r |B|^2``."""
         m = pair.a.shape[0] // pair.dim_env
         z = _psd_part(sol.Y_opt[1])
         bbdag = pair.b @ pair.b.conj().T
@@ -792,22 +798,27 @@ class TestEqualityForm:
         return spectral_norm(pair.a.conj().T @ kron(np.eye(m), z) @ pair.a)
 
     def test_rescaled_z_never_above_shift(self, rng):
-        rescaled = 0
+        """The solver's ``Z`` in the Choi form bounds the norm by
+        ``lambda_max(A^dag (1 (x) Z) A) lambda_max(B^dag (1 (x) Z^-1) B)``,
+        the bound of ``Z`` rescaled to dominate ``B B^dag``; it is never
+        above the bound of the additive repair of ``Z``."""
         for n, m, scale in [(2, 2, 1.0), (2, 3, 1e-3), (3, 3, 1.0),
                             (3, 2, 1e2), (4, 4, 1.0), (1, 3, 10.0)]:
             phi = random_superop(rng, n, m, scale=scale)
             pair = to_stinespring(phi)
             sol = solve(build_general_sdp(pair))
-            cert = _repair_general_certificate(pair, sol)
-            shifted = self._shifted_lam(pair, sol)
-            assert cert.lam <= shifted
-            rescaled += cert.lam < shifted
-            check = verify_certificate(phi, cert)
+            res, z = _repaired(pair, sol)
+            z_inv = np.linalg.inv(z)
+            rescaled = np.prod([max_eigenvalue(
+                x.conj().T @ kron(np.eye(m), y) @ x)
+                for x, y in ((pair.a, z), (pair.b, z_inv))])
+            assert res.upper_bound ** 2 == pytest.approx(rescaled, rel=1e-12)
+            assert res.upper_bound ** 2 <= self._shifted_lam(pair, sol)
+            check = verify_certificate(phi, res.certificate)
             assert check.valid, check.violations
-            assert check.upper ** 2 == pytest.approx(cert.lam, rel=1e-12)
+            assert (check.lower, check.upper) == pytest.approx(
+                (res.lower_bound, res.upper_bound), rel=1e-12)
             assert check.lower <= check.upper
-        # The scaled Z is the one kept on most instances.
-        assert rescaled >= 3
 
     @pytest.mark.parametrize("make", [
         lambda rng: SuperOp.identity(2),
@@ -843,14 +854,15 @@ class TestEqualityForm:
 
     @pytest.mark.parametrize("smallest", [0.0, -1e-3])
     def test_singular_or_indefinite_dual_repaired(self, smallest):
-        """A dual Z that is singular or indefinite gets the shift repair: it
-        has no inverse square root for the rescaling."""
+        """A dual Z that is singular or indefinite has its eigenvalues
+        lifted to a rounding floor: the certificate is still valid and
+        sound, if loose."""
         phi, pair, sol = _solved_pair(0, 2, 2)
         vals, vecs = np.linalg.eigh(sol.Y_opt[1])
         vals[0] = smallest
         sol = dataclasses.replace(
             sol, Y_opt=[sol.Y_opt[0], (vecs * vals) @ vecs.conj().T])
-        check = verify_certificate(phi, _repair_general_certificate(pair, sol))
+        check = verify_certificate(phi, _repaired(pair, sol)[0].certificate)
         assert check.valid, check.violations
         norm = diamond_norm(phi).value
         assert check.lower <= norm * (1 + 1e-9)
@@ -916,7 +928,7 @@ class TestTrivialInput:
         a[:2, 0] = [1.0, 1.0j]
         b = random_complex(rng, (6, 1))
         pair = StinespringPair(a, b, 3)
-        res = dnorm._solve_route(pair, NormOptions())
+        res = dnorm._solve_route(pair, NormOptions())[0]
         assert res.solver_stats.iterations > 0
         norm = diamond_norm(SuperOp.from_stinespring(a, b, 3)).value
         assert res.lower_bound <= norm * (1 + 1e-12)
@@ -1081,7 +1093,7 @@ class TestCertifiedAscent:
         res = diamond_norm(diff)
         assert not _ascent_rule(d, d, 2 * d) and outcomes == [None]
         assert res.method == "general_sdp"
-        assert res.certificate.pair.dim_env == 2 * d
+        assert to_stinespring(diff).dim_env == 2 * d
         assert res.solver_stats.iterations > 0
         assert verify_certificate(diff, res.certificate).valid
 
@@ -1096,7 +1108,7 @@ class TestCertifiedAscent:
                                   random_channel(rng, d, d, env=d * d))
         res = diamond_norm(diff)
         assert res.method == "general_sdp"
-        assert res.certificate.pair.dim_env == d * d
+        assert to_stinespring(diff).dim_env == d * d
         assert res.solver_stats.iterations == 0
         assert res.upper_bound - res.lower_bound <= 1e-10 * res.upper_bound
         check = verify_certificate(diff, res.certificate)
@@ -1161,7 +1173,7 @@ class TestCertifiedAscent:
         monkeypatch.setattr(dnorm, "solve", _no_solve)
         phi = random_superop(np.random.default_rng(r), 6, 6, terms=r)
         res = diamond_norm(phi)
-        assert res.certificate.pair.dim_env == r
+        assert to_stinespring(phi).dim_env == r
         assert res.upper_bound - res.lower_bound <= 1e-10 * res.upper_bound
         check = verify_certificate(phi, res.certificate)
         assert check.valid, check.violations
@@ -1200,7 +1212,7 @@ class TestCertifiedAscent:
         phi, psi = (random_superop(rng, 3, 3, terms=9) for _ in range(2))
         both = tensor(phi, psi)
         res, ra, rb = (diamond_norm(x) for x in (both, phi, psi))
-        assert res.certificate.pair.dim_env == 81
+        assert to_stinespring(both).dim_env == 81
         assert verify_certificate(both, res.certificate).valid
         assert res.lower_bound <= ra.upper_bound * rb.upper_bound
         assert ra.lower_bound * rb.lower_bound <= res.upper_bound

@@ -160,9 +160,9 @@ class TestFidelitySdp:
         routed, solve_route = [], fidelity._solve_route
 
         def record(pair, options):
-            res = solve_route(pair, options)
+            res, z = solve_route(pair, options)
             routed.append((pair, res))
-            return res
+            return res, z
 
         monkeypatch.setattr(fidelity, "_solve_route", record)
         factors = [(random_complex(rng, (d, rank_p)),
