@@ -159,7 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="re-verify a certificate without solving")
     p.add_argument("--input", required=True)
     p.add_argument("--certificate", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="absolute for the states' trace and eigenvalues, "
+                   "relative to the largest eigenvalue magnitude of the "
+                   "block matrix for its smallest eigenvalue")
     p.add_argument("--output")
     p.set_defaults(func=cmd_certify)
 

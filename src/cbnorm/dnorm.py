@@ -50,7 +50,8 @@ iterations of Python overhead outweigh the sweeps (beyond that, the sweep's
 the map to the interior-point solve, whose ``Z`` it takes and whose states it
 polishes by sweeps, when the optimal state is rank-deficient or the width
 contracts too slowly.  A call forms ``J`` once (only ``J = 0`` takes the
-zero result); the Stinespring pair is its SVD.
+zero result); the Stinespring pair is its SVD, cut at ``RANK_TOL``, and the
+certificate adds the largest singular value cut to ``Y0`` and ``Y1``.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ import numpy as np
 from . import superop
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import (
+    as_square,
     herm_eig,
     kron,
     max_eigenvalue,
@@ -240,7 +242,7 @@ def _ascent_primal(pair, rho0, rho1, max_iters=300, tol=1e-13):
     return u_mat, v_mat
 
 
-def _certificate(pair, rho, sigma, z):
+def _certificate(pair, rho, sigma, z, dropped=0.0):
     """The certificate of the states ``rho``, ``sigma`` and a dual ``Z`` of
     ``pair`` (module docstring), and the ``Z`` it holds: that ``Z`` with its
     eigenvalues lifted to a rounding floor (``1`` when none is positive), so
@@ -248,7 +250,9 @@ def _certificate(pair, rho, sigma, z):
     block matrix is then tested at the scale of the norm).  ``Y0`` and
     ``Y1`` are the Gram matrices of ``A' conj(V) D^(1/2)`` and ``B' conj(V)
     D^(-1/2)``, ``Z = V D V^dag``; ``Y0`` carries an allowance for
-    rounding, so that bounds which meet are not inverted."""
+    rounding, so that bounds which meet are not inverted.  When ``pair`` is
+    a rank cut of the map, ``J = A' B'^dag + E`` with ``|E|_2 <= dropped``,
+    both get ``dropped 1``: ``[[dropped 1, -E], [-E^dag, dropped 1]] >= 0``."""
     n, r = pair.a.shape[1], pair.dim_env
     m = pair.a.shape[0] // r
     vals, vecs = herm_eig(z)
@@ -258,8 +262,9 @@ def _certificate(pair, rho, sigma, z):
     if f0.any() and f1.any():  # Z -> t^2 Z
         t = np.sqrt(np.linalg.norm(f1) / np.linalg.norm(f0))
         f0, f1, vals = t * f0, f1 / t, t * t * vals
-    y0 = (1 + 8 * (m * n + r) * EPS) * (f0 @ f0.conj().T)
-    return Certificate(rho, sigma, y0, f1 @ f1.conj().T), \
+    shift = dropped * np.eye(m * n)
+    y0 = (1 + 8 * (m * n + r) * EPS) * (f0 @ f0.conj().T) + shift
+    return Certificate(rho, sigma, y0, f1 @ f1.conj().T + shift), \
         (vecs * vals) @ vecs.conj().T
 
 
@@ -339,11 +344,13 @@ def _ascent_general(pair, opt):
             return None
 
 
-def _solve_route(pair: StinespringPair, opt: NormOptions, j=None) -> tuple:
+def _solve_route(pair: StinespringPair, opt: NormOptions, j=None,
+                 dropped=0.0) -> tuple:
     """``(result, Z)`` for the map of ``pair``: the ascent, or build, solve
     and polish, on ``pair`` scaled by powers of two (module doc); the
     certificate of the ``Z`` returned is bounded against ``j``, the Choi
-    matrix of the map (by default the pair's)."""
+    matrix of the map (by default the pair's), of which ``pair`` drops
+    singular values up to ``dropped``."""
     n, r = pair.a.shape[1], pair.dim_env
     m = pair.a.shape[0] // r
     sa, sb = (np.ldexp(1.0, 1 - np.frexp(spectral_norm(x))[1])
@@ -367,7 +374,7 @@ def _solve_route(pair: StinespringPair, opt: NormOptions, j=None) -> tuple:
         stats = SolverStats(sol.status, sol.iterations, sol.gap / c ** 2,
                             sol.primal_infeas, sol.dual_infeas)
     u, v, z = found
-    cert, z = _certificate(pair, u @ u.conj().T, v @ v.conj().T, z)
+    cert, z = _certificate(pair, u @ u.conj().T, v @ v.conj().T, z, dropped)
     lower, upper = _certificate_bounds(
         to_choi(SuperOp(n, m, pair)) if j is None else j, cert)
     stats = stats or SolverStats("optimal", 0, abs(upper ** 2 - lower ** 2),
@@ -388,7 +395,8 @@ def diamond_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult
         return NormResult(0.0, 0.0, 0.0, "general_sdp",
                           Certificate(state, state, zero, zero),
                           SolverStats("optimal", 0, 0.0, 0.0, 0.0))
-    return _solve_route(superop._stinespring_of_choi(j, n, m), opt, j)[0]
+    pair, dropped = superop._stinespring_of_choi(j, n, m)
+    return _solve_route(pair, opt, j, dropped)[0]
 
 
 def cb_spectral_norm(phi: SuperOp, options: NormOptions | None = None) -> NormResult:
@@ -411,7 +419,9 @@ def verify_certificate(phi: SuperOp, cert, tol: float = 1e-6) -> CertificateChec
     Only basic linear algebra on the Choi matrix ``J`` of ``phi`` is used:
     two state checks, one PSD test of ``[[Y0, -J], [-J^dag, Y1]]``, two
     partial traces and one trace norm.  The bounds are valid whenever
-    ``valid`` is true.
+    ``valid`` is true.  ``tol`` is absolute for the states' traces and
+    smallest eigenvalues, and relative to the block matrix's largest
+    eigenvalue magnitude for its smallest eigenvalue.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise InvalidInputError(f"tol must be finite and non-negative, got {tol}")
@@ -430,10 +440,11 @@ def verify_certificate(phi: SuperOp, cert, tol: float = 1e-6) -> CertificateChec
             violations.append(f"Tr({name}) deviates from 1 by {tr_dev:.3e}")
         if min_eigenvalue(state) < -tol:
             violations.append(f"{name} is not PSD")
-    low = min_eigenvalue(np.block([[cert.y0, -j], [-j.conj().T, cert.y1]]))
-    if low < -tol:
+    block = as_square(np.block([[cert.y0, -j], [-j.conj().T, cert.y1]]))
+    vals = np.linalg.eigvalsh((block + block.conj().T) / 2)
+    if vals[0] < -tol * max(-vals[0], vals[-1]):
         violations.append(
-            f"[[Y0, -J], [-J^dag, Y1]] has eigenvalue {low:.3e}")
+            f"[[Y0, -J], [-J^dag, Y1]] has eigenvalue {vals[0]:.3e}")
     return CertificateCheck(not violations, *_certificate_bounds(j, cert),
                             tuple(violations))
 

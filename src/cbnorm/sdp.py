@@ -31,6 +31,8 @@ from .linalg import max_eigenvalue, min_eigenvalue, spectral_norm
 GAP_TOL = 1e-8
 FEAS_TOL = 1e-8
 MAX_ITER = 200
+# Relative tolerance of from_maps's checks of Psi and Psi^*.
+CHECK_TOL = 1e-11
 STEP_FRACTION = 0.98
 
 
@@ -123,16 +125,14 @@ def block_inner(a, b) -> float:
     return float(sum(np.vdot(x, y).real for x, y in zip(a, b)))
 
 
-def _placements(con_structure, embedded, schur=True):
+def _placements(con_structure, embedded):
     """``(svec slice, k, _SvecIndex)`` of each variable block declared as
     ``(c, k)``, that is with rows ``1_k (x) F_j`` for the basis ``F_j`` of
-    constraint block ``c``; ``None`` for a block with stored rows.  Without
-    ``schur`` the indices leave out what only :func:`_embedded_schur`
-    reads."""
+    constraint block ``c``; ``None`` for a block with stored rows."""
     offsets = np.cumsum([0] + [d * d for d in con_structure.blocks])
     return [None if e is None else
             (slice(offsets[e[0]], offsets[e[0] + 1]), e[1],
-             _svec_index(con_structure.blocks[e[0]], schur))
+             _svec_index(con_structure.blocks[e[0]]))
             for e in embedded]
 
 
@@ -183,7 +183,7 @@ class SdpProblem:
 
     @staticmethod
     def from_maps(var_structure, con_structure, psi, psi_adj, obj, rhs,
-                  check_tol: float = 1e-11, embedded: dict | None = None,
+                  embedded: dict | None = None,
                   equality=()):
         """Build a problem from callables for ``Psi`` and ``Psi^*``.
 
@@ -194,8 +194,9 @@ class SdpProblem:
         rather than ``<=``: :func:`solve` gives them no slack block and their
         duals no sign constraint.  Declare a block so only when some optimum
         makes it tight, as then the optimum is unchanged.  Both callables are
-        validated on random inputs: Hermiticity preservation of ``Psi``, and
-        adjoint consistency against the rows and the declared blocks.
+        validated on random inputs, to ``CHECK_TOL`` relative: Hermiticity
+        preservation of ``Psi``, and adjoint consistency against the rows
+        and the declared blocks.
         """
         obj = tuple(np.asarray(m, dtype=complex) for m in obj)
         rhs = tuple(np.asarray(m, dtype=complex) for m in rhs)
@@ -241,14 +242,14 @@ class SdpProblem:
                         rows[b][j] = (gb + np.conj(gb).T) / 2
                 j += 1
 
-        placements = _placements(con_structure, embedded, schur=False)
+        placements = _placements(con_structure, embedded)
         rng = np.random.default_rng(20260823)
         for _ in range(3):
             h = var_structure.random_hermitian(rng)
             out = psi(h)
             scale = 1.0 + max(spectral_norm(x) for x in h)
             for o in out:
-                if spectral_norm(o - np.conj(o).T) > check_tol * scale:
+                if spectral_norm(o - np.conj(o).T) > CHECK_TOL * scale:
                     raise InvalidInputError(
                         "psi is not Hermiticity-preserving within tolerance"
                     )
@@ -258,7 +259,7 @@ class SdpProblem:
             scale2 = (1.0 + abs(lhs) + abs(rhs_ip)) * (
                 1.0 + max(spectral_norm(x) for x in y)
             )
-            if abs(lhs - rhs_ip) > check_tol * scale2:
+            if abs(lhs - rhs_ip) > CHECK_TOL * scale2:
                 raise InvalidInputError(
                     "psi and psi_adj are not adjoint within tolerance"
                 )
@@ -268,7 +269,7 @@ class SdpProblem:
     def apply_psi(self, x):
         """Evaluate ``Psi(X)`` through the stored rows and declared blocks."""
         con = self.con_structure
-        placements = _placements(con, self.embedded, schur=False)
+        placements = _placements(con, self.embedded)
         return unsvec(_rows_apply(self.rows, placements, x, con.dof), con)
 
 
@@ -337,33 +338,21 @@ class _SvecIndex(NamedTuple):
     of the diagonal and real-part elements, which the imaginary-part
     elements share.  ``coef[j] = c_j`` over all ``r*r`` elements: 1/2 on
     the diagonal (``F_pp = E/2 + E/2``), 1/sqrt(2) for real parts and
-    i/sqrt(2) for imaginary parts.  ``gather`` and ``scale`` serve
-    :func:`_embedded_schur`; they take ``O(r^4)`` memory, so they are
-    ``None`` when built without ``schur``.
+    i/sqrt(2) for imaginary parts.
     """
 
     r: int
     a: np.ndarray
     b: np.ndarray
     coef: np.ndarray
-    gather: np.ndarray
-    scale: np.ndarray
 
 
-def _svec_index(r: int, schur: bool = True) -> _SvecIndex:
+def _svec_index(r: int) -> _SvecIndex:
     p, q = np.triu_indices(r, 1)
     a = np.concatenate([np.arange(r), p])
     b = np.concatenate([np.arange(r), q])
     off = np.full(len(p), 1 / np.sqrt(2.0))
-    coef = np.concatenate([np.full(r, 0.5), off, 1j * off])
-    if not schur:
-        return _SvecIndex(r, a, b, coef, None, None)
-    # Flat positions in kt (see _embedded_schur) of K[(a_i, b_i), (a_l, b_l)]
-    # and K[(a_i, b_i), (b_l, a_l)].
-    row = (a * r ** 3 + b)[:, None]
-    gather = np.array([row + (a * r + b) * r, row + (b * r + a) * r])
-    weight = np.abs(coef)
-    return _SvecIndex(r, a, b, coef, gather, 2 * np.outer(weight, weight))
+    return _SvecIndex(r, a, b, np.concatenate([np.full(r, 0.5), off, 1j * off]))
 
 
 def _embedded_a_op(x, k, index):
@@ -407,8 +396,10 @@ def _embedded_schur(w, k, index):
     wt = w.reshape(k, r, k, r)
     # kt[(a, c), (d, b)] = K[(a, b), (c, d)] = sum_{y,y'} W[ya, y'c] W[y'd, yb]
     kt = (wt.transpose(0, 2, 1, 3).reshape(k * k, r * r).T
-          @ wt.transpose(2, 0, 1, 3).reshape(k * k, r * r))
-    same, swap = kt.reshape(-1)[index.gather]
+          @ wt.transpose(2, 0, 1, 3).reshape(k * k, r * r)).reshape(r, r, r, r)
+    # K[(a_i, b_i), (a_l, b_l)] and K[(a_i, b_i), (b_l, a_l)].
+    a, b, ai, bi = index.a, index.b, index.a[:, None], index.b[:, None]
+    same, swap = kt[ai, a, b, bi], kt[ai, b, a, bi]
     plus, minus = same + swap, same - swap
     nv = len(index.a)
     out = np.empty((r * r, r * r))
@@ -416,7 +407,8 @@ def _embedded_schur(w, k, index):
     out[:nv, nv:] = -minus.imag[:, r:]
     out[nv:, :nv] = plus.imag[r:]
     out[nv:, nv:] = minus.real[r:, r:]
-    out *= index.scale
+    weight = np.abs(index.coef)
+    out *= 2 * np.outer(weight, weight)
     return out
 
 
@@ -636,7 +628,7 @@ def check_feasibility(problem: SdpProblem, point, side: str) -> FeasibilityRepor
         return FeasibilityReport(max(0.0, viol), min_eig)
     if side == "dual":
         adj = _rows_adj(problem.rows, _placements(
-            problem.con_structure, problem.embedded, schur=False), svec(point))
+            problem.con_structure, problem.embedded), svec(point))
         viol = max(
             max_eigenvalue(ob - ab) for ob, ab in zip(problem.obj, adj)
         )

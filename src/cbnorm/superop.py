@@ -1,10 +1,12 @@
 """Super-operator representations and conversions.
 
 A :class:`SuperOp` maps ``L(X) -> L(Y)`` with ``dim X = n`` (input) and
-``dim Y = m`` (output).  Four internal representations are supported: a Choi
-matrix on ``Y (x) X``, a generalized Kraus family ``X -> sum_l L_l X R_l^dag``,
-a Stinespring pair ``X -> Tr_Z(A X B^dag)`` with environment ``Z``, and a
-difference of two quantum channels.
+``dim Y = m`` (output).  Three internal representations are supported: a
+Choi matrix on ``Y (x) X``, a generalized Kraus family ``X -> sum_l L_l X
+R_l^dag``, and a Stinespring pair ``X -> Tr_Z(A X B^dag)`` with environment
+``Z``.  Map algebra reads the Choi matrix: the adjoint, the tensor product
+and a difference of channels are index shuffles or sums of Choi matrices,
+held as ``Choi``, with no decomposition and so no rank cut.
 """
 
 from __future__ import annotations
@@ -45,13 +47,7 @@ class StinespringPair:
     dim_env: int
 
 
-@dataclass(frozen=True)
-class ChannelDifference:
-    phi0: "SuperOp"
-    phi1: "SuperOp"
-
-
-Rep = Union[Choi, Kraus, StinespringPair, ChannelDifference]
+Rep = Union[Choi, Kraus, StinespringPair]
 
 
 @dataclass(frozen=True)
@@ -116,7 +112,8 @@ class SuperOp:
                     f"{name} is not a quantum channel "
                     f"(cp={rep.is_cp}, tp={rep.is_tp})"
                 )
-        return SuperOp(phi0.dim_in, phi0.dim_out, ChannelDifference(phi0, phi1))
+        return SuperOp(phi0.dim_in, phi0.dim_out,
+                       Choi(to_choi(phi0) - to_choi(phi1)))
 
     @staticmethod
     def identity(dim: int) -> "SuperOp":
@@ -141,8 +138,6 @@ def apply(phi: SuperOp, x) -> np.ndarray:
     if isinstance(rep, StinespringPair):
         big = rep.a @ xm @ rep.b.conj().T
         return partial_trace(big, (m, rep.dim_env), side="second")
-    if isinstance(rep, ChannelDifference):
-        return apply(rep.phi0, xm) - apply(rep.phi1, xm)
     raise InvalidInputError(f"unknown representation {type(rep).__name__}")
 
 
@@ -152,8 +147,6 @@ def to_choi(phi: SuperOp) -> np.ndarray:
     rep = phi.rep
     if isinstance(rep, Choi):
         return rep.matrix
-    if isinstance(rep, ChannelDifference):
-        return to_choi(rep.phi0) - to_choi(rep.phi1)
     if isinstance(rep, Kraus):
         j = np.zeros((m * n, m * n), dtype=complex)
         for l, r in zip(rep.left, rep.right):
@@ -195,7 +188,7 @@ def to_kraus(phi: SuperOp) -> SuperOp:
                 (np.sqrt(vals[i]) * vecs[:, i]).reshape(m, n) for i in keep
             )
             return SuperOp(n, m, Kraus(ops, ops))
-    pair = _stinespring_of_choi(j, n, m)
+    pair = _stinespring_of_choi(j, n, m)[0]
     left, right = (tuple(np.ascontiguousarray(
         x.reshape(m, pair.dim_env, n).transpose(1, 0, 2)))
         for x in (pair.a, pair.b))
@@ -208,11 +201,13 @@ def to_stinespring(phi: SuperOp) -> StinespringPair:
     The environment dimension is the numerical rank of ``J(phi)`` at
     threshold ``RANK_TOL * sigma_max`` (clamped to 1 for the zero map).
     """
-    return _stinespring_of_choi(to_choi(phi), phi.dim_in, phi.dim_out)
+    return _stinespring_of_choi(to_choi(phi), phi.dim_in, phi.dim_out)[0]
 
 
-def _stinespring_of_choi(j, n, m) -> StinespringPair:
-    """:func:`to_stinespring` of the map with Choi matrix ``j``."""
+def _stinespring_of_choi(j, n, m) -> tuple:
+    """:func:`to_stinespring` of the map with Choi matrix ``j``, and the
+    largest singular value it drops: the spectral norm of ``j`` minus the
+    pair's Choi matrix."""
     u, s, vh = np.linalg.svd(j)
     cut = RANK_TOL * (s[0] if s.size else 0.0)
     r = max(1, int(np.sum(s > cut)))
@@ -223,29 +218,26 @@ def _stinespring_of_choi(j, n, m) -> StinespringPair:
         scaled_v = np.zeros((m * n, r))
     a = scaled_u.reshape(m, n, r).transpose(0, 2, 1).reshape(m * r, n)
     b = scaled_v.reshape(m, n, r).transpose(0, 2, 1).reshape(m * r, n)
-    return StinespringPair(a, b, r)
+    return StinespringPair(a, b, r), float(s[r]) if r < s.size else 0.0
 
 
 def adjoint(phi: SuperOp) -> SuperOp:
-    """Adjoint map ``phi^*: L(Y) -> L(X)`` with ``<Y, phi(X)> = <phi^*(Y), X>``."""
-    rep = phi.rep
-    if isinstance(rep, Kraus):
-        left = tuple(k.conj().T for k in rep.left)
-        right = tuple(k.conj().T for k in rep.right)
-        return SuperOp(phi.dim_out, phi.dim_in, Kraus(left, right))
-    kr = to_kraus(phi)
-    return adjoint(kr)
+    """Adjoint map ``phi^*: L(Y) -> L(X)`` with ``<Y, phi(X)> = <phi^*(Y), X>``:
+    ``J(phi^*)[(x, y), (x', y')] = conj(J(phi)[(y, x), (y', x')])``."""
+    n, m = phi.dim_in, phi.dim_out
+    j = to_choi(phi).reshape(m, n, m, n).transpose(1, 0, 3, 2)
+    return SuperOp(m, n, Choi(j.reshape(m * n, m * n).conj()))
 
 
 def tensor(phi: SuperOp, psi: SuperOp) -> SuperOp:
-    """Tensor product map under the global factor ordering (phi slow)."""
-    kp = phi.rep if isinstance(phi.rep, Kraus) else to_kraus(phi).rep
-    kq = psi.rep if isinstance(psi.rep, Kraus) else to_kraus(psi).rep
-    left = tuple(np.kron(a, b) for a in kp.left for b in kq.left)
-    right = tuple(np.kron(a, b) for a in kp.right for b in kq.right)
-    return SuperOp(
-        phi.dim_in * psi.dim_in, phi.dim_out * psi.dim_out, Kraus(left, right)
-    )
+    """Tensor product map under the global factor ordering (phi slow): the
+    Kronecker product of the Choi matrices, its factors permuted from
+    ``(Y1 X1) (x) (Y2 X2)`` to ``(Y1 Y2) (x) (X1 X2)``."""
+    (n1, m1), (n2, m2) = (phi.dim_in, phi.dim_out), (psi.dim_in, psi.dim_out)
+    d = m1 * m2 * n1 * n2
+    j = np.kron(to_choi(phi), to_choi(psi)).reshape(
+        m1, n1, m2, n2, m1, n1, m2, n2).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+    return SuperOp(n1 * n2, m1 * m2, Choi(j.reshape(d, d)))
 
 
 def is_channel(phi: SuperOp) -> ChannelReport:

@@ -9,7 +9,14 @@ from cbnorm.dnorm import (
     _normalized_state,
 )
 from cbnorm.errors import InvalidInputError, NumericalFailureError
-from cbnorm.linalg import herm_eig, kron, min_eigenvalue, partial_trace
+from cbnorm.linalg import (
+    herm_eig,
+    hermitian_part,
+    kron,
+    min_eigenvalue,
+    partial_trace,
+    spectral_norm,
+)
 from cbnorm.sdp import BlockStructure, SdpProblem, solve
 from cbnorm.superop import SuperOp, to_choi
 
@@ -62,10 +69,9 @@ def random_superop(rng, n, m, terms=2, scale=1.0):
 
 def channel_diff_data(phi0, phi1):
     """``(phi, J)`` for ``build_channel_diff_sdp``: the difference of two
-    channels and the Hermitian part of its Choi matrix."""
+    channels and its Choi matrix."""
     phi = SuperOp.difference(phi0, phi1)
-    j = to_choi(phi)
-    return phi, (j + j.conj().T) / 2
+    return phi, to_choi(phi)
 
 
 # The paper's SDP for a difference of channels, an oracle independent of the
@@ -80,11 +86,15 @@ def channel_diff_data(phi0, phi1):
 
 def build_channel_diff_sdp(phi, j):
     """Triple-form problem whose primal optimum is half the norm of the
-    channel difference ``phi``; ``j`` is its Hermitian Choi matrix."""
-    if not isinstance(phi.rep, superop.ChannelDifference):
-        raise InvalidInputError(
-            "channel-diff SDP requires a channel-difference representation")
+    channel difference ``phi``; ``j`` is its Choi matrix.  The SDP holds for
+    a map whose ``J`` is Hermitian and trace-annihilating, ``Tr_Y J = 0``,
+    as that of a difference of channels is, so ``j`` must be both."""
     n, m = phi.dim_in, phi.dim_out
+    j = hermitian_part(j)
+    if spectral_norm(partial_trace(j, (m, n), side="first")) > \
+            2 * superop.TP_TOL:
+        raise InvalidInputError(
+            "channel-diff SDP requires a trace-annihilating Choi matrix")
     eye_m = np.eye(m)
 
     def psi(blocks):
@@ -139,8 +149,7 @@ def channel_diff_norm(phi):
     2 Z - J)``: ``Z >= J``, ``Z >= 0`` and ``Tr_Y J = 0`` make
     ``[[2 Z - J, -J], [-J, 2 Z - J]] >= 0`` with ``Tr_Y(2 Z - J) = 2 Tr_Y Z``."""
     n, m = phi.dim_in, phi.dim_out
-    j = superop.to_choi(phi)
-    j = (j + j.conj().T) / 2
+    j = hermitian_part(superop.to_choi(phi))
     sol = solve(build_channel_diff_sdp(phi, j))
     if not all(np.isfinite(x).all() for x in (*sol.X_opt, *sol.Y_opt)):
         raise NumericalFailureError("interior-point solve failed")

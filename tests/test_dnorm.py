@@ -142,15 +142,27 @@ class TestBuildChannelDiff:
         assert res_cd.value == pytest.approx(oracle, abs=1e-6)
 
     def test_rejects_non_channels(self):
-        """The builder takes a channel difference only; the channels are
-        checked where it is formed (``test_difference_requires_channels``)."""
+        """The builder takes a trace-annihilating Choi matrix only, as that
+        of a difference of channels is; the channels are checked where the
+        difference is formed (``test_difference_requires_channels``)."""
         ident = SuperOp.identity(2)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="trace-annihilating"):
             build_channel_diff_sdp(ident, to_choi(ident))
 
-    def test_channel_diff_requires_difference_rep(self):
-        with pytest.raises(InvalidInputError):
+    def test_channel_diff_requires_hermitian_trace_annihilating_choi(self):
+        """The oracle checks what its SDP uses, a Hermitian ``J`` with
+        ``Tr_Y J = 0``, not how the map is represented."""
+        with pytest.raises(InvalidInputError, match="trace-annihilating"):
             channel_diff_norm(SuperOp.identity(2))
+        # |0><1| (x) |0><0| on Y (x) X: trace-annihilating, not Hermitian.
+        j = np.zeros((4, 4))
+        j[0, 2] = 1.0
+        with pytest.raises(InvalidInputError, match="not Hermitian"):
+            channel_diff_norm(SuperOp.from_choi(j, 2, 2))
+        # The same difference of channels given by its Choi matrix.
+        diff = phase_diff(np.pi / 3)
+        res = channel_diff_norm(SuperOp.from_choi(to_choi(diff), 2, 2))
+        assert res.value == channel_diff_norm(diff).value
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_weyl_covariant_pairs(self, d):
@@ -368,6 +380,22 @@ class TestCertificates:
         assert (check.lower, check.upper) == pytest.approx(
             (np.sqrt(4.5), np.sqrt(8.0)), rel=1e-15)
 
+    @pytest.mark.parametrize("rho", [np.eye(2) / 2, np.diag([1.0, 0.0])])
+    def test_zero_channel_diff_certificate_rejected(self, rho):
+        """The all-zero format-"1" certificate of the identity minus the
+        unitary channel of ``diag(1, e^{i 1e-7})`` converts to ``Y0 = Y1 =
+        -J``, whose block matrix has eigenvalue ``-2e-7``: tiny, but as
+        large as the block's largest, so it is a violation."""
+        phi = phase_diff(1e-7)
+        zero = matrix_to_json(np.zeros((4, 4)))
+        cert, _ = certificate_from_json({
+            "version": "1", "kind": "channel_diff", "norm": "diamond",
+            "rho": matrix_to_json(rho), "w": zero, "z": zero}, phi)
+        check = verify_certificate(phi, cert)
+        assert not check.valid
+        assert check.violations[0].startswith(
+            "[[Y0, -J], [-J^dag, Y1]] has eigenvalue -2.000e-07")
+
     def test_channel_diff_violations_in_order(self):
         """A format-"1" channel-difference certificate is checked in its
         Choi form: ``rho`` and ``sigma`` its ``rho`` transposed, ``Y0 = Y1 =
@@ -583,10 +611,10 @@ class TestAutoRoute:
 class TestOneChoiMatrix:
     @pytest.mark.parametrize("route", ["general", "channel-diff"])
     def test_channel_pair_forms_choi_once(self, monkeypatch, rng, route):
-        """``diamond_norm`` (and the channel-difference oracle) forms
-        ``J(phi0) - J(phi1)`` once, from one Choi matrix of each channel,
-        and does not re-test the channels that ``SuperOp.difference`` has
-        already tested."""
+        """``SuperOp.difference`` stores ``J(phi0) - J(phi1)`` as a Choi
+        matrix, which ``diamond_norm`` (and the channel-difference oracle)
+        reads once, without re-testing the channels that
+        ``SuperOp.difference`` has already tested."""
         diff = SuperOp.difference(random_channel(rng, 2, 2),
                                   random_channel(rng, 2, 2))
         calls = {"to_choi": 0, "is_channel": 0}
@@ -603,7 +631,7 @@ class TestOneChoiMatrix:
         norm = diamond_norm if route == "general" else channel_diff_norm
         res = norm(diff)
         assert res.method == route.replace("-", "_") + "_sdp"
-        assert calls == {"to_choi": 3, "is_channel": 0}
+        assert calls == {"to_choi": 1, "is_channel": 0}
 
 
 def _give_up(pair, options):
@@ -955,17 +983,68 @@ class TestBracketOrder:
                     (seed, norm.__name__)
 
 
+class TestRankCut:
+    """The route's Stinespring pair drops the Choi singular values below
+    ``RANK_TOL`` of the largest; the certificate adds the largest one it
+    drops to ``Y0`` and ``Y1``, so its bracket holds for the whole map."""
+
+    SMALL = 5e-10
+
+    def test_cb_spectral_norm_of_choi_input(self):
+        """``{|0><0|, sqrt(5e-10) |0><1|}`` in Choi form: ``adjoint`` keeps
+        the small component, and the bracket the norm ``1 + 5e-10``."""
+        e00, e01 = np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])
+        phi = SuperOp.from_choi(to_choi(SuperOp.from_kraus(
+            [e00, np.sqrt(self.SMALL) * e01])), 2, 2)
+        res = cb_spectral_norm(phi)
+        assert res.lower_bound <= 1 + self.SMALL <= res.upper_bound
+        assert verify_certificate(adjoint(phi), res.certificate).valid
+
+    @pytest.mark.parametrize("choi_form", [False, True])
+    def test_diamond_norm_small_kraus_term(self, choi_form):
+        """``{|0><0|, sqrt(5e-10) |1><0|}``, of norm ``1 + 5e-10``: the
+        lower end saw the small term while the upper end did not."""
+        e00, e10 = np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]])
+        phi = SuperOp.from_kraus([e00, np.sqrt(self.SMALL) * e10])
+        if choi_form:
+            phi = SuperOp.from_choi(to_choi(phi), 2, 2)
+        res = diamond_norm(phi)
+        assert res.lower_bound <= 1 + self.SMALL <= res.upper_bound
+        assert verify_certificate(phi, res.certificate).valid
+
+    def test_survey_never_inverted(self):
+        """Rank-2 3x3 maps plus one Kraus term whose Choi matrix is 1e-13
+        to 3e-10 of theirs, as Kraus and Choi inputs, both norms."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            base = random_superop(rng, 3, 3, terms=2)
+            rel = 10 ** rng.uniform(-13, np.log10(3e-10))
+            left, right = random_complex(rng, (3, 3)), \
+                random_complex(rng, (3, 3))
+            t = np.sqrt(rel * spectral_norm(to_choi(base)) /
+                        (np.linalg.norm(left) * np.linalg.norm(right)))
+            phi = SuperOp.from_kraus([*base.rep.left, t * left],
+                                     [*base.rep.right, t * right])
+            for p in (phi, SuperOp.from_choi(to_choi(phi), 3, 3)):
+                for norm in (diamond_norm, cb_spectral_norm):
+                    res = norm(p)
+                    assert res.lower_bound <= res.upper_bound, \
+                        (seed, norm.__name__)
+
+
 class TestScaleNormalization:
     """The general route runs on its pair scaled by powers of two to
     spectral norms in [1, 2) and maps the result back exactly, so a map's
     scale moves no tolerance: tiny and large maps get the bracket of the
     unscaled map."""
 
-    @pytest.mark.parametrize("c", [1e-8, 1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("c", [1e-8, 1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6,
+                                   1e8])
     def test_homogeneous(self, monkeypatch, c):
         """Rank-2 3x3 maps on the solve (the ascent would take them).  At
-        ``c`` = 1e8 the absolute ``tol`` of ``verify_certificate`` rejects
-        rounding-level violations."""
+        ``c`` = 1e8 the block matrix's rounding-level eigenvalue (-1.2e-6 at
+        seed 8) passes, as ``verify_certificate`` takes it relative to the
+        block's scale."""
         monkeypatch.setattr(dnorm, "_ascent_general", _give_up)
         for seed in range(3, 9):
             for norm, target in ((diamond_norm, lambda phi: phi),
@@ -1217,7 +1296,7 @@ class TestCertifiedAscent:
         assert res.lower_bound <= ra.upper_bound * rb.upper_bound
         assert ra.lower_bound * rb.lower_bound <= res.upper_bound
 
-    @pytest.mark.parametrize("s", [1e-4, 1e-2, 1e2, 1e3])
+    @pytest.mark.parametrize("s", [1e-4, 1e-2, 1e2, 1e3, 1e4])
     def test_homogeneous(self, monkeypatch, s):
         """Both Kraus families scaled by ``s`` scale the map by ``s^2``."""
         monkeypatch.setattr(dnorm, "solve", _no_solve)

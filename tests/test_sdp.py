@@ -137,7 +137,7 @@ class TestFromMaps:
             return [out[:3, :3], out[3:, 3:]]
 
         prob = SdpProblem.from_maps(var, con, psi, psi_adj, var.zeros(),
-                                    con.zeros(), check_tol=1e-9)
+                                    con.zeros())
         j = 0
         for ci, d in enumerate(con.blocks):
             for f in hermitian_basis(d):
@@ -149,8 +149,7 @@ class TestFromMaps:
 
     def test_probe_memory(self):
         """Full-rank d=5 (``r`` = 25): the probe holds one basis element at a
-        time, not the 625 of ``hermitian_basis(25)`` (6.25 MB), and no Schur
-        gather indices."""
+        time, not the 625 of ``hermitian_basis(25)`` (6.25 MB)."""
         import tracemalloc
 
         n = 5

@@ -140,10 +140,44 @@ class TestAdjoint:
         assert np.allclose(apply(adjoint(SuperOp.identity(2)), x), x)
 
     def test_single_kraus_dagger(self, rng):
-        k = random_complex(rng, (3, 2))
-        phi = SuperOp.from_kraus([k])
-        adj = adjoint(phi)
-        assert np.allclose(adj.rep.left[0], k.conj().T)
+        """``J(phi^*)``, a shuffle of ``conj(J(phi))``, is bit for bit the
+        Choi matrix of the daggered family: of one operator, and of
+        generalized families."""
+        maps = [SuperOp.from_kraus([random_complex(rng, (3, 2))])] + [
+            random_superop(rng, n, m, terms=r)
+            for n, m, r in ((1, 3, 2), (3, 1, 1), (4, 4, 3), (5, 2, 5))]
+        for phi in maps:
+            adj = adjoint(phi)
+            assert (adj.dim_in, adj.dim_out) == (phi.dim_out, phi.dim_in)
+            daggered = SuperOp.from_kraus([x.conj().T for x in phi.rep.left],
+                                          [x.conj().T for x in phi.rep.right])
+            assert np.array_equal(to_choi(adj), to_choi(daggered))
+
+    @pytest.mark.parametrize("kind", [
+        "choi", "kraus", "stinespring", "channel_pair"])
+    def test_involution_bitwise(self, rng, kind):
+        """``adjoint`` shuffles the Choi matrix, with no rank cut, so twice
+        gives the map back bit for bit, whatever its representation."""
+        phi = {
+            "choi": lambda: SuperOp.from_choi(
+                random_complex(rng, (6, 6)), 2, 3),
+            "kraus": lambda: random_superop(rng, 2, 3),
+            "stinespring": lambda: SuperOp.from_stinespring(
+                random_complex(rng, (12, 2)), random_complex(rng, (12, 2)),
+                4),
+            "channel_pair": lambda: SuperOp.difference(
+                random_channel(rng, 2, 3), random_channel(rng, 2, 3)),
+        }[kind]()
+        back = adjoint(adjoint(phi))
+        assert (back.dim_in, back.dim_out) == (2, 3)
+        assert np.array_equal(to_choi(back), to_choi(phi))
+
+    def test_keeps_small_components(self):
+        """A Choi component far below ``RANK_TOL`` of the largest survives."""
+        j = np.diag([1.0, 1e-12, 0.0, 0.0])
+        adj = to_choi(adjoint(SuperOp.from_choi(j, 2, 2)))
+        assert np.array_equal(np.sort(np.linalg.eigvalsh(adj)),
+                              [0.0, 0.0, 1e-12, 1.0])
 
     def test_defining_identity(self, rng):
         phi = random_superop(rng, 2, 3)
@@ -208,6 +242,26 @@ class TestTensor:
         assert np.max(np.abs(lhs - rhs)) < 1e-11 * max(1.0, np.abs(rhs).max())
         assert prod.dim_in == 4 and prod.dim_out == 4
         assert x.shape == (4, 4)
+
+    @pytest.mark.parametrize("dims", [((2, 3), (1, 2)), ((3, 1), (2, 2))])
+    def test_matches_kraus_products(self, rng, dims):
+        """The permuted Kronecker product of the Choi matrices against the
+        Choi matrix of the family of Kronecker products, for each input
+        representation of the factors."""
+        (n1, m1), (n2, m2) = dims
+        a, b = random_superop(rng, n1, m1, terms=2), \
+            random_superop(rng, n2, m2, terms=3)
+        oracle = to_choi(SuperOp.from_kraus(
+            [np.kron(x, y) for x in a.rep.left for y in b.rep.left],
+            [np.kron(x, y) for x in a.rep.right for y in b.rep.right]))
+        pair = to_stinespring(b)
+        for fa, fb in ((a, b), (SuperOp.from_choi(to_choi(a), n1, m1),
+                                SuperOp.from_stinespring(pair.a, pair.b,
+                                                         pair.dim_env))):
+            prod = tensor(fa, fb)
+            assert (prod.dim_in, prod.dim_out) == (n1 * n2, m1 * m2)
+            assert np.linalg.norm(to_choi(prod) - oracle) <= \
+                1e-13 * np.linalg.norm(oracle)
 
 
 class TestInducedNormOracle:
