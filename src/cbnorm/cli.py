@@ -161,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certificate", required=True)
     p.add_argument("--tol", type=float, default=1e-6,
                    help="absolute for the states' trace and eigenvalues, "
-                   "relative to the largest eigenvalue magnitude of the "
-                   "block matrix for its smallest eigenvalue")
+                   "relative to the spectral norm of the Choi matrix for "
+                   "the block matrix's smallest eigenvalue")
     p.add_argument("--output")
     p.set_defaults(func=cmd_certify)
 

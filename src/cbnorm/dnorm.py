@@ -64,7 +64,6 @@ import numpy as np
 from . import superop
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import (
-    as_square,
     herm_eig,
     kron,
     max_eigenvalue,
@@ -419,9 +418,9 @@ def verify_certificate(phi: SuperOp, cert, tol: float = 1e-6) -> CertificateChec
     Only basic linear algebra on the Choi matrix ``J`` of ``phi`` is used:
     two state checks, one PSD test of ``[[Y0, -J], [-J^dag, Y1]]``, two
     partial traces and one trace norm.  The bounds are valid whenever
-    ``valid`` is true.  ``tol`` is absolute for the states' traces and
-    smallest eigenvalues, and relative to the block matrix's largest
-    eigenvalue magnitude for its smallest eigenvalue.
+    ``valid`` is true (``lower > upper`` is a violation).  ``tol`` is
+    absolute for the states, and relative to ``|J|_2``, which a certificate
+    cannot inflate, for the block matrix's smallest eigenvalue.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise InvalidInputError(f"tol must be finite and non-negative, got {tol}")
@@ -440,13 +439,15 @@ def verify_certificate(phi: SuperOp, cert, tol: float = 1e-6) -> CertificateChec
             violations.append(f"Tr({name}) deviates from 1 by {tr_dev:.3e}")
         if min_eigenvalue(state) < -tol:
             violations.append(f"{name} is not PSD")
-    block = as_square(np.block([[cert.y0, -j], [-j.conj().T, cert.y1]]))
-    vals = np.linalg.eigvalsh((block + block.conj().T) / 2)
-    if vals[0] < -tol * max(-vals[0], vals[-1]):
+    smallest = min_eigenvalue(np.block([[cert.y0, -j], [-j.conj().T, cert.y1]]))
+    if smallest < -tol * spectral_norm(j):
         violations.append(
-            f"[[Y0, -J], [-J^dag, Y1]] has eigenvalue {vals[0]:.3e}")
-    return CertificateCheck(not violations, *_certificate_bounds(j, cert),
-                            tuple(violations))
+            f"[[Y0, -J], [-J^dag, Y1]] has eigenvalue {smallest:.3e}")
+    lower, upper = _certificate_bounds(j, cert)
+    if lower > upper:
+        violations.append(
+            f"lower bound {lower:.3e} exceeds upper bound {upper:.3e}")
+    return CertificateCheck(not violations, lower, upper, tuple(violations))
 
 
 def rebalance_stinespring(pair: StinespringPair, eps: float,

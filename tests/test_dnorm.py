@@ -385,7 +385,7 @@ class TestCertificates:
         """The all-zero format-"1" certificate of the identity minus the
         unitary channel of ``diag(1, e^{i 1e-7})`` converts to ``Y0 = Y1 =
         -J``, whose block matrix has eigenvalue ``-2e-7``: tiny, but as
-        large as the block's largest, so it is a violation."""
+        large as ``|J|_2``, so it is a violation."""
         phi = phase_diff(1e-7)
         zero = matrix_to_json(np.zeros((4, 4)))
         cert, _ = certificate_from_json({
@@ -395,6 +395,30 @@ class TestCertificates:
         assert not check.valid
         assert check.violations[0].startswith(
             "[[Y0, -J], [-J^dag, Y1]] has eigenvalue -2.000e-07")
+
+    def test_inflated_certificate_rejected(self):
+        """``Y0 = 1e4 1``, ``Y1 = 0`` for the identity of C^2: the block's
+        smallest eigenvalue, about ``-4 / 1e4``, is tiny against the block's
+        own scale but not against ``|J|_2 = 2``, which ``Y0`` cannot
+        inflate.  Its bracket would be ``[1, 0]``."""
+        phi = SuperOp.identity(2)
+        cert = Certificate(np.eye(2) / 2, np.eye(2) / 2, 1e4 * np.eye(4),
+                           np.zeros((4, 4)))
+        check = verify_certificate(phi, cert)
+        assert not check.valid
+        assert check.violations[0].startswith(
+            "[[Y0, -J], [-J^dag, Y1]] has eigenvalue -4.000e-04")
+        assert (check.lower, check.upper) == pytest.approx((1.0, 0.0))
+
+    def test_inverted_bracket_is_a_violation(self):
+        """A ``tol`` loose enough to pass the block test above still leaves
+        ``lower > upper``, which weak duality forbids."""
+        cert = Certificate(np.eye(2) / 2, np.eye(2) / 2, 1e4 * np.eye(4),
+                           np.zeros((4, 4)))
+        check = verify_certificate(SuperOp.identity(2), cert, tol=1e-2)
+        assert not check.valid
+        assert check.violations == (
+            "lower bound 1.000e+00 exceeds upper bound 0.000e+00",)
 
     def test_channel_diff_violations_in_order(self):
         """A format-"1" channel-difference certificate is checked in its
@@ -1043,8 +1067,8 @@ class TestScaleNormalization:
     def test_homogeneous(self, monkeypatch, c):
         """Rank-2 3x3 maps on the solve (the ascent would take them).  At
         ``c`` = 1e8 the block matrix's rounding-level eigenvalue (-1.2e-6 at
-        seed 8) passes, as ``verify_certificate`` takes it relative to the
-        block's scale."""
+        seed 8) passes, as ``verify_certificate`` takes it relative to
+        ``|J|_2``."""
         monkeypatch.setattr(dnorm, "_ascent_general", _give_up)
         for seed in range(3, 9):
             for norm, target in ((diamond_norm, lambda phi: phi),
