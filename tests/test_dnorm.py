@@ -400,25 +400,20 @@ class TestCertificates:
         """``Y0 = 1e4 1``, ``Y1 = 0`` for the identity of C^2: the block's
         smallest eigenvalue, about ``-4 / 1e4``, is tiny against the block's
         own scale but not against ``|J|_2 = 2``, which ``Y0`` cannot
-        inflate.  Its bracket would be ``[1, 0]``."""
+        inflate.  Its bracket ``[1, 0]`` is a violation too, which a
+        ``tol`` loose enough to pass the block test still reports."""
         phi = SuperOp.identity(2)
         cert = Certificate(np.eye(2) / 2, np.eye(2) / 2, 1e4 * np.eye(4),
                            np.zeros((4, 4)))
+        inverted = "lower bound 1.000e+00 exceeds upper bound 0.000e+00"
         check = verify_certificate(phi, cert)
         assert not check.valid
         assert check.violations[0].startswith(
             "[[Y0, -J], [-J^dag, Y1]] has eigenvalue -4.000e-04")
+        assert check.violations[1:] == (inverted,)
         assert (check.lower, check.upper) == pytest.approx((1.0, 0.0))
-
-    def test_inverted_bracket_is_a_violation(self):
-        """A ``tol`` loose enough to pass the block test above still leaves
-        ``lower > upper``, which weak duality forbids."""
-        cert = Certificate(np.eye(2) / 2, np.eye(2) / 2, 1e4 * np.eye(4),
-                           np.zeros((4, 4)))
-        check = verify_certificate(SuperOp.identity(2), cert, tol=1e-2)
-        assert not check.valid
-        assert check.violations == (
-            "lower bound 1.000e+00 exceeds upper bound 0.000e+00",)
+        check = verify_certificate(phi, cert, tol=1e-2)
+        assert check.violations == (inverted,)
 
     def test_channel_diff_violations_in_order(self):
         """A format-"1" channel-difference certificate is checked in its
