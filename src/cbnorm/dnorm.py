@@ -44,14 +44,18 @@ Alberti's dual ``Z = P^-1 # Q`` of the marginals above, to a width of
 ``gap_tol / 100``, where that pays: at input dimension one (one sweep is
 exact; the fidelity SDP is one), where the sweeps cost fewer flops than a
 Newton system, ``ASCENT_SWEEPS ((mn)^3 + n^6) <= (1 + r^2)^3`` (``r`` the
-Choi rank), and at ``r <= 2`` for ``n, m <= 5``, where a solve's dozen
-iterations of Python overhead outweigh the sweeps (beyond that, the sweep's
-``n^2 x n^2`` SVD costs more, and 6x6 maps were slower on it).  It leaves
-the map to the interior-point solve, whose ``Z`` it takes and whose states it
-polishes by sweeps, when the optimal state is rank-deficient or the width
-contracts too slowly.  A call forms ``J`` once (only ``J = 0`` takes the
-zero result); the Stinespring pair is its SVD, cut at ``RANK_TOL``, and the
-certificate adds the largest singular value cut to ``Y0`` and ``Y1``.
+Choi rank), and at ``r <= 2`` for ``n, m <= 5``.  At a full-rank optimum
+``A^dag (1 (x) Z) A`` is degenerate at the top, so Alberti's bound lags
+the states to first order; there one least-norm Newton step toward
+``A^dag (1 (x) Z) A = c0 1``, ``B^dag (1 (x) Z^-1) B = c1 1`` corrects
+``Z`` to second order, and the smaller bound is kept.  The step runs where
+its linearized system is underdetermined, ``r^2 + 2 >= 2 n^2``, and both
+states keep every eigenvalue above ``FULL_RANK / n``.  The ascent leaves the
+map to the interior-point solve, whose ``Z`` it takes and whose states it
+polishes by sweeps, when ``P`` is singular or the width contracts too
+slowly.  A call forms ``J`` once (only ``J = 0`` takes the zero result);
+the Stinespring pair is its SVD, cut at ``RANK_TOL``, and the certificate
+adds the largest singular value cut to ``Y0`` and ``Y1``.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ from .superop import StinespringPair, SuperOp, to_choi
 ASCENT_SWEEPS = 100
 
 EPS = np.finfo(float).eps
+FULL_RANK = 1e-3  # the Newton dual step's bound on states' eigenvalues, times n
 
 
 @dataclass(frozen=True)
@@ -283,16 +288,58 @@ def _certificate_bounds(j, cert: Certificate) -> tuple:
 
 def _geometric_mean(p, q):
     """Alberti's ``Z = P^-1 # Q = P^-1/2 (P^1/2 Q P^1/2)^1/2 P^-1/2`` (the
-    inner root above rounding level), with ``<P, Z> = <Q, Z^-1> = F(P, Q)``;
-    ``None`` for a ``P`` singular at rounding level."""
+    inner root above rounding level), with ``<P, Z> = <Q, Z^-1> = F(P, Q)``,
+    and ``Z^-1 = P # Q^-1 = P^1/2 (P^1/2 Q P^1/2)^-1/2 P^1/2`` from the same
+    two eigendecompositions (``None`` for a singular ``Z``); ``None`` for a
+    ``P`` singular at rounding level."""
     vals, vecs = herm_eig(p)
     rounding = len(p) * EPS  # relative to the largest one
     if not vals[-1] > rounding * vals[0]:
         return None
     root, inv_root = ((vecs * vals ** e) @ vecs.conj().T for e in (0.5, -0.5))
     mvals, mvecs = herm_eig(root @ q @ root)
-    mvals = np.where(mvals > rounding * max(mvals[0], 0.0), mvals, 0.0)
-    return inv_root @ ((mvecs * np.sqrt(mvals)) @ mvecs.conj().T) @ inv_root
+    roots = np.sqrt(np.where(mvals > rounding * max(mvals[0], 0), mvals, 0.0))
+    z = inv_root @ ((mvecs * roots) @ mvecs.conj().T) @ inv_root
+    return z, root @ ((mvecs / roots) @ mvecs.conj().T) @ root \
+        if roots[-1] > 0 else None
+
+
+def _gram(xt):
+    """Matrix of ``D -> sum_y X_y^dag D X_y`` for ``X`` indexed (Y, Z, X),
+    rows ``(a, b)`` and columns ``(i, j)`` row-major."""
+    return np.tensordot(xt.conj(), xt, axes=(0, 0)).transpose(
+        1, 3, 0, 2).reshape(xt.shape[2] ** 2, -1)
+
+
+def _dual_bound(at, bt, z, z_inv):
+    """Upper bound of ``Z``: the root of ``lambda_max`` of ``A^dag (1 (x) Z)
+    A`` times that of ``B^dag (1 (x) Z^-1) B``, and those two matrices."""
+    n = at.shape[2]
+    g = [x.reshape(-1, n).conj().T @ (y @ x).reshape(-1, n)
+         for x, y in ((at, z), (bt, z_inv))]
+    return np.sqrt(np.prod([np.linalg.eigvalsh(x)[-1] for x in g])), g
+
+
+def _newton_dual(at, bt, gram_a, z, z_inv, g):
+    """``(upper, Z + D)`` as :func:`_dual_bound` gives them, ``None`` unless
+    ``Z + D > 0``: ``D`` the least-norm step toward ``A^dag (1 (x) Z) A =
+    c0 1``, ``B^dag (1 (x) Z^-1) B = c1 1`` (optimality at a full-rank
+    optimum, ``g`` their left sides at ``Z``) linearized in ``Z``, ``c0``
+    and ``c1``, by normal equations; ``gram_a`` is :func:`_gram` of ``A``."""
+    n, r = len(g[0]), len(z)
+    e = np.eye(n).reshape(-1)
+    gram = np.vstack([gram_a, -_gram(z_inv @ bt)])  # d(Z^-1) = -Z^-1 D Z^-1
+    rhs = np.concatenate([np.trace(x).real / n * e - x.reshape(-1) for x in g])
+    lhs = gram @ gram.conj().T + np.kron(np.eye(2), np.outer(e, e))
+    try:
+        y = np.linalg.solve(lhs, rhs)
+        step = (gram.conj().T @ y).reshape(r, r)
+        z_new = z + (step + step.conj().T) / 2
+        if np.linalg.eigvalsh(z_new)[0] > 0:  # false for a non-finite step
+            return _dual_bound(at, bt, z_new, np.linalg.inv(z_new))[0], z_new
+    except np.linalg.LinAlgError:
+        pass
+    return None
 
 
 def _ascent_general(pair, opt):
@@ -309,6 +356,8 @@ def _ascent_general(pair, opt):
     u = v = _purification(np.eye(n) / n)
     budget, target = (1, np.inf) if n == 1 else \
         (ASCENT_SWEEPS, opt.gap_tol / 100)
+    # The Newton step needs its linearized system underdetermined.
+    gram_a = _gram(at) if r * r + 2 >= 2 * n * n else None
     best, widths = (np.inf, None), []
     for sweep in range(1, budget + 1):
         u, v, lower = _ascent_sweep(at, bt, h, u, v)
@@ -317,19 +366,17 @@ def _ascent_general(pair, opt):
         # Marginals Tr_Y(A rho0 A^dag) = Tr_{Y,W}(t t^dag), t = (A (x) 1) u.
         t, s = (np.swapaxes(x @ y, 0, 1).reshape(r, -1)
                 for x, y in ((at, u), (bt, v)))
-        z = _geometric_mean(t @ t.conj().T, s @ s.conj().T)
-        if z is None:
+        mean = _geometric_mean(t @ t.conj().T, s @ s.conj().T)
+        if mean is None or (n > 1 and mean[1] is None):
             return None
         if n == 1:  # P^-1 # Q is the optimal dual
-            return u, v, z
-        if not (eig := herm_eig(z)).values[-1] > 0:
-            return None
-        # The bound of Z: lambda_max(A^dag (1 (x) Z) A) times that of Z^-1.
-        z_inv = (eig.vectors / eig.values) @ eig.vectors.conj().T
-        upper = np.sqrt(np.prod([np.linalg.eigvalsh(
-            x.reshape(-1, n).conj().T @ (y @ x).reshape(-1, n))[-1]
-            for x, y in ((at, z), (bt, z_inv))]))
-        best = min(best, (upper, z), key=lambda b: b[0])
+            return u, v, mean[0]
+        upper, g = _dual_bound(at, bt, *mean)
+        candidates = [(upper, mean[0])]
+        if gram_a is not None and min(np.linalg.svd(
+                x, compute_uv=False)[-1] for x in (u, v)) ** 2 > FULL_RANK / n:
+            candidates.append(_newton_dual(at, bt, gram_a, *mean, g))
+        best = min(best, *filter(None, candidates), key=lambda b: b[0])
         widths.append((best[0] - lower) / best[0])
         if opt.verbose:
             print(f"sweep {sweep:3d}  lower {lower: .9e}  upper {best[0]: .9e}"

@@ -195,8 +195,8 @@ class SdpProblem:
         duals no sign constraint.  Declare a block so only when some optimum
         makes it tight, as then the optimum is unchanged.  Both callables are
         validated on random inputs, to ``CHECK_TOL`` relative: Hermiticity
-        preservation of ``Psi``, and adjoint consistency against the rows
-        and the declared blocks.
+        preservation of ``Psi`` (to its output's scale), and adjoint
+        consistency against the rows and the declared blocks.
         """
         obj = tuple(np.asarray(m, dtype=complex) for m in obj)
         rhs = tuple(np.asarray(m, dtype=complex) for m in rhs)
@@ -247,7 +247,7 @@ class SdpProblem:
         for _ in range(3):
             h = var_structure.random_hermitian(rng)
             out = psi(h)
-            scale = 1.0 + max(spectral_norm(x) for x in h)
+            scale = max(spectral_norm(o) for o in out)
             for o in out:
                 if spectral_norm(o - np.conj(o).T) > CHECK_TOL * scale:
                     raise InvalidInputError(

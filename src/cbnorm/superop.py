@@ -21,6 +21,7 @@ from .errors import InvalidInputError
 from .linalg import as_matrix, kron, partial_trace
 
 RANK_TOL = 1e-9
+EPS = np.finfo(float).eps
 TP_TOL = 1e-8
 
 
@@ -105,15 +106,16 @@ class SuperOp:
     def difference(phi0: "SuperOp", phi1: "SuperOp") -> "SuperOp":
         if (phi0.dim_in, phi0.dim_out) != (phi1.dim_in, phi1.dim_out):
             raise InvalidInputError("channel difference requires matching dims")
-        for name, phi in (("phi0", phi0), ("phi1", phi1)):
-            rep = is_channel(phi)
+        n, m = phi0.dim_in, phi0.dim_out
+        j0, j1 = to_choi(phi0), to_choi(phi1)
+        for name, j in (("phi0", j0), ("phi1", j1)):
+            rep = _channel_report(j, n, m)
             if not (rep.is_cp and rep.is_tp):
                 raise InvalidInputError(
                     f"{name} is not a quantum channel "
                     f"(cp={rep.is_cp}, tp={rep.is_tp})"
                 )
-        return SuperOp(phi0.dim_in, phi0.dim_out,
-                       Choi(to_choi(phi0) - to_choi(phi1)))
+        return SuperOp(n, m, Choi(j0 - j1))
 
     @staticmethod
     def identity(dim: int) -> "SuperOp":
@@ -170,25 +172,20 @@ def to_kraus(phi: SuperOp) -> SuperOp:
 
     CP maps (Choi PSD within tolerance) get ``left == right`` from the
     eigendecomposition; general maps read theirs off the environment blocks
-    of :func:`to_stinespring`'s pair.
+    of :func:`to_stinespring`'s pair.  Both cut the spectrum only at rounding
+    level, ``mn eps`` of its largest value.
     """
     n, m = phi.dim_in, phi.dim_out
     j = to_choi(phi)
-    herm_dev = linalg.spectral_norm(j - j.conj().T)
     scale = max(1.0, linalg.spectral_norm(j))
-    if herm_dev <= linalg.HERMITIAN_TOL * scale:
+    if linalg.spectral_norm(j - j.conj().T) <= linalg.HERMITIAN_TOL * scale:
         vals, vecs = linalg.herm_eig(j)
-        if vals.size and vals[-1] >= -linalg.PSD_TOL * scale:
-            cut = RANK_TOL * max(abs(vals[0]), 1e-300) if vals.size else 0.0
-            keep = [i for i, v in enumerate(vals) if v > cut]
-            if not keep:
-                zero = np.zeros((m, n))
-                return SuperOp(n, m, Kraus((zero,), (zero,)))
-            ops = tuple(
-                (np.sqrt(vals[i]) * vecs[:, i]).reshape(m, n) for i in keep
-            )
+        if vals[-1] >= -linalg.PSD_TOL * scale:
+            keep = vals > m * n * EPS * max(vals[0], 0.0)
+            ops = tuple((np.sqrt(v) * x).reshape(m, n) for v, x in
+                        zip(vals[keep], vecs.T[keep])) or (np.zeros((m, n)),)
             return SuperOp(n, m, Kraus(ops, ops))
-    pair = _stinespring_of_choi(j, n, m)[0]
+    pair = _stinespring_of_choi(j, n, m, m * n * EPS)[0]
     left, right = (tuple(np.ascontiguousarray(
         x.reshape(m, pair.dim_env, n).transpose(1, 0, 2)))
         for x in (pair.a, pair.b))
@@ -199,17 +196,19 @@ def to_stinespring(phi: SuperOp) -> StinespringPair:
     """Minimal-environment Stinespring pair from the SVD of the Choi matrix.
 
     The environment dimension is the numerical rank of ``J(phi)`` at
-    threshold ``RANK_TOL * sigma_max`` (clamped to 1 for the zero map).
+    threshold ``mn eps sigma_max``, rounding level (clamped to 1 for the
+    zero map).
     """
-    return _stinespring_of_choi(to_choi(phi), phi.dim_in, phi.dim_out)[0]
+    n, m = phi.dim_in, phi.dim_out
+    return _stinespring_of_choi(to_choi(phi), n, m, m * n * EPS)[0]
 
 
-def _stinespring_of_choi(j, n, m) -> tuple:
-    """:func:`to_stinespring` of the map with Choi matrix ``j``, and the
-    largest singular value it drops: the spectral norm of ``j`` minus the
-    pair's Choi matrix."""
+def _stinespring_of_choi(j, n, m, tol=RANK_TOL) -> tuple:
+    """The Stinespring pair of the SVD of the Choi matrix ``j``, cut at
+    ``tol sigma_max``, and the largest singular value it drops: the
+    spectral norm of ``j`` minus the pair's Choi matrix."""
     u, s, vh = np.linalg.svd(j)
-    cut = RANK_TOL * (s[0] if s.size else 0.0)
+    cut = tol * (s[0] if s.size else 0.0)
     r = max(1, int(np.sum(s > cut)))
     scaled_u = u[:, :r] * np.sqrt(s[:r])
     scaled_v = vh[:r, :].conj().T * np.sqrt(s[:r])
@@ -243,8 +242,10 @@ def tensor(phi: SuperOp, psi: SuperOp) -> SuperOp:
 def is_channel(phi: SuperOp) -> ChannelReport:
     """Complete positivity (Choi PSD) and trace preservation
     (``Tr_Y J = 1_X``) report."""
-    n, m = phi.dim_in, phi.dim_out
-    j = to_choi(phi)
+    return _channel_report(to_choi(phi), phi.dim_in, phi.dim_out)
+
+
+def _channel_report(j, n, m) -> ChannelReport:
     herm_dev = linalg.spectral_norm(j - j.conj().T)
     scale = max(1.0, linalg.spectral_norm(j))
     if herm_dev > linalg.HERMITIAN_TOL * scale:

@@ -1031,6 +1031,26 @@ class TestRankCut:
         assert res.lower_bound <= 1 + self.SMALL <= res.upper_bound
         assert verify_certificate(phi, res.certificate).valid
 
+    @pytest.mark.parametrize("convert", ["kraus", "stinespring"])
+    def test_conversions_keep_small_term(self, convert):
+        """The public conversions cut only at rounding level: the Choi form
+        of ``{|0><0|, sqrt(5e-10) |1><0|}`` converts with both terms, and the
+        converted map's bracket holds its norm ``1 + 5e-10``."""
+        e00, e10 = np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]])
+        j = to_choi(SuperOp.from_kraus([e00, np.sqrt(self.SMALL) * e10]))
+        phi = SuperOp.from_choi(j, 2, 2)
+        if convert == "kraus":
+            back = superop.to_kraus(phi)
+            assert len(back.rep.left) == 2
+        else:
+            pair = to_stinespring(phi)
+            assert pair.dim_env == 2
+            back = SuperOp(2, 2, pair)
+        assert np.max(np.abs(to_choi(back) - j)) <= 1e-15
+        res = diamond_norm(back)
+        assert res.lower_bound <= 1 + self.SMALL <= res.upper_bound
+        assert verify_certificate(back, res.certificate).valid
+
     def test_survey_never_inverted(self):
         """Rank-2 3x3 maps plus one Kraus term whose Choi matrix is 1e-13
         to 3e-10 of theirs, as Kraus and Choi inputs, both norms."""
@@ -1277,11 +1297,13 @@ class TestCertifiedAscent:
         assert check.valid, check.violations
 
     @pytest.mark.parametrize("n,m,r,gives_up", [
-        (4, 4, 16, False), (5, 5, 13, True), (3, 3, 9, False)])
+        (4, 4, 16, False), (5, 5, 13, True), (3, 3, 9, False),
+        (2, 2, 2, False)])
     def test_dual_every_fifth_sweep(self, monkeypatch, n, m, r, gives_up):
         """The dual bound ``P^-1 # Q`` is formed at every fifth sweep (and the
-        budget's last), whether the ascent converges or gives up."""
-        calls = {"_ascent_sweep": 0, "_geometric_mean": 0}
+        budget's last), whether the ascent converges or gives up, and so is
+        at most one Newton step from it, none where ``r^2 + 2 < 2 n^2``."""
+        calls = {"_ascent_sweep": 0, "_geometric_mean": 0, "_newton_dual": 0}
         for name in calls:
             def counted(*args, _real=getattr(dnorm, name), _name=name):
                 calls[_name] += 1
@@ -1294,6 +1316,8 @@ class TestCertifiedAscent:
         assert (res is None) == gives_up
         sweeps, means = calls["_ascent_sweep"], calls["_geometric_mean"]
         assert sweeps >= 5 and 0 < means <= -(-sweeps // 5) + 1, calls
+        assert (calls["_newton_dual"] > 0) == (r * r + 2 >= 2 * n * n), calls
+        assert calls["_newton_dual"] <= means, calls
 
     def test_full_rank_d8(self, monkeypatch):
         """``m_con`` would be 4097 on the solve."""
@@ -1331,3 +1355,146 @@ class TestCertifiedAscent:
         assert lines and all(line.startswith("sweep") for line in lines)
         width = float(lines[-1].split()[-1])
         assert width <= 1e-10 and res.solver_stats.iterations == 0
+
+
+def _full_rank_pair(d):
+    rng = np.random.default_rng(d)
+    return SuperOp.difference(random_channel(rng, d, d, env=d * d),
+                              random_channel(rng, d, d, env=d * d))
+
+
+class TestNewtonDual:
+    """Where the optimal states are full rank, one Newton step from Alberti's
+    ``Z`` per evaluation, toward ``A^dag (1 (x) Z) A = c0 1`` and ``B^dag (1
+    (x) Z^-1) B = c1 1``, closes the bracket in about half the sweeps that
+    ``Z`` alone needs: 45 to 50 on these 4x4 maps, 30 on these pairs."""
+
+    @pytest.mark.parametrize("make,limit", [
+        (lambda: _full_rank(0, 4, 4), 30),
+        (lambda: adjoint(_full_rank(0, 4, 4)), 30),
+        (lambda: _full_rank(1, 4, 4), 30),
+        (lambda: adjoint(_full_rank(1, 4, 4)), 30),
+        (lambda: _full_rank_pair(3), 20),
+        (lambda: _full_rank_pair(4), 20)],
+        ids=["4x4-0", "4x4-0-adjoint", "4x4-1", "4x4-1-adjoint", "cp-d3",
+             "cp-d4"])
+    def test_certifies_in_fewer_sweeps(self, monkeypatch, make, limit):
+        phi = make()
+        sweeps, real = [], dnorm._ascent_sweep
+
+        def counted(*args):
+            sweeps.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(dnorm, "_ascent_sweep", counted)
+        monkeypatch.setattr(dnorm, "solve", _no_solve)
+        res = diamond_norm(phi)
+        monkeypatch.undo()
+        assert len(sweeps) <= limit
+        assert res.solver_stats.iterations == 0
+        assert res.upper_bound - res.lower_bound <= 1e-10 * res.upper_bound
+        check = verify_certificate(phi, res.certificate)
+        assert check.valid, check.violations
+        monkeypatch.setattr(dnorm, "_ascent_general", _give_up)
+        ref = diamond_norm(phi, NormOptions(gap_tol=1e-11))
+        assert ref.solver_stats.iterations > 0
+        assert verify_certificate(phi, ref.certificate).valid
+        assert res.lower_bound <= ref.upper_bound
+        assert ref.lower_bound <= res.upper_bound
+
+    def test_inverse_from_the_same_eigendecompositions(self, rng):
+        """``_geometric_mean`` returns ``Z^-1 = P # Q^-1`` with ``Z``."""
+        p, q = (conftest.random_psd(rng, 5) for _ in range(2))
+        z, z_inv = dnorm._geometric_mean(p, q)
+        assert np.allclose(z @ z_inv, np.eye(5), atol=1e-10)
+        assert np.allclose(z @ p @ z, q, atol=1e-10 * spectral_norm(q))
+        assert dnorm._geometric_mean(p, np.zeros((5, 5)))[1] is None
+
+    def test_step_is_second_order(self):
+        """From ``Z`` at distance ``eps`` of a solution of the conditions, the
+        step leaves a residual of order ``eps^2``."""
+        pair = to_stinespring(_full_rank(0, 4, 4))
+        at, bt, _ = dnorm._sweep_operands(pair)
+        gram_a = dnorm._gram(at)
+
+        def step(z):
+            z_inv = np.linalg.inv(z)
+            g = dnorm._dual_bound(at, bt, z, z_inv)[1]
+            residual = max(spectral_norm(x - np.trace(x).real / 4 * np.eye(4))
+                           for x in g)
+            return dnorm._newton_dual(at, bt, gram_a, z, z_inv, g)[1], \
+                residual
+
+        z = dnorm._ascent_general(pair, NormOptions())[2]
+        for _ in range(3):
+            z, residual = step(z)
+        assert residual <= 1e-12 * spectral_norm(z)
+        # Residuals of 0.07 and 0.007 fall to 6e-5 and 5e-7.
+        h = random_complex(np.random.default_rng(0), (16, 16))
+        for eps in (1e-3, 1e-4):
+            z_eps = z + eps * spectral_norm(z) * (h + h.conj().T) / 8
+            residual = step(z_eps)[1]
+            assert residual > 1e-2 * eps * spectral_norm(z)
+            assert step(step(z_eps)[0])[1] <= residual ** 2
+
+
+class TestSolverFreeReferences:
+    """Seeded properties against references that need no solver, or against
+    the channel-difference oracle, across scales and tolerances."""
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("m,terms", [(1, 1), (3, 2), (4, 5)])
+    def test_input_dimension_one(self, scale, m, terms):
+        """At ``dim_in = 1`` the norm is ``|Phi(1)|_1``."""
+        rng = np.random.default_rng(10 * m + terms)
+        phi = random_superop(rng, 1, m, terms=terms, scale=np.sqrt(scale))
+        ref = np.linalg.svd(apply(phi, np.eye(1)), compute_uv=False).sum()
+        res = diamond_norm(phi)
+        assert res.lower_bound <= ref * (1 + 1e-12)
+        assert ref <= res.upper_bound * (1 + 1e-12)
+        assert res.value == pytest.approx(ref, rel=1e-12)
+        assert verify_certificate(phi, res.certificate).valid
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("n,terms", [(2, 1), (3, 2), (4, 3)])
+    def test_output_dimension_one(self, scale, n, terms):
+        """At ``dim_out = 1`` the map is the functional ``X -> tr(K X)``, and
+        its norm the spectral norm of ``K = J^T``."""
+        rng = np.random.default_rng(10 * n + terms)
+        phi = random_superop(rng, n, 1, terms=terms, scale=np.sqrt(scale))
+        ref = spectral_norm(to_choi(phi))
+        res = diamond_norm(phi)
+        assert res.lower_bound <= ref * (1 + 1e-12)
+        assert ref <= res.upper_bound * (1 + 1e-12)
+        assert res.upper_bound - res.lower_bound <= 1e-7 * ref
+        assert verify_certificate(phi, res.certificate).valid
+
+    @pytest.mark.parametrize("d,k", [(d, k) for d in (2, 3, 4)
+                                     for k in range(1, d + 1)])
+    def test_rank_deficient_channel_pairs(self, d, k):
+        """Channels of Kraus rank ``k <= d``: the bracket overlaps the
+        channel-difference oracle's."""
+        rng = np.random.default_rng(100 * d + k)
+        diff = SuperOp.difference(random_channel(rng, d, d, env=k),
+                                  random_channel(rng, d, d, env=k))
+        res, ref = diamond_norm(diff), channel_diff_norm(diff)
+        assert verify_certificate(diff, res.certificate).valid
+        assert verify_certificate(diff, ref.certificate).valid
+        assert res.lower_bound <= ref.upper_bound * (1 + 1e-12)
+        assert ref.lower_bound <= res.upper_bound * (1 + 1e-12)
+        assert res.upper_bound - res.lower_bound <= 1e-7 * res.upper_bound
+
+    @pytest.mark.parametrize("n,m,r", [(3, 3, 9), (3, 3, 2), (2, 2, 4),
+                                       (4, 4, 16)])
+    def test_tight_gap_tol(self, n, m, r):
+        """At ``gap_tol = 1e-11`` the bracket is sound, overlaps the default
+        one, and is no wider than ``10 gap_tol`` when ``optimal``."""
+        phi = random_superop(np.random.default_rng(r), n, m, terms=r)
+        tight = diamond_norm(phi, NormOptions(gap_tol=1e-11))
+        loose = diamond_norm(phi)
+        assert verify_certificate(phi, tight.certificate).valid
+        assert tight.lower_bound <= loose.upper_bound
+        assert loose.lower_bound <= tight.upper_bound
+        if tight.solver_stats.status == "optimal":
+            assert tight.upper_bound - tight.lower_bound <= \
+                1e-10 * tight.upper_bound

@@ -99,6 +99,35 @@ class TestFromMaps:
                 [np.eye(2)], [np.eye(2)],
             )
 
+    @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-12])
+    def test_hermiticity_check_is_relative(self, c):
+        """``psi(X) = c M X``, ``M = |0><1|``, breaks Hermiticity at every
+        scale ``c``: the deviation is compared with ``psi``'s own output."""
+        struct = BlockStructure((2,))
+        shear = c * np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="Hermiticity"):
+            SdpProblem.from_maps(
+                struct, struct,
+                lambda blocks: [shear @ blocks[0]],
+                lambda blocks: [shear.T @ blocks[0]],
+                [np.eye(2)], [np.eye(2)],
+            )
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_builders_at_scale(self, rng, scale):
+        """The norm's builder and the channel-difference oracle build on
+        data at map scales 1e-8 and 1e8."""
+        pair = to_stinespring(random_superop(rng, 3, 3, terms=4))
+        root = np.sqrt(scale)
+        prob = build_general_sdp(
+            StinespringPair(root * pair.a, root * pair.b, pair.dim_env))
+        assert np.allclose(prob.obj[1], scale * pair.b @ pair.b.conj().T,
+                           rtol=0, atol=1e-12 * scale)
+        phi, j = channel_diff_data(random_channel(rng, 3, 3),
+                                   random_channel(rng, 3, 3))
+        prob = build_channel_diff_sdp(phi, scale * j)
+        assert np.allclose(prob.obj[1], scale * j, rtol=0, atol=1e-12 * scale)
+
     def test_rejects_inconsistent_adjoint(self):
         struct = BlockStructure((2,))
         with pytest.raises(InvalidInputError):

@@ -304,3 +304,22 @@ def test_difference_requires_channels(rng):
     with pytest.raises(InvalidInputError):
         SuperOp.difference(SuperOp.identity(2),
                            SuperOp.from_kraus([2 * np.eye(2)]))
+
+
+def test_difference_forms_each_choi_once(monkeypatch, rng):
+    """The channel checks read the Choi matrices that the difference
+    stores: two ``to_choi`` calls, and ``J0 - J1`` bit for bit."""
+    from cbnorm import superop
+
+    phi0, phi1 = random_channel(rng, 3, 3), random_channel(rng, 3, 3)
+    expected = to_choi(phi0) - to_choi(phi1)
+    calls, real = [], superop.to_choi
+
+    def counted(phi):
+        calls.append(phi)
+        return real(phi)
+
+    monkeypatch.setattr(superop, "to_choi", counted)
+    diff = SuperOp.difference(phi0, phi1)
+    assert calls == [phi0, phi1]
+    assert diff.rep.matrix.tobytes() == expected.tobytes()
