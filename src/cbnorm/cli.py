@@ -48,12 +48,15 @@ def _require_superop(problem: dict) -> superop.SuperOp:
 
 
 def cmd_compute(args) -> int:
-    phi = _require_superop(load_problem(args.input))
+    problem = load_problem(args.input)
+    phi = _require_superop(problem)
     options = NormOptions(gap_tol=args.tol, feas_tol=args.tol,
                           verbose=args.verbose)
     start = time.perf_counter()
-    norm = diamond_norm if args.norm == "diamond" else cb_spectral_norm
-    result = norm(phi, options)
+    if args.norm == "diamond":
+        result = diamond_norm(phi, options)
+    else:
+        result = cb_spectral_norm(phi, options)
     elapsed = time.perf_counter() - start
 
     cert_json = certificate_to_json(result.certificate, args.norm)
@@ -94,8 +97,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    phi = _require_superop(load_problem(args.input))
-    _write_output(problem_to_json(phi, args.to), args.output)
+    problem = load_problem(args.input)
+    phi = _require_superop(problem)
+    out = problem_to_json(phi, args.to)
+    _write_output(out, args.output)
     return EXIT_OK
 
 
@@ -118,7 +123,9 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_check_channel(args) -> int:
-    report = superop.is_channel(_require_superop(load_problem(args.input)))
+    problem = load_problem(args.input)
+    phi = _require_superop(problem)
+    report = superop.is_channel(phi)
     out = {
         "tool_version": __version__,
         "is_cp": report.is_cp,

@@ -44,18 +44,19 @@ Alberti's dual ``Z = P^-1 # Q`` of the marginals above, to a width of
 ``gap_tol / 100``, where that pays: at input dimension one (one sweep is
 exact; the fidelity SDP is one), where the sweeps cost fewer flops than a
 Newton system, ``ASCENT_SWEEPS ((mn)^3 + n^6) <= (1 + r^2)^3`` (``r`` the
-Choi rank), and at ``r <= 2`` for ``n, m <= 5``.  At a full-rank optimum
-``A^dag (1 (x) Z) A`` is degenerate at the top, so Alberti's bound lags
-the states to first order; there one least-norm Newton step toward
-``A^dag (1 (x) Z) A = c0 1``, ``B^dag (1 (x) Z^-1) B = c1 1`` corrects
-``Z`` to second order, and the smaller bound is kept.  The step runs where
-its linearized system is underdetermined, ``r^2 + 2 >= 2 n^2``, and both
-states keep every eigenvalue above ``FULL_RANK / n``.  The ascent leaves the
-map to the interior-point solve, whose ``Z`` it takes and whose states it
-polishes by sweeps, when ``P`` is singular or the width contracts too
-slowly.  A call forms ``J`` once (only ``J = 0`` takes the zero result);
-the Stinespring pair is its SVD, cut at ``RANK_TOL``, and the certificate
-adds the largest singular value cut to ``Y0`` and ``Y1``.
+Choi rank), and at ``r <= 2`` for ``n, m <= 5``, where a solve's dozen
+iterations of Python overhead outweigh the sweeps (beyond that, the sweep's
+``n^2 x n^2`` SVD costs more, and 6x6 maps were slower on it).  At a
+full-rank optimum ``A^dag (1 (x) Z) A`` is degenerate at the top, so
+Alberti's bound lags the states to first order; there one least-norm Newton
+step toward ``A^dag (1 (x) Z) A = c0 1``, ``B^dag (1 (x) Z^-1) B = c1 1``
+corrects ``Z`` to second order, and the smaller bound is kept.  The step
+runs where its linearized system is underdetermined, ``r^2 + 2 >= 2 n^2``.
+The ascent leaves the map to the interior-point solve, whose ``Z`` it takes
+and whose states it polishes by sweeps, when ``P`` is singular or the width
+contracts too slowly.  A call forms ``J`` once (only ``J = 0`` takes the
+zero result); the Stinespring pair is its SVD, cut at ``RANK_TOL``, and the
+certificate adds the largest singular value cut to ``Y0`` and ``Y1``.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ from .superop import StinespringPair, SuperOp, to_choi
 ASCENT_SWEEPS = 100
 
 EPS = np.finfo(float).eps
-FULL_RANK = 1e-3  # the Newton dual step's bound on states' eigenvalues, times n
 
 
 @dataclass(frozen=True)
@@ -357,7 +357,7 @@ def _ascent_general(pair, opt):
     budget, target = (1, np.inf) if n == 1 else \
         (ASCENT_SWEEPS, opt.gap_tol / 100)
     # The Newton step needs its linearized system underdetermined.
-    gram_a = _gram(at) if r * r + 2 >= 2 * n * n else None
+    gram_a = _gram(at) if n > 1 and r * r + 2 >= 2 * n * n else None
     best, widths = (np.inf, None), []
     for sweep in range(1, budget + 1):
         u, v, lower = _ascent_sweep(at, bt, h, u, v)
@@ -373,8 +373,7 @@ def _ascent_general(pair, opt):
             return u, v, mean[0]
         upper, g = _dual_bound(at, bt, *mean)
         candidates = [(upper, mean[0])]
-        if gram_a is not None and min(np.linalg.svd(
-                x, compute_uv=False)[-1] for x in (u, v)) ** 2 > FULL_RANK / n:
+        if gram_a is not None:
             candidates.append(_newton_dual(at, bt, gram_a, *mean, g))
         best = min(best, *filter(None, candidates), key=lambda b: b[0])
         widths.append((best[0] - lower) / best[0])

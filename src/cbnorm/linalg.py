@@ -131,16 +131,18 @@ def partial_trace(m, dims: tuple[int, int], side: str = "second") -> np.ndarray:
     raise InvalidInputError(f"side must be 'first' or 'second', got {side!r}")
 
 
-def _eigvalsh(m) -> np.ndarray:
-    """Eigenvalues of ``(m + m^dag) / 2``, ascending; ``[0]`` when empty."""
-    a = as_square(m)
-    return np.linalg.eigvalsh((a + a.conj().T) / 2) if len(a) else np.zeros(1)
-
-
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a (numerically) Hermitian matrix."""
-    return float(_eigvalsh(m)[0])
+    a = as_square(m)
+    a = (a + a.conj().T) / 2
+    if a.shape[0] == 0:
+        return 0.0
+    return float(np.linalg.eigvalsh(a)[0])
 
 
 def max_eigenvalue(m) -> float:
-    return float(_eigvalsh(m)[-1])
+    a = as_square(m)
+    a = (a + a.conj().T) / 2
+    if a.shape[0] == 0:
+        return 0.0
+    return float(np.linalg.eigvalsh(a)[-1])

@@ -170,18 +170,18 @@ def _choi_factor(x, m, r):
 def to_kraus(phi: SuperOp) -> SuperOp:
     """Minimal generalized Kraus representation derived from the Choi matrix.
 
-    CP maps (Choi PSD within tolerance) get ``left == right`` from the
-    eigendecomposition; general maps read theirs off the environment blocks
-    of :func:`to_stinespring`'s pair.  Both cut the spectrum only at rounding
-    level, ``mn eps`` of its largest value.
+    Maps whose Choi matrix is Hermitian and PSD to rounding level, ``mn eps
+    |J|_2``, get ``left == right`` from the eigendecomposition; all others
+    read theirs off the environment blocks of :func:`to_stinespring`'s pair.
+    Both cut the spectrum only at that rounding level, so no term is lost.
     """
     n, m = phi.dim_in, phi.dim_out
     j = to_choi(phi)
-    scale = max(1.0, linalg.spectral_norm(j))
-    if linalg.spectral_norm(j - j.conj().T) <= linalg.HERMITIAN_TOL * scale:
+    tol = m * n * EPS * linalg.spectral_norm(j)
+    if linalg.spectral_norm(j - j.conj().T) <= tol:
         vals, vecs = linalg.herm_eig(j)
-        if vals[-1] >= -linalg.PSD_TOL * scale:
-            keep = vals > m * n * EPS * max(vals[0], 0.0)
+        if vals[-1] >= -tol:
+            keep = vals > tol
             ops = tuple((np.sqrt(v) * x).reshape(m, n) for v, x in
                         zip(vals[keep], vecs.T[keep])) or (np.zeros((m, n)),)
             return SuperOp(n, m, Kraus(ops, ops))

@@ -89,11 +89,12 @@ def build_channel_diff_sdp(phi, j):
     channel difference ``phi``; ``j`` is its Choi matrix.  The SDP holds for
     a map whose ``J`` is Hermitian and trace-annihilating, ``Tr_Y J = 0``,
     as that of a difference of channels is, so ``j`` must be both (to
-    ``2 TP_TOL`` relative to ``|j|_2``, at any scale)."""
+    ``2 TP_TOL max(1, |j|_2)``: the rounding of ``Tr_Y J`` is that of the two
+    channels' Choi matrices, of order one at scale one)."""
     n, m = phi.dim_in, phi.dim_out
     j = hermitian_part(j)
     if spectral_norm(partial_trace(j, (m, n), side="first")) > \
-            2 * superop.TP_TOL * spectral_norm(j):
+            2 * superop.TP_TOL * max(1.0, spectral_norm(j)):
         raise InvalidInputError(
             "channel-diff SDP requires a trace-annihilating Choi matrix")
     eye_m = np.eye(m)

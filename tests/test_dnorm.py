@@ -1031,24 +1031,37 @@ class TestRankCut:
         assert res.lower_bound <= 1 + self.SMALL <= res.upper_bound
         assert verify_certificate(phi, res.certificate).valid
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12])
+    @pytest.mark.parametrize("term", ["cp", "negative", "non-hermitian"])
     @pytest.mark.parametrize("convert", ["kraus", "stinespring"])
-    def test_conversions_keep_small_term(self, convert):
-        """The public conversions cut only at rounding level: the Choi form
-        of ``{|0><0|, sqrt(5e-10) |1><0|}`` converts with both terms, and the
-        converted map's bracket holds its norm ``1 + 5e-10``."""
+    def test_conversions_keep_small_term(self, convert, term, scale):
+        """The public conversions work at rounding level: the Choi forms of
+        ``X -> |0><0| X |0><0| + s |1><0| X |0><1|``, ``s = +-5e-10`` (norm
+        ``1 + 5e-10``), and of ``X -> |0><0| X (|0><0| + 5e-10 |1><1|)``,
+        times ``scale``, convert with both terms, and the converted map's
+        bracket holds the norm; the last map has Choi rank one."""
         e00, e10 = np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]])
-        j = to_choi(SuperOp.from_kraus([e00, np.sqrt(self.SMALL) * e10]))
+        small = np.sqrt(self.SMALL) * e10
+        left, right, norm, rank = {
+            "cp": ([e00, small], [e00, small], 1 + self.SMALL, 2),
+            "negative": ([e00, small], [e00, -small], 1 + self.SMALL, 2),
+            "non-hermitian": ([e00, self.SMALL * e00],
+                              [e00, np.diag([0.0, 1.0])],
+                              np.sqrt(1 + self.SMALL ** 2), 1)}[term]
+        c = np.sqrt(scale)
+        j = to_choi(SuperOp.from_kraus([c * k for k in left],
+                                       [c * k for k in right]))
         phi = SuperOp.from_choi(j, 2, 2)
         if convert == "kraus":
             back = superop.to_kraus(phi)
-            assert len(back.rep.left) == 2
+            assert len(back.rep.left) == rank
         else:
             pair = to_stinespring(phi)
-            assert pair.dim_env == 2
+            assert pair.dim_env == rank
             back = SuperOp(2, 2, pair)
-        assert np.max(np.abs(to_choi(back) - j)) <= 1e-15
+        assert np.max(np.abs(to_choi(back) - j)) <= 1e-15 * scale
         res = diamond_norm(back)
-        assert res.lower_bound <= 1 + self.SMALL <= res.upper_bound
+        assert res.lower_bound <= scale * norm <= res.upper_bound
         assert verify_certificate(back, res.certificate).valid
 
     def test_survey_never_inverted(self):

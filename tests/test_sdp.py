@@ -3,6 +3,7 @@ import pytest
 
 from cbnorm.dnorm import build_general_sdp, diamond_norm
 from cbnorm.errors import InvalidInputError
+from cbnorm.linalg import spectral_norm
 from cbnorm.sdp import (
     BlockStructure,
     SdpProblem,
@@ -18,7 +19,7 @@ from cbnorm.sdp import (
     svec,
     unsvec,
 )
-from cbnorm.superop import StinespringPair, to_stinespring
+from cbnorm.superop import StinespringPair, SuperOp, to_stinespring
 
 from conftest import (
     build_channel_diff_sdp,
@@ -127,6 +128,19 @@ class TestFromMaps:
                                    random_channel(rng, 3, 3))
         prob = build_channel_diff_sdp(phi, scale * j)
         assert np.allclose(prob.obj[1], scale * j, rtol=0, atol=1e-12 * scale)
+
+    def test_oracle_builds_on_close_channels(self, rng):
+        """Two channels ``1e-9`` apart: ``|J0 - J1|_2`` is about ``1e-9``
+        while ``Tr_Y`` rounds at the channels' own scale, one."""
+        phi0, other = random_channel(rng, 3, 3), random_channel(rng, 3, 3)
+        delta = 1e-9
+        phi1 = SuperOp.from_kraus(
+            [np.sqrt(1 - delta) * k for k in phi0.rep.left]
+            + [np.sqrt(delta) * k for k in other.rep.left])
+        phi, j = channel_diff_data(phi0, phi1)
+        assert spectral_norm(j) < 1e-8
+        prob = build_channel_diff_sdp(phi, j)
+        assert np.allclose(prob.obj[1], j, rtol=0, atol=1e-15)
 
     def test_rejects_inconsistent_adjoint(self):
         struct = BlockStructure((2,))
