@@ -52,11 +52,16 @@ Alberti's bound lags the states to first order; there one least-norm Newton
 step toward ``A^dag (1 (x) Z) A = c0 1``, ``B^dag (1 (x) Z^-1) B = c1 1``
 corrects ``Z`` to second order, and the smaller bound is kept.  The step
 runs where its linearized system is underdetermined, ``r^2 + 2 >= 2 n^2``.
-The ascent leaves the map to the interior-point solve, whose ``Z`` it takes
-and whose states it polishes by sweeps, when ``P`` is singular or the width
-contracts too slowly.  A call forms ``J`` once (only ``J = 0`` takes the
-zero result); the Stinespring pair is its SVD, cut at ``RANK_TOL``, and the
-certificate adds the largest singular value cut to ``Y0`` and ``Y1``.
+The ascent leaves the map to the interior-point solve (``X``'s rows formed
+from ``A``, ``Psi^*`` never probed) when ``P`` is singular or the width
+contracts too slowly; it takes the solve's ``Z`` and polishes its states by
+sweeps, from them and from their optimal face (eigenvalues below
+``sqrt(rel_gap)`` of the largest dropped: El-Bakry, Tapia and Zhang, SIAM
+Rev. 36, 1994), whichever sweeps higher.  A bracket certified to
+``gap_tol`` is ``optimal`` whatever the solver's last status.  A call forms
+``J`` once (only ``J = 0`` takes the zero result); the Stinespring pair is
+its SVD, cut at ``RANK_TOL``, and the certificate adds the largest singular
+value cut to ``Y0`` and ``Y1``.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ from .sdp import (
     BlockStructure,
     SdpProblem,
     SolveOptions,
+    _basis_entries,
     solve,
 )
 from .superop import StinespringPair, SuperOp, to_choi
@@ -161,12 +167,20 @@ def build_general_sdp(pair: StinespringPair) -> SdpProblem:
         lam, big_z = blocks[0][0, 0], kron(eye_m, blocks[1])
         return [lam * np.eye(n) - a.conj().T @ big_z @ a, big_z]
 
+    # X's rows: 1_n, then -sum_y A_y^dag F_j A_y = -(c_j T_ab + (c_j T_ab)^dag)
+    # for F_j = c_j E(a, b) + conj(c_j) E(b, a) and T_ab = sum_y
+    # conj(A_y[a, :]) (x) A_y[b, :], column (a, b) of _gram(A).
+    pa, pb, coef = _basis_entries(r)
+    t = _gram(a.reshape(m, r, n))[:, pa * r + pb].T.reshape(-1, n, n) * \
+        coef[:, None, None]
+    rows = np.concatenate([np.eye(n)[None], -(t + t.conj().swapaxes(1, 2))])
     obj = [np.zeros((n, n)), bbdag]
     rhs = [np.eye(1), np.zeros((r, r))]
     # W enters Psi^* as 1_m (x) Z, Z the dual of constraint block 1.
     # Equalities: W + (1_m / m) (x) Delta and X / Tr X never lower the value.
     return SdpProblem.from_maps(var, con, psi, psi_adj, obj, rhs,
-                                embedded={1: (1, m)}, equality=(0, 1))
+                                embedded={1: (1, m)}, equality=(0, 1),
+                                rows={0: rows})
 
 
 def _normalized_state(x, n):
@@ -180,11 +194,12 @@ def _normalized_state(x, n):
     return np.eye(n, dtype=complex) / n
 
 
-def _purification(rho):
+def _purification(rho, floor=0.0):
     """Unit vector on ``X (x) W`` (as an ``n x n`` matrix) whose reduced
-    state on ``X`` is the state ``rho``."""
+    state on ``X`` is the state ``rho``, with its eigenvalues below
+    ``floor`` of the largest dropped (then renormalized)."""
     vals, vecs = herm_eig(rho)
-    mat = vecs * np.sqrt(np.maximum(vals, 0.0))
+    mat = vecs * np.sqrt(np.where(vals >= floor * vals[0], vals, 0.0))
     return mat / np.linalg.norm(mat)
 
 
@@ -227,6 +242,18 @@ def _ascent_sweep(at, bt, h, u_mat, v_mat):
         float(sk[0])
 
 
+def _ascent_loop(at, bt, h, u_mat, v_mat, prev=-np.inf, max_iters=300,
+                 tol=1e-13):
+    """``(u, v, sweeps)``: :func:`_ascent_sweep` from ``(u, v)``, of value
+    ``prev``, until the value moves by at most ``tol`` relative."""
+    for sweeps in range(1, max_iters + 1):
+        u_mat, v_mat, obj = _ascent_sweep(at, bt, h, u_mat, v_mat)
+        if abs(obj - prev) <= tol * obj:
+            break
+        prev = obj
+    return u_mat, v_mat, sweeps
+
+
 def _ascent_primal(pair, rho0, rho1, max_iters=300, tol=1e-13):
     """Unit vectors ``(u, v)`` from alternating ascent.
 
@@ -234,16 +261,31 @@ def _ascent_primal(pair, rho0, rho1, max_iters=300, tol=1e-13):
     ``Tr_Y(B rho1 B^dag)`` over states; sweeps stop when it moves by at most
     ``tol`` relative.  From the solver's near-optimal ``rho0`` (input) and
     ``rho1`` (output side), the first sweep is within the solver gap."""
+    return _ascent_loop(*_sweep_operands(pair), _purification(rho0),
+                        _purification(rho1), max_iters=max_iters, tol=tol)[:2]
+
+
+def _polish(pair, sol):
+    """``(u, v, summary)`` of the ascent from the states of the solve
+    ``sol``, ``rho0`` and the normalized ``B^dag W B`` (proportional to the
+    optimal output-side state), or from their face: their eigenvalues below
+    ``sqrt(rel_gap)`` of the largest dropped.  One sweep runs from each
+    start, then sweeps go on from the higher value."""
+    n = pair.a.shape[1]
+    x1 = pair.b.conj().T @ sol.X_opt[1] @ pair.b
+    states = [_normalized_state(x, n)
+              for x in (sol.X_opt[0], (x1 + x1.conj().T) / 2)]
+    floor = min(1.0, np.sqrt(sol.gap / max(1.0, abs(sol.primal_value),
+                                           abs(sol.dual_value))))
+    cut = sum(int(np.sum(vals < floor * vals[0]))
+              for vals, _ in map(herm_eig, states))
     at, bt, h = _sweep_operands(pair)
-    u_mat = _purification(rho0)
-    v_mat = _purification(rho1)
-    prev = -np.inf
-    for _ in range(max_iters):
-        u_mat, v_mat, obj = _ascent_sweep(at, bt, h, u_mat, v_mat)
-        if abs(obj - prev) <= tol * obj:
-            break
-        prev = obj
-    return u_mat, v_mat
+    first = {k: _ascent_sweep(at, bt, h, *[_purification(x, f)
+                                           for x in states])
+             for k, f in (("solver", 0.0), ("face", floor))[:1 + bool(cut)]}
+    start = max(first, key=lambda k: first[k][2])
+    u, v, sweeps = _ascent_loop(at, bt, h, *first[start])
+    return u, v, f"start {start}  cut {cut}  sweeps {len(first) + sweeps}"
 
 
 def _certificate(pair, rho, sigma, z, dropped=0.0):
@@ -409,11 +451,8 @@ def _solve_route(pair: StinespringPair, opt: NormOptions, j=None,
         sol = solve(build_general_sdp(scaled), opt.solve_options())
         if not all(np.isfinite(x).all() for x in (*sol.X_opt, *sol.Y_opt)):
             raise NumericalFailureError("interior-point solve failed")
-        # The optimal output-side state is proportional to B^dag W B.
-        x1 = scaled.b.conj().T @ sol.X_opt[1] @ scaled.b
-        found = (*_ascent_primal(scaled, _normalized_state(sol.X_opt[0], n),
-                                 _normalized_state((x1 + x1.conj().T) / 2, n)),
-                 sol.Y_opt[1])
+        u, v, polish = _polish(scaled, sol)
+        found = (u, v, sol.Y_opt[1])
         # The SDP value is the squared norm.
         estimate = np.sqrt(max(0.0, (sol.primal_value + sol.dual_value) / 2))
         stats = SolverStats(sol.status, sol.iterations, sol.gap / c ** 2,
@@ -422,6 +461,12 @@ def _solve_route(pair: StinespringPair, opt: NormOptions, j=None,
     cert, z = _certificate(pair, u @ u.conj().T, v @ v.conj().T, z, dropped)
     lower, upper = _certificate_bounds(
         to_choi(SuperOp(n, m, pair)) if j is None else j, cert)
+    if stats and opt.verbose:
+        print(f"polish  {polish}  lower {lower: .9e}  solver {stats.status}",
+              file=sys.stderr)
+    # A bracket certified to gap_tol is optimal, whatever the last iterate.
+    if stats and upper - lower <= opt.gap_tol * upper:
+        stats = replace(stats, status="optimal")
     stats = stats or SolverStats("optimal", 0, abs(upper ** 2 - lower ** 2),
                                  0.0, 0.0)
     warnings = () if stats.status == "optimal" else (

@@ -98,26 +98,20 @@ def unsvec(vec: np.ndarray, structure: BlockStructure):
 
 
 def _basis_entries(d: int):
-    """``(p, q, F_pq, F_qp)``, the nonzero entries of each element of
-    :func:`hermitian_basis` in svec order, without forming the matrices."""
-    for p in range(d):
-        yield p, p, 1.0, 1.0
-    iu = np.triu_indices(d, 1)
-    for p, q in zip(*iu):
-        yield p, q, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)
-    for p, q in zip(*iu):
-        yield p, q, 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+    """``(a, b, c)``: each element of :func:`hermitian_basis` in svec order
+    is ``c_j E(a_j, b_j) + conj(c_j) E(b_j, a_j)`` (:func:`_svec_index`)."""
+    index = _svec_index(d)
+    return (*(np.concatenate([x, x[d:]]) for x in (index.a, index.b)),
+            index.coef)
 
 
 def hermitian_basis(d: int):
     """Orthonormal Hermitian basis of dimension ``d*d`` in svec order."""
-    mats = []
-    for p, q, fpq, fqp in _basis_entries(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[p, q] = fpq
-        e[q, p] = fqp
-        mats.append(e)
-    return mats
+    mats = np.zeros((d * d, d, d), dtype=complex)
+    for j, (p, q, c) in enumerate(zip(*_basis_entries(d))):
+        mats[j, p, q] += c
+        mats[j, q, p] += np.conj(c)
+    return list(mats)
 
 
 def block_inner(a, b) -> float:
@@ -184,19 +178,21 @@ class SdpProblem:
     @staticmethod
     def from_maps(var_structure, con_structure, psi, psi_adj, obj, rhs,
                   embedded: dict | None = None,
-                  equality=()):
+                  equality=(), rows: dict | None = None):
         """Build a problem from callables for ``Psi`` and ``Psi^*``.
 
         ``embedded`` maps a variable block to ``(c, k)`` when ``Psi^*``
-        enters it as ``1_k (x) Y_c``; no rows are stored for it, and those of
-        the other blocks are probed from ``psi_adj``, one basis element at a
-        time.  ``equality`` names the constraint blocks held with ``=``
-        rather than ``<=``: :func:`solve` gives them no slack block and their
-        duals no sign constraint.  Declare a block so only when some optimum
-        makes it tight, as then the optimum is unchanged.  Both callables are
-        validated on random inputs, to ``CHECK_TOL`` relative: Hermiticity
-        preservation of ``Psi`` (to its output's scale), and adjoint
-        consistency against the rows and the declared blocks.
+        enters it as ``1_k (x) Y_c``; no rows are stored for it.  ``rows``
+        maps a variable block to its rows (``SdpProblem``), formed by the
+        caller; those of the other blocks are probed from ``psi_adj``, one
+        basis element at a time.  ``equality`` names the constraint blocks
+        held with ``=`` rather than ``<=``: :func:`solve` gives them no slack
+        block and their duals no sign constraint.  Declare a block so only
+        when some optimum makes it tight, as then the optimum is unchanged.
+        Both callables are validated on random inputs, to ``CHECK_TOL``
+        relative: Hermiticity preservation of ``Psi`` (to its output's
+        scale), and adjoint consistency against the rows, given or probed,
+        and the declared blocks.
         """
         obj = tuple(np.asarray(m, dtype=complex) for m in obj)
         rhs = tuple(np.asarray(m, dtype=complex) for m in rhs)
@@ -225,21 +221,25 @@ class SdpProblem:
             raise InvalidInputError(
                 "equality must name distinct constraint blocks")
 
-        m_con = con_structure.dof
-        rows = [
-            None if e is not None else np.zeros((m_con, d, d), dtype=complex)
-            for d, e in zip(var_structure.blocks, embedded)
-        ]
+        m_con, given = con_structure.dof, rows or {}
+        if any(b not in range(len(embedded)) or embedded[b] is not None or
+               np.shape(r) != (m_con, *[var_structure.blocks[b]] * 2)
+               for b, r in given.items()):
+            raise InvalidInputError("given rows shape mismatch")
+        rows = [None if e is not None else np.asarray(given[b], dtype=complex)
+                if b in given else np.zeros((m_con, d, d), dtype=complex)
+                for b, (d, e) in enumerate(zip(var_structure.blocks, embedded))]
+        probed = [b for b, e in enumerate(embedded)
+                  if e is None and b not in given]
         j = 0
-        for ci, d in enumerate(con_structure.blocks):
-            for p, q, fpq, fqp in _basis_entries(d):
+        for ci, d in enumerate(con_structure.blocks if probed else ()):
+            for p, q, c in zip(*_basis_entries(d)):
                 fb = con_structure.zeros()
-                fb[ci][p, q] = fpq
-                fb[ci][q, p] = fqp
+                fb[ci][p, q] += c
+                fb[ci][q, p] += np.conj(c)
                 g = psi_adj(fb)
-                for b, gb in enumerate(g):
-                    if rows[b] is not None:
-                        rows[b][j] = (gb + np.conj(gb).T) / 2
+                for b in probed:
+                    rows[b][j] = (g[b] + np.conj(g[b]).T) / 2
                 j += 1
 
         placements = _placements(con_structure, embedded)
@@ -321,9 +321,26 @@ def _require_finite(*arrays):
         raise np.linalg.LinAlgError("non-finite direction or iterate")
 
 
-def _max_step(chol_inv, delta) -> float:
-    """Largest t with X + t * delta >= 0, given inv(L) for X = L L^dag."""
-    w = chol_inv @ delta @ chol_inv.conj().T
+def _nt_scaling(x, z):
+    """``(R, R^-1, v)`` of the Nesterov-Todd scaling of one block, ``X = R
+    diag(v) R^dag`` and ``Z = R^-dag diag(v) R^-1``: ``R = L Q diag(v)^-1/2``
+    for ``X = L L^dag`` and ``L^dag Z L = Q diag(v)^2 Q^dag``.  ``L^dag Z L``
+    is congruent to ``Z``, so its eigenvalue test also stops a solve whose
+    ``Z`` lost definiteness in rounding (as on an infeasible problem)."""
+    lx = np.linalg.cholesky(x)
+    t = lx.conj().T @ z @ lx
+    lam, q = np.linalg.eigh((t + t.conj().T) / 2)
+    if lam[0] <= 0:
+        raise np.linalg.LinAlgError("scaling eigenvalues <= 0")
+    return lx @ q * lam ** -0.25, \
+        (q * lam ** 0.25).conj().T @ np.linalg.inv(lx), np.sqrt(lam)
+
+
+def _max_step(v, delta_hat) -> float:
+    """Largest t with diag(v) + t * delta_hat >= 0, from ``lambda_min`` of
+    ``diag(v)^-1/2 delta_hat diag(v)^-1/2``, for a scaled direction."""
+    s = v ** -0.5
+    w = s[:, None] * delta_hat * s
     lam_min = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
     if lam_min >= -1e-16:
         return np.inf
@@ -426,6 +443,11 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     equality blocks (``problem.equality``) are met by ``Psi(X)`` itself, so
     their duals carry no sign constraint.
 
+    Step lengths come from the Nesterov-Todd factors, ``X = R diag(v) R^dag``
+    and ``Z = R^-dag diag(v) R^-1``: along the scaled ``R^-1 dX R^-dag`` and
+    ``R^dag dZ R`` (:func:`_max_step`), those of the predictor being the ones
+    its corrector uses; ``Z`` is never factored.
+
     Deterministic: identical problems and options produce an identical
     iterate sequence.
     """
@@ -491,23 +513,8 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             break
 
         try:
-            # Nesterov-Todd scaling per block; inv(L) of X = L L^dag also bounds
-            # the primal step.
-            r_fac, r_inv, lx_inv, v_diag, w_mat = [], [], [], [], []
-            for bdx in range(nb):
-                lx = np.linalg.cholesky(x[bdx])
-                li = np.linalg.inv(lx)
-                t = lx.conj().T @ z[bdx] @ lx
-                lam, q = np.linalg.eigh((t + t.conj().T) / 2)
-                if lam[0] <= 0:
-                    raise np.linalg.LinAlgError("scaling eigenvalues <= 0")
-                rf = lx @ q * lam ** -0.25
-                ri = (q * lam ** 0.25).conj().T @ li
-                r_fac.append(rf)
-                r_inv.append(ri)
-                lx_inv.append(li)
-                v_diag.append(np.sqrt(lam))
-                w_mat.append(rf @ rf.conj().T)
+            r_fac, r_inv, v_diag = zip(*map(_nt_scaling, x, z))
+            w_mat = [rf @ rf.conj().T for rf in r_fac]
 
             # Schur complement M[j,k] = <row_j, W row_k W>.
             schur = np.zeros((m_con, m_con))
@@ -522,15 +529,17 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             schur = (schur + schur.T) / 2
             schur += 1e-14 * np.trace(schur) / m_con * np.eye(m_con)
 
-            # The Cholesky factor only tests positive definiteness; numpy has no
-            # triangular solve, so each direction is one LU solve.
+            # The Cholesky factor only tests positive definiteness (Z's test is
+            # the scaling's); numpy has no triangular solve, so each direction
+            # is one LU solve.
             np.linalg.cholesky(schur)
+            wrdw = [w_mat[bdx] @ rd[bdx] @ w_mat[bdx] for bdx in range(nb)]
 
             def direction(rc):
-                """Solve the Newton system for a given complementarity target."""
+                """The Newton direction for a complementarity target, with
+                its scaled ``R^-1 dX R^-dag`` and ``R^dag dZ R``."""
                 rhs_vec = _rows_apply(rows, embedded, [
-                    rc[bdx] - w_mat[bdx] @ rd[bdx] @ w_mat[bdx]
-                    for bdx in range(nb)], m_con) - rp
+                    rc[bdx] - wrdw[bdx] for bdx in range(nb)], m_con) - rp
                 dy = np.linalg.solve(schur, rhs_vec)
                 aty_d = _rows_adj(rows, embedded, dy)
                 dz = [aty_d[bdx] + rd[bdx] for bdx in range(nb)]
@@ -538,16 +547,19 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
                 dx = [(m + m.conj().T) / 2 for m in dx]
                 dz = [(m + m.conj().T) / 2 for m in dz]
                 _require_finite(*dx, dy, *dz)
-                return dx, dy, dz
+                return dx, dy, dz, \
+                    [ri @ m @ ri.conj().T for ri, m in zip(r_inv, dx)], \
+                    [rf.conj().T @ m @ rf for rf, m in zip(r_fac, dz)]
+
+            def steps(dxh, dzh, fraction):
+                return (min([1.0] + [fraction * _max_step(v, d)
+                                     for v, d in zip(v_diag, dh)])
+                        for dh in (dxh, dzh))
 
             # Predictor (affine scaling).  Directions that overflow (as on an
             # infeasible problem) stop the solve before the step eigensolves.
-            rc_aff = [-x[bdx] for bdx in range(nb)]
-            dx_a, dy_a, dz_a = direction(rc_aff)
-            lz_inv = [np.linalg.inv(np.linalg.cholesky(m)) for m in z]
-
-            ap = min([1.0] + [_max_step(lx_inv[bdx], dx_a[bdx]) for bdx in range(nb)])
-            ad = min([1.0] + [_max_step(lz_inv[bdx], dz_a[bdx]) for bdx in range(nb)])
+            dx_a, dy_a, dz_a, dxh_a, dzh_a = direction([-m for m in x])
+            ap, ad = steps(dxh_a, dzh_a, 1.0)
             mu_aff = sum(
                 np.vdot(x[bdx] + ap * dx_a[bdx], z[bdx] + ad * dz_a[bdx]).real
                 for bdx in range(nb)
@@ -557,8 +569,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             # Corrector in the scaled space where Xhat = Zhat = diag(v).
             rc = []
             for bdx in range(nb):
-                dxh = r_inv[bdx] @ dx_a[bdx] @ r_inv[bdx].conj().T
-                dzh = r_fac[bdx].conj().T @ dz_a[bdx] @ r_fac[bdx]
+                dxh, dzh = dxh_a[bdx], dzh_a[bdx]
                 hcorr = (dxh @ dzh + dzh @ dxh) / 2
                 v = v_diag[bdx]
                 rc_hat = sigma * mu * np.eye(len(v)) - np.diag(v * v) - hcorr
@@ -566,14 +577,8 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
                 denom = (v[:, None] + v[None, :]) / 2
                 rc_hat = rc_hat / denom
                 rc.append(r_fac[bdx] @ rc_hat @ r_fac[bdx].conj().T)
-            dx, dy, dz = direction(rc)
-
-            ap = min([1.0] + [
-                STEP_FRACTION * _max_step(lx_inv[bdx], dx[bdx]) for bdx in range(nb)
-            ])
-            ad = min([1.0] + [
-                STEP_FRACTION * _max_step(lz_inv[bdx], dz[bdx]) for bdx in range(nb)
-            ])
+            dx, dy, dz, dxh, dzh = direction(rc)
+            ap, ad = steps(dxh, dzh, STEP_FRACTION)
 
             x = [(x[bdx] + ap * dx[bdx]) for bdx in range(nb)]
             z = [(z[bdx] + ad * dz[bdx]) for bdx in range(nb)]

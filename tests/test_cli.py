@@ -95,23 +95,48 @@ class TestCompute:
 
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch):
         # A solve that ends numerical_failure with a finite last iterate
-        # still reports its repaired bounds.  The identity has Choi rank 1,
-        # which the ascent would take: pin the solve route.
+        # still reports its repaired bounds.  Stopped after 3 iterations, the
+        # bracket is wider than gap_tol, so the solver's status stands (the
+        # identity's would be certified exactly).  Rank-2 maps take the
+        # ascent: pin the solve route.
+        phi = random_superop(np.random.default_rng(0), 3, 3)
+        ref = dnorm.diamond_norm(phi)
+        prob = write_json(tmp_path / "map.json", kraus_problem(
+            phi.rep.left, 3, 3, phi.rep.right))
         monkeypatch.setattr(dnorm, "_ascent_general",
                             lambda pair, options: None)
         real = dnorm.solve
-        monkeypatch.setattr(dnorm, "solve", lambda problem, options=None:
-                            dataclasses.replace(real(problem, options),
-                                                status="numerical_failure"))
+        monkeypatch.setattr(dnorm, "solve", lambda problem, options:
+                            dataclasses.replace(real(problem, dataclasses.replace(
+                                options, max_iter=3)), status="numerical_failure"))
         out = tmp_path / "res.json"
-        assert main(["compute", "--input", identity_problem(tmp_path),
-                     "--output", str(out)]) == 2
+        assert main(["compute", "--input", prob, "--output", str(out)]) == 2
         res = read_json(out)
         assert res["status"] == "numerical_failure"
         assert res["lower_bound"] <= res["value"] <= res["upper_bound"]
-        assert res["value"] == pytest.approx(1.0, abs=1e-6)
+        assert res["upper_bound"] - res["lower_bound"] > \
+            1e-8 * res["upper_bound"]
+        assert res["lower_bound"] <= ref.upper_bound
+        assert ref.lower_bound <= res["upper_bound"]
         assert res["warnings"] == [
             "solver status numerical_failure; bounds widened"]
+
+    @pytest.mark.parametrize("n,m,r", [(2, 2, 4), (3, 3, 4), (2, 3, 6),
+                                       (3, 3, 9)])
+    def test_tight_tol_certified_exits_0(self, tmp_path, n, m, r):
+        """At ``--tol 1e-11`` these solves stall above the gap test and end
+        ``numerical_failure``, but the bracket is certified to the
+        tolerance: the result is ``optimal`` and the exit code 0."""
+        phi = random_superop(np.random.default_rng(r), n, m, terms=r)
+        prob = write_json(tmp_path / "map.json", kraus_problem(
+            phi.rep.left, n, m, phi.rep.right))
+        out = tmp_path / "res.json"
+        assert main(["compute", "--input", prob, "--tol", "1e-11",
+                     "--output", str(out)]) == 0
+        res = read_json(out)
+        assert res["status"] == "optimal" and res["warnings"] == []
+        assert res["upper_bound"] - res["lower_bound"] <= \
+            1e-11 * res["upper_bound"]
 
     def test_cb_spectral(self, tmp_path):
         out = tmp_path / "res.json"

@@ -11,6 +11,8 @@ from cbnorm.sdp import (
     _embedded_a_adj,
     _embedded_a_op,
     _embedded_schur,
+    _max_step,
+    _nt_scaling,
     _placements,
     block_inner,
     check_feasibility,
@@ -206,6 +208,50 @@ class TestFromMaps:
             tracemalloc.stop()
         assert peak <= 16 * prob.rows[0].nbytes
 
+    @pytest.mark.parametrize("n,m,terms", [(1, 3, 2), (3, 1, 2), (3, 3, 1),
+                                           (5, 5, 25)])
+    def test_general_rows_formed_not_probed(self, n, m, terms):
+        """``build_general_sdp`` forms the X block's rows from ``A`` and
+        passes them as given rows: ``psi_adj`` is never called, and the rows
+        match those the all-dense oracle probes to 1e-15 relative (n = 1,
+        m = 1, r = 1, and full rank at d = 5)."""
+        pair = to_stinespring(random_superop(
+            np.random.default_rng(n * m + terms), n, m, terms=terms))
+        assert pair.dim_env == min(terms, n * m)
+        calls, real = [], SdpProblem.from_maps
+
+        def counted(var, con, psi, psi_adj, *args, **kwargs):
+            def adj(blocks):
+                calls.append(1)
+                return psi_adj(blocks)
+            return real(var, con, psi, adj, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SdpProblem, "from_maps", staticmethod(counted))
+            prob = build_general_sdp(pair)
+        assert calls == []
+        oracle = undeclared(build_general_sdp, pair)[1]
+        assert prob.rows[0].shape == oracle.rows[0].shape
+        assert np.max(np.abs(prob.rows[0] - oracle.rows[0])) <= \
+            1e-15 * np.max(np.abs(oracle.rows[0]))
+
+    def test_given_rows_checked(self):
+        """Given rows must fit a block that is not embedded, and still go
+        through the adjoint check against ``psi``."""
+        args = (BlockStructure((2,)), BlockStructure((1,)),
+                lambda blocks: [np.array([[np.trace(blocks[0])]])], None,
+                [np.eye(2)], [np.eye(1)])
+        good = np.eye(2)[None].astype(complex)
+        prob = SdpProblem.from_maps(*args, rows={0: good})
+        assert np.array_equal(prob.rows[0], good)
+        with pytest.raises(InvalidInputError, match="adjoint"):
+            SdpProblem.from_maps(*args, rows={0: 2 * good})
+        for rows in ({0: np.eye(3)[None]}, {1: good}):
+            with pytest.raises(InvalidInputError, match="given rows"):
+                SdpProblem.from_maps(*args, rows=rows)
+        with pytest.raises(InvalidInputError, match="given rows"):
+            SdpProblem.from_maps(*args, rows={0: good}, embedded={0: (0, 2)})
+
     def test_apply_psi_matches_callable(self, rng):
         prob = trace_problem(np.diag([1.0, 2.0, 3.0]))
         h = prob.var_structure.random_hermitian(rng)
@@ -320,6 +366,51 @@ class TestSolve:
         solve(identity_problem(2), SolveOptions(verbose=True))
         lines = capsys.readouterr().err.strip().splitlines()
         assert lines and all("pobj" in ln and "gap" in ln for ln in lines)
+
+
+def _cholesky_step(x, delta):
+    """Largest t with ``X + t delta >= 0`` by the Cholesky factor of ``X =
+    L L^dag``: ``-1 / lambda_min(L^-1 delta L^-dag)`` (``inf`` when that is
+    not negative).  The solve took its step lengths so before it read them
+    from the Nesterov-Todd factors; the oracle of the new form."""
+    li = np.linalg.inv(np.linalg.cholesky(x))
+    w = li @ delta @ li.conj().T
+    lam_min = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
+    return np.inf if lam_min >= -1e-16 else -1.0 / lam_min
+
+
+class TestStepLength:
+    @pytest.mark.parametrize("block", [0, 1], ids=["stored", "embedded"])
+    def test_matches_cholesky_formula(self, block):
+        """At random iterates of the X block (stored rows, n = 2) and the W
+        block (embedded, 6 x 6) of a general-route problem, the step lengths
+        from the scaled directions ``R^-1 dX R^-dag`` and ``R^dag dZ R``
+        match those from Cholesky factors of ``X`` and ``Z`` to 1e-12
+        relative, for random directions short and long against the
+        boundary.  The iterates have eigenvalues from 1e-3 to 1: the oracle's
+        own rounding grows with the condition number of ``X`` and ``Z``."""
+        prob = build_general_sdp(to_stinespring(random_superop(
+            np.random.default_rng(5), 2, 3, terms=2)))
+        assert prob.embedded[block] is None if block == 0 else \
+            prob.embedded[block] is not None
+        d = prob.var_structure.blocks[block]
+        rng = np.random.default_rng(block)
+
+        def iterate():
+            q = np.linalg.qr(random_complex(rng, (d, d)))[0]
+            return (q * np.logspace(-3, 0, d)) @ q.conj().T
+
+        for _ in range(20):
+            x, z = iterate(), iterate()
+            r, r_inv, v = _nt_scaling(x, z)
+            for length in (1e-3, 1.0, 1e3):
+                dx, dz = (length * random_hermitian(rng, d) for _ in range(2))
+                for got, want in (
+                        (_max_step(v, r_inv @ dx @ r_inv.conj().T),
+                         _cholesky_step(x, dx)),
+                        (_max_step(v, r.conj().T @ dz @ r),
+                         _cholesky_step(z, dz))):
+                    assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestSolveOptions:
@@ -453,8 +544,15 @@ class TestEmbeddedBlocks:
 
     @pytest.mark.parametrize("case", range(3))
     def test_stored_rows_bitwise(self, case):
+        """The oracle probes the rows.  The channel-difference builder
+        (case 0) probes them too, bit for bit; the general builder forms
+        them from ``A`` by another formula, exact in exact arithmetic."""
         prob, oracle, _ = _w_block_problems()[case]
-        assert np.array_equal(prob.rows[0], oracle.rows[0])
+        if case == 0:
+            assert np.array_equal(prob.rows[0], oracle.rows[0])
+        else:
+            assert np.max(np.abs(prob.rows[0] - oracle.rows[0])) <= \
+                1e-15 * np.max(np.abs(oracle.rows[0]))
 
     @pytest.mark.parametrize("case", range(3))
     def test_apply_psi_and_feasibility(self, case, rng):
