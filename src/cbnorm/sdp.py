@@ -14,7 +14,8 @@ a PSD slack block ``S_c`` with ``Psi(X)_c + S_c = B_c``.  The dual variable
 only; an equality block's ``Y_c`` has no sign constraint.
 
 The solve stops when the relative gap ``|p - d| / max(1, |p|, |d|)`` and
-both relative infeasibilities are below their tolerances.
+both relative infeasibilities are below their tolerances (other stops:
+:func:`solve`).
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ MAX_ITER = 200
 # Relative tolerance of from_maps's checks of Psi and Psi^*.
 CHECK_TOL = 1e-11
 STEP_FRACTION = 0.98
+# The stall and divergence stops of solve.  In the tests, the gaps of
+# converging solves fall 600-fold or more over STALL_WINDOW iterations, and
+# optimal duals stay below 1e2.
+STALL_WINDOW = 8
+STALL_FACTOR = 0.5
+DIVERGENCE_BOUND = 1e10
 
 
 @dataclass(frozen=True)
@@ -147,7 +154,7 @@ def _rows_apply(rows, placements, x, m_con) -> np.ndarray:
 
 def _rows_adj(rows, placements, yv):
     """``sum_j y_j row_j`` per variable block."""
-    return [np.einsum("j,jab->ab", yv, r) if place is None
+    return [(yv @ r.reshape(len(yv), -1)).reshape(r.shape[1:]) if place is None
             else _embedded_a_adj(yv[place[0]], *place[1:])
             for r, place in zip(rows, placements)]
 
@@ -322,29 +329,27 @@ def _require_finite(*arrays):
 
 
 def _nt_scaling(x, z):
-    """``(R, R^-1, v)`` of the Nesterov-Todd scaling of one block, ``X = R
-    diag(v) R^dag`` and ``Z = R^-dag diag(v) R^-1``: ``R = L Q diag(v)^-1/2``
-    for ``X = L L^dag`` and ``L^dag Z L = Q diag(v)^2 Q^dag``.  ``L^dag Z L``
-    is congruent to ``Z``, so its eigenvalue test also stops a solve whose
-    ``Z`` lost definiteness in rounding (as on an infeasible problem)."""
+    """``(R, v)`` of the Nesterov-Todd scaling of one block, ``X = R diag(v)
+    R^dag`` and ``Z = R^-dag diag(v) R^-1``: ``R = L Q diag(v)^-1/2`` for ``X
+    = L L^dag`` and ``L^dag Z L = Q diag(v)^2 Q^dag``.  ``L^dag Z L`` is
+    congruent to ``Z``, so its eigenvalue test also stops a solve whose ``Z``
+    lost definiteness in rounding (as on an infeasible problem)."""
     lx = np.linalg.cholesky(x)
-    t = lx.conj().T @ z @ lx
-    lam, q = np.linalg.eigh((t + t.conj().T) / 2)
+    lam, q = np.linalg.eigh(lx.conj().T @ z @ lx)
     if lam[0] <= 0:
         raise np.linalg.LinAlgError("scaling eigenvalues <= 0")
-    return lx @ q * lam ** -0.25, \
-        (q * lam ** 0.25).conj().T @ np.linalg.inv(lx), np.sqrt(lam)
+    return lx @ q * lam ** -0.25, np.sqrt(lam)
 
 
-def _max_step(v, delta_hat) -> float:
-    """Largest t with diag(v) + t * delta_hat >= 0, from ``lambda_min`` of
-    ``diag(v)^-1/2 delta_hat diag(v)^-1/2``, for a scaled direction."""
+def _max_steps(v, delta_hat) -> tuple:
+    """Largest ``t`` with ``diag(v) + t delta_hat >= 0`` and with ``diag(v) -
+    t (diag(v) + delta_hat) >= 0``, from one eigensolve: ``-1 / lambda_min``
+    and ``1 / (1 + lambda_max)`` of ``diag(v)^-1/2 delta_hat diag(v)^-1/2``
+    (``inf`` where not positive)."""
     s = v ** -0.5
-    w = s[:, None] * delta_hat * s
-    lam_min = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
-    if lam_min >= -1e-16:
-        return np.inf
-    return -1.0 / lam_min
+    lam = np.linalg.eigvalsh(s[:, None] * delta_hat * s)
+    return tuple(np.inf if m >= -1e-16 else -1.0 / m
+                 for m in (lam[0], -1.0 - lam[-1]))
 
 
 class _SvecIndex(NamedTuple):
@@ -396,7 +401,9 @@ def _embedded_a_adj(yv, k, index):
     u += u.conj().T
     if k == 1:
         return u
-    return np.einsum("yz,ab->yazb", np.eye(k), u).reshape(k * r, k * r)
+    out = np.zeros((k, r, k, r), dtype=complex)
+    out[np.arange(k), :, np.arange(k)] = u
+    return out.reshape(k * r, k * r)
 
 
 def _embedded_schur(w, k, index):
@@ -443,10 +450,17 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     equality blocks (``problem.equality``) are met by ``Psi(X)`` itself, so
     their duals carry no sign constraint.
 
-    Step lengths come from the Nesterov-Todd factors, ``X = R diag(v) R^dag``
-    and ``Z = R^-dag diag(v) R^-1``: along the scaled ``R^-1 dX R^-dag`` and
-    ``R^dag dZ R`` (:func:`_max_step`), those of the predictor being the ones
-    its corrector uses; ``Z`` is never factored.
+    Directions are taken in the Nesterov-Todd scaled space, ``X = R diag(v)
+    R^dag`` and ``Z = R^-dag diag(v) R^-1``, where ``dXh = R^-1 dX R^-dag``
+    and ``dZh = R^dag dZ R`` sum to ``R^-1 rc R^-dag`` (Todd, Toh and
+    Tutuncu, SIAM J. Optim. 8, 1998): a direction forms ``dZh`` only, and
+    its step lengths come from eigensolves of ``dXh`` and ``dZh``
+    (:func:`_max_steps`), one for both of the predictor's (``dXh = -diag(v)
+    - dZh``).  Short of ``optimal``, a solve ends ``numerical_failure`` on a
+    failed factorization; ``stalled`` when, feasible to ``sqrt(feas_tol)``,
+    its relative gap is above ``STALL_FACTOR`` times the largest of the last
+    ``STALL_WINDOW``; ``diverged`` on a dual entry past ``DIVERGENCE_BOUND``
+    on the unit-scaled data; or ``max_iterations``.
 
     Deterministic: identical problems and options produce an identical
     iterate sequence.
@@ -492,6 +506,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     it = 0
     pobj = dobj = 0.0
     rel_gap = pinf = dinf = np.inf
+    gaps = []
 
     for it in range(1, opt.max_iter + 1):
         rp = b - _rows_apply(rows, embedded, x, m_con)
@@ -509,11 +524,18 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
                   file=sys.stderr)
         if rel_gap <= opt.gap_tol and pinf <= opt.feas_tol and dinf <= opt.feas_tol:
             status = "optimal"
+        elif np.abs(y).max() > DIVERGENCE_BOUND:
+            status = "diverged"
+        elif (len(gaps) >= STALL_WINDOW and max(pinf, dinf) <= opt.feas_tol ** 0.5
+              and rel_gap > STALL_FACTOR * max(gaps[-STALL_WINDOW:])):
+            status = "stalled"
+        if status != "max_iterations":
             it -= 1
             break
+        gaps.append(rel_gap)
 
         try:
-            r_fac, r_inv, v_diag = zip(*map(_nt_scaling, x, z))
+            r_fac, v_diag = zip(*map(_nt_scaling, x, z))
             w_mat = [rf @ rf.conj().T for rf in r_fac]
 
             # Schur complement M[j,k] = <row_j, W row_k W>.
@@ -527,7 +549,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
                     sl, k, index = embedded[bdx]
                     schur[sl, sl] += _embedded_schur(w_mat[bdx], k, index)
             schur = (schur + schur.T) / 2
-            schur += 1e-14 * np.trace(schur) / m_con * np.eye(m_con)
+            schur.flat[::m_con + 1] += 1e-14 * np.trace(schur) / m_con
 
             # The Cholesky factor only tests positive definiteness (Z's test is
             # the scaling's); numpy has no triangular solve, so each direction
@@ -536,52 +558,42 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             wrdw = [w_mat[bdx] @ rd[bdx] @ w_mat[bdx] for bdx in range(nb)]
 
             def direction(rc):
-                """The Newton direction for a complementarity target, with
-                its scaled ``R^-1 dX R^-dag`` and ``R^dag dZ R``."""
+                """``(dy, dZ, dZh)`` of the Newton direction for ``rc``."""
                 rhs_vec = _rows_apply(rows, embedded, [
                     rc[bdx] - wrdw[bdx] for bdx in range(nb)], m_con) - rp
                 dy = np.linalg.solve(schur, rhs_vec)
                 aty_d = _rows_adj(rows, embedded, dy)
                 dz = [aty_d[bdx] + rd[bdx] for bdx in range(nb)]
-                dx = [rc[bdx] - w_mat[bdx] @ dz[bdx] @ w_mat[bdx] for bdx in range(nb)]
-                dx = [(m + m.conj().T) / 2 for m in dx]
-                dz = [(m + m.conj().T) / 2 for m in dz]
-                _require_finite(*dx, dy, *dz)
-                return dx, dy, dz, \
-                    [ri @ m @ ri.conj().T for ri, m in zip(r_inv, dx)], \
-                    [rf.conj().T @ m @ rf for rf, m in zip(r_fac, dz)]
+                dzh = [rf.conj().T @ m @ rf for rf, m in zip(r_fac, dz)]
+                _require_finite(dy, *dzh)
+                return dy, dz, dzh
 
-            def steps(dxh, dzh, fraction):
-                return (min([1.0] + [fraction * _max_step(v, d)
-                                     for v, d in zip(v_diag, dh)])
-                        for dh in (dxh, dzh))
-
-            # Predictor (affine scaling).  Directions that overflow (as on an
-            # infeasible problem) stop the solve before the step eigensolves.
-            dx_a, dy_a, dz_a, dxh_a, dzh_a = direction([-m for m in x])
-            ap, ad = steps(dxh_a, dzh_a, 1.0)
+            # Predictor (affine scaling): rc_hat = -diag(v), so dXh = -diag(v)
+            # - dZh, and one eigensolve gives both steps.  Directions that
+            # overflow (as on an infeasible problem) stop the solve first.
+            _, _, dzh_a = direction([-m for m in x])
+            ad, ap = (min(1.0, *s) for s in zip(*map(_max_steps, v_diag, dzh_a)))
+            # Tr((X + ap dX)(Z + ad dZ)) with D = diag(v) and dXh = -D - dZh.
             mu_aff = sum(
-                np.vdot(x[bdx] + ap * dx_a[bdx], z[bdx] + ad * dz_a[bdx]).real
-                for bdx in range(nb)
-            ) / nu
+                (1 - ap) * (v @ v + ad * (v @ h.diagonal().real))
+                - ap * (v @ h.diagonal().real + ad * np.vdot(h, h).real)
+                for v, h in zip(v_diag, dzh_a)) / nu
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
-            # Corrector in the scaled space where Xhat = Zhat = diag(v).
-            rc = []
-            for bdx in range(nb):
-                dxh, dzh = dxh_a[bdx], dzh_a[bdx]
-                hcorr = (dxh @ dzh + dzh @ dxh) / 2
-                v = v_diag[bdx]
-                rc_hat = sigma * mu * np.eye(len(v)) - np.diag(v * v) - hcorr
-                rc_hat = (rc_hat + rc_hat.conj().T) / 2
-                denom = (v[:, None] + v[None, :]) / 2
-                rc_hat = rc_hat / denom
-                rc.append(r_fac[bdx] @ rc_hat @ r_fac[bdx].conj().T)
-            dx, dy, dz, dxh, dzh = direction(rc)
-            ap, ad = steps(dxh, dzh, STEP_FRACTION)
+            # Corrector: rc_hat = (sigma mu 1 - D^2 - (dXh dZh + dZh dXh) / 2)
+            # / ((v_i + v_j) / 2), with the predictor's dXh = -D - dZh.
+            rc_hat = [np.diag(sigma * mu / v - v) + h + (h @ h) / (
+                (v[:, None] + v) / 2) for v, h in zip(v_diag, dzh_a)]
+            dy, dz, dzh = direction([rf @ m @ rf.conj().T
+                                     for rf, m in zip(r_fac, rc_hat)])
+            dxh = [m - h for m, h in zip(rc_hat, dzh)]
+            ap, ad = (min([1.0] + [STEP_FRACTION * _max_steps(v, d)[0]
+                                   for v, d in zip(v_diag, dh)])
+                      for dh in (dxh, dzh))
 
-            x = [(x[bdx] + ap * dx[bdx]) for bdx in range(nb)]
-            z = [(z[bdx] + ad * dz[bdx]) for bdx in range(nb)]
+            x = [xb + ap * (rf @ m @ rf.conj().T)
+                 for xb, rf, m in zip(x, r_fac, dxh)]
+            z = [zb + ad * m for zb, m in zip(z, dz)]
             x = [(m + m.conj().T) / 2 for m in x]
             z = [(m + m.conj().T) / 2 for m in z]
             y = y + ad * dy

@@ -4,6 +4,7 @@ import pytest
 from cbnorm.dnorm import build_general_sdp, diamond_norm
 from cbnorm.errors import InvalidInputError
 from cbnorm.linalg import spectral_norm
+import cbnorm.sdp as sdp_module
 from cbnorm.sdp import (
     BlockStructure,
     SdpProblem,
@@ -11,7 +12,7 @@ from cbnorm.sdp import (
     _embedded_a_adj,
     _embedded_a_op,
     _embedded_schur,
-    _max_step,
+    _max_steps,
     _nt_scaling,
     _placements,
     block_inner,
@@ -351,16 +352,31 @@ class TestSolve:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infeasible_returns_status(self):
-        """``X <= B`` with ``B`` indefinite has no PSD solution: the iterates
-        overflow, and the solve stops with a status and a finite iterate
-        instead of failing in an eigensolve."""
+        """``X <= B`` with ``B`` indefinite has no PSD solution: the dual
+        follows the primal's infeasibility ray, and the solve stops with a
+        status and a finite iterate within 40 iterations instead of failing
+        in an eigensolve: ``diverged``, or ``numerical_failure`` where a
+        factorization fails first.  Without the divergence stop, 103 of the
+        180 problems of the second loop run past 40 iterations and 21 to
+        ``max_iter``, with overflow warnings."""
         rng = np.random.default_rng(3)
         for _ in range(5):
             h = random_hermitian(rng, 3)
             b = h - (np.linalg.eigvalsh(h)[0] + 0.21) * np.eye(3)
             sol = solve(identity_problem(3, a=np.eye(3), b=b))
-            assert sol.status == "numerical_failure"
+            assert sol.status == "diverged"
             assert all(np.isfinite(m).all() for m in (*sol.X_opt, *sol.Y_opt))
+        for d in (2, 3, 4):
+            rng = np.random.default_rng(100 + d)
+            for i in range(60):
+                h = random_hermitian(rng, d)
+                shift = (0.01, 0.1, 0.21, 1.0)[i % 4]
+                b = h - (np.linalg.eigvalsh(h)[0] + shift) * np.eye(d)
+                sol = solve(identity_problem(d, a=np.eye(d), b=b))
+                assert sol.iterations <= 40, (d, i)
+                assert sol.status in ("diverged", "numerical_failure"), (d, i)
+                assert all(np.isfinite(m).all()
+                           for m in (*sol.X_opt, *sol.Y_opt))
 
     def test_verbose_log(self, capsys):
         solve(identity_problem(2), SolveOptions(verbose=True))
@@ -388,7 +404,8 @@ class TestStepLength:
         match those from Cholesky factors of ``X`` and ``Z`` to 1e-12
         relative, for random directions short and long against the
         boundary.  The iterates have eigenvalues from 1e-3 to 1: the oracle's
-        own rounding grows with the condition number of ``X`` and ``Z``."""
+        own rounding grows with the condition number of ``X`` and ``Z``.
+        The solve never forms ``R^-1``; here it is ``np.linalg.inv(R)``."""
         prob = build_general_sdp(to_stinespring(random_superop(
             np.random.default_rng(5), 2, 3, terms=2)))
         assert prob.embedded[block] is None if block == 0 else \
@@ -402,15 +419,88 @@ class TestStepLength:
 
         for _ in range(20):
             x, z = iterate(), iterate()
-            r, r_inv, v = _nt_scaling(x, z)
+            r, v = _nt_scaling(x, z)
+            r_inv = np.linalg.inv(r)
             for length in (1e-3, 1.0, 1e3):
                 dx, dz = (length * random_hermitian(rng, d) for _ in range(2))
                 for got, want in (
-                        (_max_step(v, r_inv @ dx @ r_inv.conj().T),
+                        (_max_steps(v, r_inv @ dx @ r_inv.conj().T)[0],
                          _cholesky_step(x, dx)),
-                        (_max_step(v, r.conj().T @ dz @ r),
+                        (_max_steps(v, r.conj().T @ dz @ r)[0],
                          _cholesky_step(z, dz))):
                     assert got == pytest.approx(want, rel=1e-12)
+
+
+def _predictor_records():
+    """``(block, X, Z, R, v, dZh)`` at each predictor of the first four
+    iterations of a general-route problem held with ``<=``: its ``X`` block
+    has stored rows (block 0), its ``W`` block is embedded (block 1), and
+    the slack blocks of its two constraint blocks follow (blocks 2, 3)."""
+    _, prob = undeclared(build_general_sdp, to_stinespring(random_superop(
+        np.random.default_rng(5), 2, 3, terms=2)), keep=("embedded", "rows"))
+    assert prob.equality == () and prob.embedded[0] is None \
+        and prob.embedded[1] is not None
+    nb = len(prob.var_structure.blocks) + len(prob.con_structure.blocks)
+    scalings, records = [], []
+
+    def scaling(x, z):
+        scalings.append((x, z, *_nt_scaling(x, z)))
+        return scalings[-1][2:]
+
+    def steps(v, delta_hat):
+        # The predictor's is the first step taken on each new scaling.
+        pos = next(i for i, s in enumerate(scalings) if s[3] is v)
+        if pos not in seen:
+            seen.add(pos)
+            records.append((pos % nb, *scalings[pos], delta_hat))
+        return _max_steps(v, delta_hat)
+
+    seen = set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp_module, "_nt_scaling", scaling)
+        mp.setattr(sdp_module, "_max_steps", steps)
+        solve(prob, SolveOptions(max_iter=4))
+    return records
+
+
+class TestScaledSpace:
+    """The iteration in the Nesterov-Todd scaled space, where ``X`` and
+    ``Z`` are both ``diag(v)``, against the unscaled directions formed with
+    an explicit ``R^-1``, at solver iterates of every kind of block."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return _predictor_records()
+
+    def test_every_block_kind(self, records):
+        assert {rec[0] for rec in records} == {0, 1, 2, 3}
+
+    def test_predictor_steps_from_one_eigensolve(self, records):
+        """Both predictor steps from the one eigensolve of ``diag(v)^-1/2
+        dZh diag(v)^-1/2`` equal the steps along ``R^-1 dX R^-dag`` and
+        ``R^dag dZ R``, each from its own eigensolve, with ``dX = -X - W dZ
+        W`` the Newton equation's and ``R^-1`` from ``np.linalg.inv``."""
+        for _, x, _, r, v, dzh in records:
+            r_inv = np.linalg.inv(r)
+            dz = r_inv.conj().T @ dzh @ r_inv
+            w = r @ r.conj().T
+            dx = -x - w @ dz @ w
+            want = (_max_steps(v, r_inv @ dx @ r_inv.conj().T)[0],
+                    _max_steps(v, r.conj().T @ dz @ r)[0])
+            assert _max_steps(v, dzh)[::-1] == pytest.approx(want, rel=1e-12)
+
+    def test_primal_direction_from_scaled_target(self, records):
+        """``R (rc_hat - dZh) R^dag = rc - W dZ W`` for the predictor's
+        target ``rc = -X`` (``rc_hat = -diag(v)``) and for a random one."""
+        rng = np.random.default_rng(11)
+        for _, x, _, r, v, dzh in records:
+            r_inv = np.linalg.inv(r)
+            dz = r_inv.conj().T @ dzh @ r_inv
+            w = r @ r.conj().T
+            for rc_hat in (-np.diag(v), random_hermitian(rng, len(v))):
+                rc = r @ rc_hat @ r.conj().T
+                assert _close(r @ (rc_hat - dzh) @ r.conj().T,
+                              rc - w @ dz @ w)
 
 
 class TestSolveOptions:
