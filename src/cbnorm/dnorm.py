@@ -52,8 +52,8 @@ Alberti's bound lags the states to first order; there one least-norm Newton
 step toward ``A^dag (1 (x) Z) A = c0 1``, ``B^dag (1 (x) Z^-1) B = c1 1``
 corrects ``Z`` to second order, and the smaller bound is kept.  The step
 runs where its linearized system is underdetermined, ``r^2 + 2 >= 2 n^2``.
-The ascent leaves the map to the interior-point solve (``X``'s rows formed
-from ``A``, ``Psi^*`` never probed) when ``P`` is singular or the width
+The ascent leaves the map to the interior-point solve (``Psi^*`` declared
+once, by its terms in ``A``) when ``P`` is singular or the width
 contracts too slowly; it takes the solve's ``Z`` and polishes its states by
 sweeps, from them and from their optimal face (eigenvalues below
 ``sqrt(rel_gap)`` of the largest dropped: El-Bakry, Tapia and Zhang, SIAM
@@ -82,13 +82,7 @@ from .linalg import (
     spectral_norm,
     trace_norm,
 )
-from .sdp import (
-    BlockStructure,
-    SdpProblem,
-    SolveOptions,
-    _basis_entries,
-    solve,
-)
+from .sdp import BlockStructure, SdpProblem, SolveOptions, solve
 from .superop import StinespringPair, SuperOp, to_choi
 
 # Sweep budget of the certified ascent (_ascent_general).
@@ -155,32 +149,21 @@ def build_general_sdp(pair: StinespringPair) -> SdpProblem:
     n = a.shape[1]
     var = BlockStructure((n, m * r))
     con = BlockStructure((1, r))
-    bbdag = b @ b.conj().T
-    eye_m = np.eye(m)
 
     def psi(blocks):
         x, w = blocks
         env = partial_trace(w - a @ x @ a.conj().T, (m, r), side="first")
         return [np.array([[np.trace(x)]]), env]
 
-    def psi_adj(blocks):
-        lam, big_z = blocks[0][0, 0], kron(eye_m, blocks[1])
-        return [lam * np.eye(n) - a.conj().T @ big_z @ a, big_z]
-
-    # X's rows: 1_n, then -sum_y A_y^dag F_j A_y = -(c_j T_ab + (c_j T_ab)^dag)
-    # for F_j = c_j E(a, b) + conj(c_j) E(b, a) and T_ab = sum_y
-    # conj(A_y[a, :]) (x) A_y[b, :], column (a, b) of _gram(A).
-    pa, pb, coef = _basis_entries(r)
-    t = _gram(a.reshape(m, r, n))[:, pa * r + pb].T.reshape(-1, n, n) * \
-        coef[:, None, None]
-    rows = np.concatenate([np.eye(n)[None], -(t + t.conj().swapaxes(1, 2))])
-    obj = [np.zeros((n, n)), bbdag]
+    obj = [np.zeros((n, n)), b @ b.conj().T]
     rhs = [np.eye(1), np.zeros((r, r))]
-    # W enters Psi^* as 1_m (x) Z, Z the dual of constraint block 1.
-    # Equalities: W + (1_m / m) (x) Delta and X / Tr X never lower the value.
-    return SdpProblem.from_maps(var, con, psi, psi_adj, obj, rhs,
-                                embedded={1: (1, m)}, equality=(0, 1),
-                                rows={0: rows})
+    # Psi^*(lam, Z) = (lam 1_n - A^dag (1_m (x) Z) A, 1_m (x) Z): sdp forms
+    # X's rows from A and embeds W.  Equalities: W + (1_m / m) (x) Delta and
+    # X / Tr X never lower the value.
+    return SdpProblem.from_maps(
+        var, con, psi, {0: [(0, n, None, 1), (1, m, a, -1)],
+                        1: [(1, m, None, 1)]},
+        obj, rhs, equality=(0, 1))
 
 
 def _normalized_state(x, n):
@@ -252,17 +235,6 @@ def _ascent_loop(at, bt, h, u_mat, v_mat, prev=-np.inf, max_iters=300,
             break
         prev = obj
     return u_mat, v_mat, sweeps
-
-
-def _ascent_primal(pair, rho0, rho1, max_iters=300, tol=1e-13):
-    """Unit vectors ``(u, v)`` from alternating ascent.
-
-    The norm is the largest fidelity between ``Tr_Y(A rho0 A^dag)`` and
-    ``Tr_Y(B rho1 B^dag)`` over states; sweeps stop when it moves by at most
-    ``tol`` relative.  From the solver's near-optimal ``rho0`` (input) and
-    ``rho1`` (output side), the first sweep is within the solver gap."""
-    return _ascent_loop(*_sweep_operands(pair), _purification(rho0),
-                        _purification(rho1), max_iters=max_iters, tol=tol)[:2]
 
 
 def _polish(pair, sol):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -70,55 +70,24 @@ class BlockStructure:
 
 
 def svec(blocks) -> np.ndarray:
-    """Isometric real vectorization of a block Hermitian matrix.
-
-    Per block: diagonal (real), then sqrt(2) * upper-triangle real parts,
-    then sqrt(2) * upper-triangle imaginary parts, matching
-    :func:`hermitian_basis` ordering.
-    """
-    parts = []
-    for m in blocks:
-        d = m.shape[0]
-        iu = np.triu_indices(d, 1)
-        parts.append(np.real(np.diag(m)))
-        parts.append(np.sqrt(2.0) * np.real(m[iu]))
-        parts.append(np.sqrt(2.0) * np.imag(m[iu]))
-    return np.concatenate(parts) if parts else np.zeros(0)
+    """Isometric real vectorization of a block Hermitian matrix: ``Re <F_j,
+    M>`` over :func:`hermitian_basis` of each block in turn.  A block that is
+    not Hermitian is read through its Hermitian part."""
+    return np.concatenate([_embedded_a_op(m, 1, _svec_index(len(m)))
+                           for m in blocks])
 
 
 def unsvec(vec: np.ndarray, structure: BlockStructure):
-    blocks = []
-    pos = 0
-    for d in structure.blocks:
-        seg = vec[pos:pos + d * d]
-        pos += d * d
-        m = np.zeros((d, d), dtype=complex)
-        np.fill_diagonal(m, seg[:d])
-        k = d * (d - 1) // 2
-        iu = np.triu_indices(d, 1)
-        re = seg[d:d + k] / np.sqrt(2.0)
-        im = seg[d + k:d + 2 * k] / np.sqrt(2.0)
-        m[iu] = re + 1j * im
-        m[(iu[1], iu[0])] = re - 1j * im
-        blocks.append(m)
-    return blocks
-
-
-def _basis_entries(d: int):
-    """``(a, b, c)``: each element of :func:`hermitian_basis` in svec order
-    is ``c_j E(a_j, b_j) + conj(c_j) E(b_j, a_j)`` (:func:`_svec_index`)."""
-    index = _svec_index(d)
-    return (*(np.concatenate([x, x[d:]]) for x in (index.a, index.b)),
-            index.coef)
+    """``sum_j vec_j F_j`` per block: the inverse of :func:`svec`."""
+    offsets = np.cumsum([0] + [d * d for d in structure.blocks])
+    return [_embedded_a_adj(vec[lo:hi], 1, _svec_index(d))
+            for lo, hi, d in zip(offsets, offsets[1:], structure.blocks)]
 
 
 def hermitian_basis(d: int):
     """Orthonormal Hermitian basis of dimension ``d*d`` in svec order."""
-    mats = np.zeros((d * d, d, d), dtype=complex)
-    for j, (p, q, c) in enumerate(zip(*_basis_entries(d))):
-        mats[j, p, q] += c
-        mats[j, q, p] += np.conj(c)
-    return list(mats)
+    index = _svec_index(d)
+    return [_embedded_a_adj(e, 1, index) for e in np.eye(d * d)]
 
 
 def block_inner(a, b) -> float:
@@ -159,6 +128,16 @@ def _rows_adj(rows, placements, yv):
             for r, place in zip(rows, placements)]
 
 
+def _term_rows(kt, index):
+    """``K^dag (1_k (x) F_j) K = c_j T_ab + h.c.`` for each element ``F_j =
+    c_j E(a, b) + h.c.`` of ``hermitian_basis(index.r)``, with ``K`` indexed
+    ``(y, a, i)`` and ``T_ab[i, j] = sum_y conj(K[y, a, i]) K[y, b, j]``."""
+    a, b = (np.concatenate([x, x[index.r:]]) for x in (index.a, index.b))
+    t = np.tensordot(kt.conj(), kt, axes=(0, 0))[a, :, b] * \
+        index.coef[:, None, None]
+    return t + t.conj().swapaxes(1, 2)
+
+
 @dataclass(frozen=True)
 class SdpProblem:
     """Triple-form problem given by its constraint rows.
@@ -183,23 +162,26 @@ class SdpProblem:
     equality: tuple = ()
 
     @staticmethod
-    def from_maps(var_structure, con_structure, psi, psi_adj, obj, rhs,
-                  embedded: dict | None = None,
-                  equality=(), rows: dict | None = None):
-        """Build a problem from callables for ``Psi`` and ``Psi^*``.
+    def from_maps(var_structure, con_structure, psi, terms: dict, obj, rhs,
+                  equality=()):
+        """Build a problem from ``Psi`` and the terms of ``Psi^*``.
 
-        ``embedded`` maps a variable block to ``(c, k)`` when ``Psi^*``
-        enters it as ``1_k (x) Y_c``; no rows are stored for it.  ``rows``
-        maps a variable block to its rows (``SdpProblem``), formed by the
-        caller; those of the other blocks are probed from ``psi_adj``, one
-        basis element at a time.  ``equality`` names the constraint blocks
-        held with ``=`` rather than ``<=``: :func:`solve` gives them no slack
-        block and their duals no sign constraint.  Declare a block so only
-        when some optimum makes it tight, as then the optimum is unchanged.
-        Both callables are validated on random inputs, to ``CHECK_TOL``
-        relative: Hermiticity preservation of ``Psi`` (to its output's
-        scale), and adjoint consistency against the rows, given or probed,
-        and the declared blocks.
+        ``terms[b]`` lists the terms ``(c, k, K, s)`` of variable block
+        ``b``: ``Psi^*(Y)_b = sum s K^dag (1_k (x) Y_c) K``, with ``K`` of
+        shape ``(k d_c, d_b)``, or ``None`` for the identity (then ``d_b = k
+        d_c``); a block without terms has zero rows.  A block whose only term
+        is ``(c, k, None, 1)`` is embedded (``SdpProblem``) and stores no
+        rows.  The rows of every other block are formed here, term by term:
+        ``s K^dag (1_k (x) F_j) K`` is ``s (c_j T_ab + h.c.)`` for ``F_j =
+        c_j E(a, b) + h.c.`` and ``T_ab = sum_y K_y[a, :]^dag K_y[b, :]``
+        over the ``d_c``-row blocks ``K_y`` of ``K``.  ``equality`` names
+        the constraint blocks held with ``=`` rather than ``<=``:
+        :func:`solve` gives them no slack block and their duals no sign
+        constraint.  Declare a block so only when some optimum makes it
+        tight, as then the optimum is unchanged.  ``psi`` is only checked,
+        on random inputs to ``CHECK_TOL`` relative: that it preserves
+        Hermiticity (to its output's scale), and that the terms are its
+        adjoint.
         """
         obj = tuple(np.asarray(m, dtype=complex) for m in obj)
         rhs = tuple(np.asarray(m, dtype=complex) for m in rhs)
@@ -213,14 +195,19 @@ class SdpProblem:
         for m, d in zip(rhs, con_structure.blocks):
             if m.shape != (d, d):
                 raise InvalidInputError("rhs block shape mismatch")
-        embedded = tuple(
-            (embedded or {}).get(b) for b in range(len(var_structure.blocks))
-        )
-        for e, d in zip(embedded, var_structure.blocks):
-            if e is not None and not (
-                    0 <= e[0] < len(con_structure.blocks)
-                    and d == e[1] * con_structure.blocks[e[0]]):
-                raise InvalidInputError("embedded block shape mismatch")
+        terms = [terms.get(b, ()) for b in range(len(obj))]
+        for ts, d in zip(terms, var_structure.blocks):
+            for c, k, kk, _ in ts:
+                if not (isinstance(c, (int, np.integer))
+                        and 0 <= c < len(con_structure.blocks)):
+                    raise InvalidInputError(
+                        f"term names no constraint block: {c!r}")
+                if ((d, d) if kk is None else np.shape(kk)) != \
+                        (k * con_structure.blocks[c], d):
+                    raise InvalidInputError("term shape mismatch")
+        embedded = tuple((ts[0][0], ts[0][1]) if len(ts) == 1 and
+                         ts[0][2] is None and ts[0][3] == 1 else None
+                         for ts in terms)
         equality = tuple(equality)
         if len(set(equality)) != len(equality) or not all(
                 isinstance(c, (int, np.integer))
@@ -228,26 +215,17 @@ class SdpProblem:
             raise InvalidInputError(
                 "equality must name distinct constraint blocks")
 
-        m_con, given = con_structure.dof, rows or {}
-        if any(b not in range(len(embedded)) or embedded[b] is not None or
-               np.shape(r) != (m_con, *[var_structure.blocks[b]] * 2)
-               for b, r in given.items()):
-            raise InvalidInputError("given rows shape mismatch")
-        rows = [None if e is not None else np.asarray(given[b], dtype=complex)
-                if b in given else np.zeros((m_con, d, d), dtype=complex)
-                for b, (d, e) in enumerate(zip(var_structure.blocks, embedded))]
-        probed = [b for b, e in enumerate(embedded)
-                  if e is None and b not in given]
-        j = 0
-        for ci, d in enumerate(con_structure.blocks if probed else ()):
-            for p, q, c in zip(*_basis_entries(d)):
-                fb = con_structure.zeros()
-                fb[ci][p, q] += c
-                fb[ci][q, p] += np.conj(c)
-                g = psi_adj(fb)
-                for b in probed:
-                    rows[b][j] = (g[b] + np.conj(g[b]).T) / 2
-                j += 1
+        m_con = con_structure.dof
+        con_slots = _placements(con_structure, [
+            (c, 1) for c in range(len(con_structure.blocks))])
+        rows = [None if e else np.zeros((m_con, d, d), dtype=complex)
+                for d, e in zip(var_structure.blocks, embedded)]
+        for row, ts, d in zip(rows, terms, var_structure.blocks):
+            for c, k, kk, s in ts if row is not None else ():
+                sl, _, index = con_slots[c]
+                kt = (np.eye(d) if kk is None else np.asarray(kk)).reshape(
+                    k, index.r, d)
+                row[sl] += s * _term_rows(kt, index)
 
         placements = _placements(con_structure, embedded)
         rng = np.random.default_rng(20260823)
@@ -268,7 +246,7 @@ class SdpProblem:
             )
             if abs(lhs - rhs_ip) > CHECK_TOL * scale2:
                 raise InvalidInputError(
-                    "psi and psi_adj are not adjoint within tolerance"
+                    "psi and its terms are not adjoint within tolerance"
                 )
         return SdpProblem(var_structure, con_structure, tuple(rows), obj,
                           rhs, embedded, tuple(int(c) for c in equality))
@@ -352,7 +330,8 @@ def _max_steps(v, delta_hat) -> tuple:
                  for m in (lam[0], -1.0 - lam[-1]))
 
 
-class _SvecIndex(NamedTuple):
+@dataclass(frozen=True)
+class _SvecIndex:
     """Positions of ``hermitian_basis(r)``.
 
     Each ``F_j`` is ``c_j E(a_j, b_j) + conj(c_j) E(b_j, a_j)``.  ``a, b``
@@ -367,6 +346,13 @@ class _SvecIndex(NamedTuple):
     a: np.ndarray
     b: np.ndarray
     coef: np.ndarray
+
+    @cached_property
+    def schur_weight(self):
+        """``2 |c_i| |c_l|``, the factor of entry ``(i, l)`` of
+        :func:`_embedded_schur`, formed on first use."""
+        weight = np.abs(self.coef)
+        return 2 * np.outer(weight, weight)
 
 
 def _svec_index(r: int) -> _SvecIndex:
@@ -431,8 +417,7 @@ def _embedded_schur(w, k, index):
     out[:nv, nv:] = -minus.imag[:, r:]
     out[nv:, :nv] = plus.imag[r:]
     out[nv:, nv:] = minus.real[r:, r:]
-    weight = np.abs(index.coef)
-    out *= 2 * np.outer(weight, weight)
+    out *= index.schur_weight
     return out
 
 

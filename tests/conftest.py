@@ -17,7 +17,7 @@ from cbnorm.linalg import (
     partial_trace,
     spectral_norm,
 )
-from cbnorm.sdp import BlockStructure, SdpProblem, solve
+from cbnorm.sdp import BlockStructure, SdpProblem, solve, svec, unsvec
 from cbnorm.superop import SuperOp, to_choi
 
 
@@ -103,15 +103,14 @@ def build_channel_diff_sdp(phi, j):
         rho, w = blocks
         return [np.array([[np.trace(rho)]]), w - kron(eye_m, rho)]
 
-    def psi_adj(blocks):
-        lam, z = blocks[0][0, 0], blocks[1]
-        return [lam * np.eye(n) - partial_trace(z, (m, n), side="first"), z]
-
-    # W enters Psi^* as Z itself, the dual of constraint block 1.
+    # Psi^*(lam, Z) = (lam 1_n - Tr_Y Z, Z), with Tr_Y Z = K^dag (1_m (x) Z) K
+    # for K the stack of |y> (x) 1_n.
+    stack = np.vstack([kron(e[:, None], np.eye(n)) for e in eye_m])
     return SdpProblem.from_maps(
-        BlockStructure((n, m * n)), BlockStructure((1, m * n)), psi, psi_adj,
+        BlockStructure((n, m * n)), BlockStructure((1, m * n)), psi,
+        {0: [(0, n, None, 1), (1, m, stack, -1)], 1: [(1, 1, None, 1)]},
         [np.zeros((n, n)), j], [np.eye(1), np.zeros((m * n, m * n))],
-        embedded={1: (1, 1)}, equality=(0,))
+        equality=(0,))
 
 
 def _psd_part(mat):
@@ -166,21 +165,42 @@ def channel_diff_norm(phi):
                                   sol.primal_infeas, sol.dual_infeas))
 
 
-def undeclared(build, *args, keep=("equality",)):
-    """``build(*args)`` and the all-dense oracle: the same maps passed to
-    ``from_maps`` without the embedded declaration, keeping the keyword
-    arguments named in ``keep``."""
+def probed_rows(var, con, psi, b):
+    """Rows of variable block ``b`` probed from ``psi`` alone: ``Psi`` of
+    each basis element ``E_i`` of the block, transposed, ``row_j = sum_i
+    <F_j, Psi(E_i)> E_i`` (the dense oracle of ``from_maps``'s terms)."""
+    one = BlockStructure((var.blocks[b],))
+    cols = []
+    for e in np.eye(one.dof):
+        x = var.zeros()
+        x[b] = unsvec(e, one)[0]
+        cols.append(svec(psi(x)))
+    return np.array([unsvec(c, one)[0] for c in np.array(cols).T])
+
+
+def built_with_psi(build, *args):
+    """``build(*args)`` and the ``psi`` it passed to ``from_maps``."""
     real, seen = SdpProblem.from_maps, []
 
-    def capture(*a, **kw):
-        seen.append((a, kw))
-        return real(*a, **kw)
+    def capture(var, con, psi, *a, **kw):
+        seen.append(psi)
+        return real(var, con, psi, *a, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SdpProblem, "from_maps", staticmethod(capture))
-        prob = build(*args)
-    a, kw = seen[0]
-    return prob, real(*a, **{k: v for k, v in kw.items() if k in keep})
+        return build(*args), seen[0]
+
+
+def dense_oracle(build, *args, equality=True):
+    """``build(*args)`` and its all-dense oracle: the same problem with the
+    rows of every block probed from its ``psi`` (:func:`probed_rows`), none
+    embedded, and with its equality declaration only when ``equality``."""
+    prob, psi = built_with_psi(build, *args)
+    var, con = prob.var_structure, prob.con_structure
+    rows = tuple(probed_rows(var, con, psi, b) for b in range(len(var.blocks)))
+    return prob, SdpProblem(var, con, rows, prob.obj, prob.rhs,
+                            (None,) * len(rows),
+                            prob.equality if equality else ())
 
 
 @pytest.fixture

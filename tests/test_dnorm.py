@@ -7,8 +7,10 @@ import pytest
 from cbnorm import superop
 from cbnorm import dnorm
 from cbnorm.dnorm import (
-    _ascent_primal,
+    _ascent_loop,
     _normalized_state,
+    _purification,
+    _sweep_operands,
     Certificate,
     NormOptions,
     build_general_sdp,
@@ -40,8 +42,8 @@ from conftest import (
     build_channel_diff_sdp,
     channel_diff_data,
     channel_diff_norm,
+    dense_oracle,
     random_channel,
-    undeclared,
     random_complex,
     random_superop,
     random_unitary,
@@ -477,8 +479,9 @@ def _cold_converged(pair, sol):
     """Witness value of the ascent started with ``v = u`` and run to
     convergence."""
     rho0, _ = _warm_states(pair, sol)
-    return _witness_value(pair, _ascent_primal(pair, rho0, rho0,
-                                               max_iters=5000))
+    return _witness_value(pair, _ascent_loop(
+        *_sweep_operands(pair), _purification(rho0), _purification(rho0),
+        max_iters=5000)[:2])
 
 
 def _repaired(pair, sol):
@@ -498,8 +501,9 @@ class TestAscentWarmStart:
         for seed in range(12):
             _, pair, sol = _solved_pair(seed, n, m)
             rho0, rho1 = _warm_states(pair, sol)
-            short = _witness_value(
-                pair, _ascent_primal(pair, rho0, rho1, max_iters=3))
+            short = _witness_value(pair, _ascent_loop(
+                *_sweep_operands(pair), _purification(rho0),
+                _purification(rho1), max_iters=3)[:2])
             ref = _cold_converged(pair, sol)
             assert abs(short - ref) <= 1e-8 * ref, (seed, short, ref)
 
@@ -551,7 +555,9 @@ class TestAscentWarmStart:
 def _solver_start_polish(pair, sol):
     """``_polish`` as it was before the face start: sweeps from the solve's
     own states alone."""
-    u, v = _ascent_primal(pair, *_warm_states(pair, sol))
+    rho0, rho1 = _warm_states(pair, sol)
+    u, v, _ = _ascent_loop(*_sweep_operands(pair), _purification(rho0),
+                           _purification(rho1))
     return u, v, "start solver"
 
 
@@ -914,14 +920,14 @@ class TestEqualityForm:
         dense rows, reach the same optimum."""
         for _ in range(3):
             if route == "general":
-                prob, oracle = undeclared(
+                prob, oracle = dense_oracle(
                     build_general_sdp,
-                    to_stinespring(random_superop(rng, 2, 3)), keep=())
+                    to_stinespring(random_superop(rng, 2, 3)), equality=False)
             else:
-                prob, oracle = undeclared(
+                prob, oracle = dense_oracle(
                     build_channel_diff_sdp, *channel_diff_data(
                         random_channel(rng, 2, 3), random_channel(rng, 2, 3)),
-                    keep=())
+                    equality=False)
             assert oracle.equality == () and oracle.rows[1] is not None
             got, want = solve(prob), solve(oracle)
             assert got.status == want.status == "optimal"

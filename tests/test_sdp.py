@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,10 @@ from cbnorm.superop import StinespringPair, SuperOp, to_stinespring
 
 from conftest import (
     build_channel_diff_sdp,
+    built_with_psi,
     channel_diff_data,
-    undeclared,
+    dense_oracle,
+    probed_rows,
     random_channel,
     random_complex,
     random_hermitian,
@@ -42,7 +46,7 @@ def identity_problem(n, a=None, b=None, equality=()):
     return SdpProblem.from_maps(
         struct, struct,
         lambda blocks: [blocks[0]],
-        lambda blocks: [blocks[0]],
+        {0: [(0, 1, None, 1)]},
         [np.eye(n) if a is None else a],
         [np.eye(n) if b is None else b],
         equality=equality,
@@ -56,7 +60,7 @@ def trace_problem(a, equality=()):
     return SdpProblem.from_maps(
         BlockStructure((n,)), BlockStructure((1,)),
         lambda blocks: [np.array([[np.trace(blocks[0])]])],
-        lambda blocks: [blocks[0][0, 0] * np.eye(n)],
+        {0: [(0, n, None, 1)]},
         [a], [np.eye(1)], equality=equality,
     )
 
@@ -74,6 +78,31 @@ class TestVectorization:
         h = struct.random_hermitian(rng)
         g = struct.random_hermitian(rng)
         assert svec(h) @ svec(g) == pytest.approx(block_inner(h, g))
+
+    def test_svec_against_basis(self, rng):
+        """``svec`` reads ``Re <F_j, M>`` over ``hermitian_basis`` of each
+        block, and ``unsvec`` sums ``y_j F_j``."""
+        struct = BlockStructure((3, 1, 2))
+        h = struct.random_hermitian(rng)
+        basis = [f for d in struct.blocks for f in hermitian_basis(d)]
+        blocks = [m for m in h for _ in range(len(m) ** 2)]
+        assert np.allclose(svec(h), [np.vdot(f, m).real for f, m in
+                                     zip(basis, blocks)], rtol=0, atol=1e-14)
+        y = rng.standard_normal(struct.dof)
+        pos = np.cumsum([0] + [d * d for d in struct.blocks])
+        for got, lo, hi in zip(unsvec(y, struct), pos, pos[1:]):
+            want = sum(v * f for v, f in zip(y[lo:hi], basis[lo:hi]))
+            assert np.allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_svec_reads_hermitian_part(self, rng):
+        """A block that is not Hermitian counts through its Hermitian part,
+        ``Re <F_j, M> = Re <F_j, (M + M^dag) / 2>``."""
+        g = random_complex(rng, (3, 3))
+        got = svec([g])
+        want = [np.vdot(f, g).real for f in hermitian_basis(3)]
+        assert np.allclose(got, want, rtol=0, atol=1e-14)
+        assert np.allclose(got, svec([(g + g.conj().T) / 2]), rtol=0,
+                           atol=1e-14)
 
     def test_hermitian_basis_orthonormal(self):
         basis = hermitian_basis(3)
@@ -99,7 +128,7 @@ class TestFromMaps:
             SdpProblem.from_maps(
                 struct, struct,
                 lambda blocks: [shear @ blocks[0]],
-                lambda blocks: [blocks[0]],
+                {0: [(0, 1, None, 1)]},
                 [np.eye(2)], [np.eye(2)],
             )
 
@@ -113,7 +142,7 @@ class TestFromMaps:
             SdpProblem.from_maps(
                 struct, struct,
                 lambda blocks: [shear @ blocks[0]],
-                lambda blocks: [shear.T @ blocks[0]],
+                {0: [(0, 1, None, 1)]},
                 [np.eye(2)], [np.eye(2)],
             )
 
@@ -151,7 +180,7 @@ class TestFromMaps:
             SdpProblem.from_maps(
                 struct, struct,
                 lambda blocks: [blocks[0]],
-                lambda blocks: [2.0 * blocks[0]],
+                {0: [(0, 1, None, 2.0)]},
                 [np.eye(2)], [np.eye(2)],
             )
 
@@ -165,8 +194,9 @@ class TestFromMaps:
         assert trace_problem(np.eye(2), equality=[np.int64(0)]).equality == (0,)
 
     def test_probe_rows_bitwise(self, rng):
-        """Rows probed entry by entry equal those probed from the
-        ``hermitian_basis`` matrices, bit for bit."""
+        """Rows formed from terms with two ``K`` per pair of variable and
+        constraint blocks match the rows the dense oracle probes from ``psi``
+        alone, to 1e-15 relative."""
         var, con = BlockStructure((3, 2)), BlockStructure((2, 3))
         ks = [random_complex(rng, (5, 5)) for _ in range(2)]
 
@@ -176,26 +206,19 @@ class TestFromMaps:
             out = sum(k @ x @ k.conj().T for k in ks)
             return [out[:2, :2], out[2:, 2:]]
 
-        def psi_adj(blocks):
-            y = np.zeros((5, 5), dtype=complex)
-            y[:2, :2], y[2:, 2:] = blocks
-            out = sum(k.conj().T @ y @ k for k in ks)
-            return [out[:3, :3], out[3:, 3:]]
-
-        prob = SdpProblem.from_maps(var, con, psi, psi_adj, var.zeros(),
+        cols, rows = (slice(0, 3), slice(3, 5)), (slice(0, 2), slice(2, 5))
+        terms = {b: [(c, 1, k[rows[c], cols[b]], 1) for c in range(2)
+                     for k in ks] for b in range(2)}
+        prob = SdpProblem.from_maps(var, con, psi, terms, var.zeros(),
                                     con.zeros())
-        j = 0
-        for ci, d in enumerate(con.blocks):
-            for f in hermitian_basis(d):
-                fb = con.zeros()
-                fb[ci] = f
-                for rows, g in zip(prob.rows, psi_adj(fb)):
-                    assert ((g + g.conj().T) / 2).tobytes() == rows[j].tobytes()
-                j += 1
+        assert prob.embedded == (None, None)
+        for b, got in enumerate(prob.rows):
+            assert _rel_err(got, probed_rows(var, con, psi, b)) <= 1e-15
 
     def test_probe_memory(self):
-        """Full-rank d=5 (``r`` = 25): the probe holds one basis element at a
-        time, not the 625 of ``hermitian_basis(25)`` (6.25 MB)."""
+        """Full-rank d=5 (``r`` = 25): forming the X rows holds one Gram
+        tensor of ``A`` and its gathers, not the 625 matrices of
+        ``hermitian_basis(25)`` (6.25 MB)."""
         import tracemalloc
 
         n = 5
@@ -212,46 +235,44 @@ class TestFromMaps:
     @pytest.mark.parametrize("n,m,terms", [(1, 3, 2), (3, 1, 2), (3, 3, 1),
                                            (5, 5, 25)])
     def test_general_rows_formed_not_probed(self, n, m, terms):
-        """``build_general_sdp`` forms the X block's rows from ``A`` and
-        passes them as given rows: ``psi_adj`` is never called, and the rows
-        match those the all-dense oracle probes to 1e-15 relative (n = 1,
-        m = 1, r = 1, and full rank at d = 5)."""
+        """``build_general_sdp`` declares ``Psi^*`` by its terms, and the X
+        block's rows formed from ``A`` match those the dense oracle probes
+        from ``psi`` alone to 1e-15 relative (n = 1, m = 1, r = 1, and full
+        rank at d = 5); the W block stores none."""
         pair = to_stinespring(random_superop(
             np.random.default_rng(n * m + terms), n, m, terms=terms))
         assert pair.dim_env == min(terms, n * m)
-        calls, real = [], SdpProblem.from_maps
+        prob, psi = built_with_psi(build_general_sdp, pair)
+        assert prob.embedded == (None, (1, m)) and prob.rows[1] is None
+        want = probed_rows(prob.var_structure, prob.con_structure, psi, 0)
+        assert prob.rows[0].shape == want.shape
+        assert _rel_err(prob.rows[0], want) <= 1e-15
 
-        def counted(var, con, psi, psi_adj, *args, **kwargs):
-            def adj(blocks):
-                calls.append(1)
-                return psi_adj(blocks)
-            return real(var, con, psi, adj, *args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(SdpProblem, "from_maps", staticmethod(counted))
-            prob = build_general_sdp(pair)
-        assert calls == []
-        oracle = undeclared(build_general_sdp, pair)[1]
-        assert prob.rows[0].shape == oracle.rows[0].shape
-        assert np.max(np.abs(prob.rows[0] - oracle.rows[0])) <= \
-            1e-15 * np.max(np.abs(oracle.rows[0]))
-
-    def test_given_rows_checked(self):
-        """Given rows must fit a block that is not embedded, and still go
-        through the adjoint check against ``psi``."""
+    def test_declared_terms_checked(self):
+        """A term must name a constraint block and fit its variable block,
+        and the terms go through the adjoint check against ``psi``: a
+        flipped sign fails it, on an embedded block and on one with formed
+        rows."""
+        k = np.array([[1.0, 2.0j]])
         args = (BlockStructure((2,)), BlockStructure((1,)),
-                lambda blocks: [np.array([[np.trace(blocks[0])]])], None,
-                [np.eye(2)], [np.eye(1)])
-        good = np.eye(2)[None].astype(complex)
-        prob = SdpProblem.from_maps(*args, rows={0: good})
-        assert np.array_equal(prob.rows[0], good)
+                lambda blocks: [np.array([[np.trace(blocks[0])]])])
+        data = ([np.eye(2)], [np.eye(1)])
+        assert SdpProblem.from_maps(
+            *args, {0: [(0, 2, None, 1)]}, *data).embedded == ((0, 2),)
+        with_k = (*args[:2], lambda blocks: [k @ blocks[0] @ k.conj().T])
+        assert SdpProblem.from_maps(
+            *with_k, {0: [(0, 1, k, 1)]}, *data).embedded == (None,)
+        for terms in ({0: [(0, 3, None, 1)]}, {0: [(0, 1, k.T, 1)]},
+                      {0: [(0, 2, np.eye(2), 1), (0, 1, None, 1)]}):
+            with pytest.raises(InvalidInputError, match="shape"):
+                SdpProblem.from_maps(*args, terms, *data)
+        for c in (1, -1, 0.0, None):
+            with pytest.raises(InvalidInputError, match="constraint block"):
+                SdpProblem.from_maps(*args, {0: [(c, 2, None, 1)]}, *data)
         with pytest.raises(InvalidInputError, match="adjoint"):
-            SdpProblem.from_maps(*args, rows={0: 2 * good})
-        for rows in ({0: np.eye(3)[None]}, {1: good}):
-            with pytest.raises(InvalidInputError, match="given rows"):
-                SdpProblem.from_maps(*args, rows=rows)
-        with pytest.raises(InvalidInputError, match="given rows"):
-            SdpProblem.from_maps(*args, rows={0: good}, embedded={0: (0, 2)})
+            SdpProblem.from_maps(*args, {0: [(0, 2, None, -1)]}, *data)
+        with pytest.raises(InvalidInputError, match="adjoint"):
+            SdpProblem.from_maps(*with_k, {0: [(0, 1, k, -1)]}, *data)
 
     def test_apply_psi_matches_callable(self, rng):
         prob = trace_problem(np.diag([1.0, 2.0, 3.0]))
@@ -436,8 +457,8 @@ def _predictor_records():
     iterations of a general-route problem held with ``<=``: its ``X`` block
     has stored rows (block 0), its ``W`` block is embedded (block 1), and
     the slack blocks of its two constraint blocks follow (blocks 2, 3)."""
-    _, prob = undeclared(build_general_sdp, to_stinespring(random_superop(
-        np.random.default_rng(5), 2, 3, terms=2)), keep=("embedded", "rows"))
+    prob = replace(build_general_sdp(to_stinespring(random_superop(
+        np.random.default_rng(5), 2, 3, terms=2))), equality=())
     assert prob.equality == () and prob.embedded[0] is None \
         and prob.embedded[1] is not None
     nb = len(prob.var_structure.blocks) + len(prob.con_structure.blocks)
@@ -582,19 +603,23 @@ def _w_block_problems():
     rng = np.random.default_rng(7)
     # Channel-difference SDP (the tests' oracle): W enters as F_j itself,
     # k = 1.
-    chan = undeclared(build_channel_diff_sdp, *channel_diff_data(
+    chan = dense_oracle(build_channel_diff_sdp, *channel_diff_data(
         random_channel(rng, 2, 3), random_channel(rng, 2, 3)))
     # General route with n != m: W enters as 1_m (x) F_j, k = m = 3.
-    general = undeclared(build_general_sdp,
-                          to_stinespring(random_superop(rng, 2, 3)))
+    general = dense_oracle(build_general_sdp,
+                           to_stinespring(random_superop(rng, 2, 3)))
     # n = 1 (the fidelity instance of the general route), k = m = 2.
     u, v = random_complex(rng, (6, 1)), random_complex(rng, (6, 1))
-    trivial_in = undeclared(build_general_sdp, StinespringPair(u, v, 3))
+    trivial_in = dense_oracle(build_general_sdp, StinespringPair(u, v, 3))
     return [(*chan, 1), (*general, 3), (*trivial_in, 2)]
 
 
 def _close(a, b):
     return np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0)
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
 class TestEmbeddedBlocks:
@@ -634,15 +659,11 @@ class TestEmbeddedBlocks:
 
     @pytest.mark.parametrize("case", range(3))
     def test_stored_rows_bitwise(self, case):
-        """The oracle probes the rows.  The channel-difference builder
-        (case 0) probes them too, bit for bit; the general builder forms
-        them from ``A`` by another formula, exact in exact arithmetic."""
+        """The oracle probes the rows from ``psi``; ``from_maps`` forms them
+        from the declared terms, by another formula, exact in exact
+        arithmetic."""
         prob, oracle, _ = _w_block_problems()[case]
-        if case == 0:
-            assert np.array_equal(prob.rows[0], oracle.rows[0])
-        else:
-            assert np.max(np.abs(prob.rows[0] - oracle.rows[0])) <= \
-                1e-15 * np.max(np.abs(oracle.rows[0]))
+        assert _rel_err(prob.rows[0], oracle.rows[0]) <= 1e-15
 
     @pytest.mark.parametrize("case", range(3))
     def test_apply_psi_and_feasibility(self, case, rng):
@@ -671,15 +692,15 @@ class TestEmbeddedBlocks:
     def test_bad_declaration_rejected(self):
         n = 2
         args = (BlockStructure((n,)), BlockStructure((1,)),
-                lambda blocks: [np.array([[2 * np.trace(blocks[0])]])],
-                lambda blocks: [2 * blocks[0][0, 0] * np.eye(n)],
-                [np.eye(n)], [np.eye(1)])
-        SdpProblem.from_maps(*args)
+                lambda blocks: [np.array([[2 * np.trace(blocks[0])]])])
+        data = ([np.eye(n)], [np.eye(1)])
+        assert SdpProblem.from_maps(
+            *args, {0: [(0, n, None, 2)]}, *data).embedded == (None,)
         with pytest.raises(InvalidInputError, match="shape"):
-            SdpProblem.from_maps(*args, embedded={0: (0, 3)})
-        # Psi^*(y) is 2 y 1, not the declared 1_2 (x) y.
+            SdpProblem.from_maps(*args, {0: [(0, 3, None, 1)]}, *data)
+        # Psi^*(y) is 2 y 1, not the embedded 1_2 (x) y.
         with pytest.raises(InvalidInputError, match="adjoint"):
-            SdpProblem.from_maps(*args, embedded={0: (0, 2)})
+            SdpProblem.from_maps(*args, {0: [(0, n, None, 1)]}, *data)
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (3, 5), (5, 5)])
