@@ -149,20 +149,14 @@ def build_general_sdp(pair: StinespringPair) -> SdpProblem:
     n = a.shape[1]
     var = BlockStructure((n, m * r))
     con = BlockStructure((1, r))
-
-    def psi(blocks):
-        x, w = blocks
-        env = partial_trace(w - a @ x @ a.conj().T, (m, r), side="first")
-        return [np.array([[np.trace(x)]]), env]
-
     obj = [np.zeros((n, n)), b @ b.conj().T]
     rhs = [np.eye(1), np.zeros((r, r))]
-    # Psi^*(lam, Z) = (lam 1_n - A^dag (1_m (x) Z) A, 1_m (x) Z): sdp forms
-    # X's rows from A and embeds W.  Equalities: W + (1_m / m) (x) Delta and
-    # X / Tr X never lower the value.
+    # Psi^*(lam, Z) = (lam 1_n - A^dag (1_m (x) Z) A, 1_m (x) Z), the one
+    # declaration of the map: sdp forms X's rows from A and embeds W, and
+    # reads Psi(X, W) = (Tr X, Tr_Y(W - A X A^dag)) from them.  Equalities:
+    # W + (1_m / m) (x) Delta and X / Tr X never lower the value.
     return SdpProblem.from_maps(
-        var, con, psi, {0: [(0, n, None, 1), (1, m, a, -1)],
-                        1: [(1, m, None, 1)]},
+        var, con, {0: [(0, n, None, 1), (1, m, a, -1)], 1: [(1, m, None, 1)]},
         obj, rhs, equality=(0, 1))
 
 

@@ -98,19 +98,36 @@ def build_channel_diff_sdp(phi, j):
         raise InvalidInputError(
             "channel-diff SDP requires a trace-annihilating Choi matrix")
     eye_m = np.eye(m)
-
-    def psi(blocks):
-        rho, w = blocks
-        return [np.array([[np.trace(rho)]]), w - kron(eye_m, rho)]
-
     # Psi^*(lam, Z) = (lam 1_n - Tr_Y Z, Z), with Tr_Y Z = K^dag (1_m (x) Z) K
-    # for K the stack of |y> (x) 1_n.
+    # for K the stack of |y> (x) 1_n: the adjoint of channel_diff_psi.
     stack = np.vstack([kron(e[:, None], np.eye(n)) for e in eye_m])
     return SdpProblem.from_maps(
-        BlockStructure((n, m * n)), BlockStructure((1, m * n)), psi,
+        BlockStructure((n, m * n)), BlockStructure((1, m * n)),
         {0: [(0, n, None, 1), (1, m, stack, -1)], 1: [(1, 1, None, 1)]},
         [np.zeros((n, n)), j], [np.eye(1), np.zeros((m * n, m * n))],
         equality=(0,))
+
+
+def channel_diff_psi(blocks):
+    """``Psi`` of :func:`build_channel_diff_sdp` written out: ``Psi(rho, W)
+    = (Tr rho, W - 1_m (x) rho)``."""
+    rho, w = blocks
+    return [np.array([[np.trace(rho)]]),
+            w - kron(np.eye(len(w) // len(rho)), rho)]
+
+
+def norm_sdp_psi(pair):
+    """``Psi`` of ``build_general_sdp(pair)`` written out from the paper:
+    ``Psi(X, W) = (Tr X, Tr_Y(W - A X A^dag))``."""
+    a, r = pair.a, pair.dim_env
+    m = a.shape[0] // r
+
+    def psi(blocks):
+        x, w = blocks
+        return [np.array([[np.trace(x)]]),
+                partial_trace(w - a @ x @ a.conj().T, (m, r), side="first")]
+
+    return psi
 
 
 def _psd_part(mat):
@@ -165,7 +182,7 @@ def channel_diff_norm(phi):
                                   sol.primal_infeas, sol.dual_infeas))
 
 
-def probed_rows(var, con, psi, b):
+def probed_rows(psi, var, b):
     """Rows of variable block ``b`` probed from ``psi`` alone: ``Psi`` of
     each basis element ``E_i`` of the block, transposed, ``row_j = sum_i
     <F_j, Psi(E_i)> E_i`` (the dense oracle of ``from_maps``'s terms)."""
@@ -178,29 +195,15 @@ def probed_rows(var, con, psi, b):
     return np.array([unsvec(c, one)[0] for c in np.array(cols).T])
 
 
-def built_with_psi(build, *args):
-    """``build(*args)`` and the ``psi`` it passed to ``from_maps``."""
-    real, seen = SdpProblem.from_maps, []
-
-    def capture(var, con, psi, *a, **kw):
-        seen.append(psi)
-        return real(var, con, psi, *a, **kw)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SdpProblem, "from_maps", staticmethod(capture))
-        return build(*args), seen[0]
-
-
-def dense_oracle(build, *args, equality=True):
-    """``build(*args)`` and its all-dense oracle: the same problem with the
-    rows of every block probed from its ``psi`` (:func:`probed_rows`), none
-    embedded, and with its equality declaration only when ``equality``."""
-    prob, psi = built_with_psi(build, *args)
-    var, con = prob.var_structure, prob.con_structure
-    rows = tuple(probed_rows(var, con, psi, b) for b in range(len(var.blocks)))
-    return prob, SdpProblem(var, con, rows, prob.obj, prob.rhs,
-                            (None,) * len(rows),
-                            prob.equality if equality else ())
+def dense_oracle(psi, prob, equality=True):
+    """The all-dense oracle of ``prob``: the same problem with the rows of
+    every block probed from the written-out ``psi`` (:func:`probed_rows`),
+    none embedded, and with its equality declaration only when
+    ``equality``."""
+    var = prob.var_structure
+    rows = tuple(probed_rows(psi, var, b) for b in range(len(var.blocks)))
+    return SdpProblem(var, prob.con_structure, rows, prob.obj, prob.rhs,
+                      (None,) * len(rows), prob.equality if equality else ())
 
 
 @pytest.fixture

@@ -42,7 +42,9 @@ from conftest import (
     build_channel_diff_sdp,
     channel_diff_data,
     channel_diff_norm,
+    channel_diff_psi,
     dense_oracle,
+    norm_sdp_psi,
     random_channel,
     random_complex,
     random_superop,
@@ -253,7 +255,7 @@ class TestOptionValidation:
                            match=f"{name} must be finite and positive"):
             NormOptions(**{name: value})
 
-    @pytest.mark.parametrize("value", [0, -1, 2.5])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True])
     def test_rejects_max_iter(self, value):
         with pytest.raises(InvalidInputError, match="max_iter"):
             NormOptions(max_iter=value)
@@ -920,14 +922,13 @@ class TestEqualityForm:
         dense rows, reach the same optimum."""
         for _ in range(3):
             if route == "general":
-                prob, oracle = dense_oracle(
-                    build_general_sdp,
-                    to_stinespring(random_superop(rng, 2, 3)), equality=False)
+                pair = to_stinespring(random_superop(rng, 2, 3))
+                prob, psi = build_general_sdp(pair), norm_sdp_psi(pair)
             else:
-                prob, oracle = dense_oracle(
-                    build_channel_diff_sdp, *channel_diff_data(
-                        random_channel(rng, 2, 3), random_channel(rng, 2, 3)),
-                    equality=False)
+                prob = build_channel_diff_sdp(*channel_diff_data(
+                    random_channel(rng, 2, 3), random_channel(rng, 2, 3)))
+                psi = channel_diff_psi
+            oracle = dense_oracle(psi, prob, equality=False)
             assert oracle.equality == () and oracle.rows[1] is not None
             got, want = solve(prob), solve(oracle)
             assert got.status == want.status == "optimal"

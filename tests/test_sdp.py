@@ -28,9 +28,10 @@ from cbnorm.superop import StinespringPair, SuperOp, to_stinespring
 
 from conftest import (
     build_channel_diff_sdp,
-    built_with_psi,
     channel_diff_data,
+    channel_diff_psi,
     dense_oracle,
+    norm_sdp_psi,
     probed_rows,
     random_channel,
     random_complex,
@@ -45,7 +46,6 @@ def identity_problem(n, a=None, b=None, equality=()):
     struct = BlockStructure((n,))
     return SdpProblem.from_maps(
         struct, struct,
-        lambda blocks: [blocks[0]],
         {0: [(0, 1, None, 1)]},
         [np.eye(n) if a is None else a],
         [np.eye(n) if b is None else b],
@@ -59,31 +59,35 @@ def trace_problem(a, equality=()):
     n = a.shape[0]
     return SdpProblem.from_maps(
         BlockStructure((n,)), BlockStructure((1,)),
-        lambda blocks: [np.array([[np.trace(blocks[0])]])],
         {0: [(0, n, None, 1)]},
         [a], [np.eye(1)], equality=equality,
     )
 
 
+def random_blocks(rng, struct):
+    """A random Hermitian matrix per block of ``struct``."""
+    return [random_hermitian(rng, d) for d in struct.blocks]
+
+
 class TestVectorization:
     def test_svec_roundtrip(self, rng):
         struct = BlockStructure((3, 2))
-        h = struct.random_hermitian(rng)
+        h = random_blocks(rng, struct)
         back = unsvec(svec(h), struct)
         for x, y in zip(h, back):
             assert np.max(np.abs(x - y)) < 1e-14
 
     def test_svec_isometric(self, rng):
         struct = BlockStructure((4,))
-        h = struct.random_hermitian(rng)
-        g = struct.random_hermitian(rng)
+        h = random_blocks(rng, struct)
+        g = random_blocks(rng, struct)
         assert svec(h) @ svec(g) == pytest.approx(block_inner(h, g))
 
     def test_svec_against_basis(self, rng):
         """``svec`` reads ``Re <F_j, M>`` over ``hermitian_basis`` of each
         block, and ``unsvec`` sums ``y_j F_j``."""
         struct = BlockStructure((3, 1, 2))
-        h = struct.random_hermitian(rng)
+        h = random_blocks(rng, struct)
         basis = [f for d in struct.blocks for f in hermitian_basis(d)]
         blocks = [m for m in h for _ in range(len(m) ** 2)]
         assert np.allclose(svec(h), [np.vdot(f, m).real for f, m in
@@ -121,31 +125,6 @@ class TestVectorization:
 
 
 class TestFromMaps:
-    def test_rejects_non_hermiticity_preserving(self):
-        struct = BlockStructure((2,))
-        shear = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(InvalidInputError):
-            SdpProblem.from_maps(
-                struct, struct,
-                lambda blocks: [shear @ blocks[0]],
-                {0: [(0, 1, None, 1)]},
-                [np.eye(2)], [np.eye(2)],
-            )
-
-    @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-12])
-    def test_hermiticity_check_is_relative(self, c):
-        """``psi(X) = c M X``, ``M = |0><1|``, breaks Hermiticity at every
-        scale ``c``: the deviation is compared with ``psi``'s own output."""
-        struct = BlockStructure((2,))
-        shear = c * np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(InvalidInputError, match="Hermiticity"):
-            SdpProblem.from_maps(
-                struct, struct,
-                lambda blocks: [shear @ blocks[0]],
-                {0: [(0, 1, None, 1)]},
-                [np.eye(2)], [np.eye(2)],
-            )
-
     @pytest.mark.parametrize("scale", [1e-8, 1e8])
     def test_builders_at_scale(self, rng, scale):
         """The norm's builder and the channel-difference oracle build on
@@ -174,16 +153,6 @@ class TestFromMaps:
         prob = build_channel_diff_sdp(phi, j)
         assert np.allclose(prob.obj[1], j, rtol=0, atol=1e-15)
 
-    def test_rejects_inconsistent_adjoint(self):
-        struct = BlockStructure((2,))
-        with pytest.raises(InvalidInputError):
-            SdpProblem.from_maps(
-                struct, struct,
-                lambda blocks: [blocks[0]],
-                {0: [(0, 1, None, 2.0)]},
-                [np.eye(2)], [np.eye(2)],
-            )
-
     @pytest.mark.parametrize("equality", [(1,), (-1,), (0, 0), ("0",), (0.0,)])
     def test_rejects_bad_equality(self, equality):
         with pytest.raises(InvalidInputError, match="equality"):
@@ -195,8 +164,8 @@ class TestFromMaps:
 
     def test_probe_rows_bitwise(self, rng):
         """Rows formed from terms with two ``K`` per pair of variable and
-        constraint blocks match the rows the dense oracle probes from ``psi``
-        alone, to 1e-15 relative."""
+        constraint blocks match the rows the dense oracle probes from the
+        written-out ``psi``, to 1e-15 relative."""
         var, con = BlockStructure((3, 2)), BlockStructure((2, 3))
         ks = [random_complex(rng, (5, 5)) for _ in range(2)]
 
@@ -209,11 +178,10 @@ class TestFromMaps:
         cols, rows = (slice(0, 3), slice(3, 5)), (slice(0, 2), slice(2, 5))
         terms = {b: [(c, 1, k[rows[c], cols[b]], 1) for c in range(2)
                      for k in ks] for b in range(2)}
-        prob = SdpProblem.from_maps(var, con, psi, terms, var.zeros(),
-                                    con.zeros())
+        prob = SdpProblem.from_maps(var, con, terms, var.zeros(), con.zeros())
         assert prob.embedded == (None, None)
         for b, got in enumerate(prob.rows):
-            assert _rel_err(got, probed_rows(var, con, psi, b)) <= 1e-15
+            assert _rel_err(got, probed_rows(psi, var, b)) <= 1e-15
 
     def test_probe_memory(self):
         """Full-rank d=5 (``r`` = 25): forming the X rows holds one Gram
@@ -237,31 +205,46 @@ class TestFromMaps:
     def test_general_rows_formed_not_probed(self, n, m, terms):
         """``build_general_sdp`` declares ``Psi^*`` by its terms, and the X
         block's rows formed from ``A`` match those the dense oracle probes
-        from ``psi`` alone to 1e-15 relative (n = 1, m = 1, r = 1, and full
-        rank at d = 5); the W block stores none."""
+        from the written-out ``Psi`` to 1e-15 relative (n = 1, m = 1, r = 1,
+        and full rank at d = 5); the W block stores none."""
         pair = to_stinespring(random_superop(
             np.random.default_rng(n * m + terms), n, m, terms=terms))
         assert pair.dim_env == min(terms, n * m)
-        prob, psi = built_with_psi(build_general_sdp, pair)
+        prob = build_general_sdp(pair)
         assert prob.embedded == (None, (1, m)) and prob.rows[1] is None
-        want = probed_rows(prob.var_structure, prob.con_structure, psi, 0)
+        want = probed_rows(norm_sdp_psi(pair), prob.var_structure, 0)
         assert prob.rows[0].shape == want.shape
         assert _rel_err(prob.rows[0], want) <= 1e-15
 
+    @pytest.mark.parametrize("n,m,terms", [(1, 3, 2), (3, 1, 2), (2, 3, 2),
+                                           (5, 5, 25)])
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_norm_sdp_psi_written_out(self, n, m, terms, scale):
+        """``build_general_sdp(pair).apply_psi``, read from the rows formed
+        from the terms alone, matches the norm SDP's ``Psi`` written out,
+        ``(Tr X, Tr_Y(W - A X A^dag))``, to 1e-12 relative, with the pair
+        scaled by 1e-8, 1 and 1e8."""
+        rng = np.random.default_rng(n * m + terms)
+        pair = to_stinespring(random_superop(rng, n, m, terms=terms))
+        assert pair.dim_env == min(terms, n * m)
+        pair = StinespringPair(scale * pair.a, scale * pair.b, pair.dim_env)
+        prob = build_general_sdp(pair)
+        x = random_blocks(rng, prob.var_structure)
+        for got, want in zip(prob.apply_psi(x), norm_sdp_psi(pair)(x)):
+            assert _rel_err(got, want) <= 1e-12
+
     def test_declared_terms_checked(self):
-        """A term must name a constraint block and fit its variable block,
-        and the terms go through the adjoint check against ``psi``: a
-        flipped sign fails it, on an embedded block and on one with formed
-        rows."""
+        """A term must name a constraint block and fit its variable block;
+        any real finite coefficient declares a map."""
         k = np.array([[1.0, 2.0j]])
-        args = (BlockStructure((2,)), BlockStructure((1,)),
-                lambda blocks: [np.array([[np.trace(blocks[0])]])])
+        args = (BlockStructure((2,)), BlockStructure((1,)))
         data = ([np.eye(2)], [np.eye(1)])
         assert SdpProblem.from_maps(
             *args, {0: [(0, 2, None, 1)]}, *data).embedded == ((0, 2),)
-        with_k = (*args[:2], lambda blocks: [k @ blocks[0] @ k.conj().T])
-        assert SdpProblem.from_maps(
-            *with_k, {0: [(0, 1, k, 1)]}, *data).embedded == (None,)
+        for s in (-1, np.float64(0.5), np.int64(2)):
+            for term in ((0, 2, None, s), (0, 1, k, s)):
+                assert SdpProblem.from_maps(
+                    *args, {0: [term]}, *data).embedded == (None,)
         for terms in ({0: [(0, 3, None, 1)]}, {0: [(0, 1, k.T, 1)]},
                       {0: [(0, 2, np.eye(2), 1), (0, 1, None, 1)]}):
             with pytest.raises(InvalidInputError, match="shape"):
@@ -269,14 +252,55 @@ class TestFromMaps:
         for c in (1, -1, 0.0, None):
             with pytest.raises(InvalidInputError, match="constraint block"):
                 SdpProblem.from_maps(*args, {0: [(c, 2, None, 1)]}, *data)
-        with pytest.raises(InvalidInputError, match="adjoint"):
-            SdpProblem.from_maps(*args, {0: [(0, 2, None, -1)]}, *data)
-        with pytest.raises(InvalidInputError, match="adjoint"):
-            SdpProblem.from_maps(*with_k, {0: [(0, 1, k, -1)]}, *data)
+
+    @pytest.mark.parametrize("s", [1 + 1e-3j, np.nan, True])
+    def test_rejects_bad_coefficient(self, s):
+        """``s`` must be a real finite number and not a bool: a complex or
+        NaN ``s`` stores non-Hermitian rows, on an embedded-shaped block and
+        on one with a ``K``."""
+        k = np.array([[1.0, 2.0j]])
+        args = (BlockStructure((2,)), BlockStructure((1,)))
+        data = ([np.eye(2)], [np.eye(1)])
+        for term in ((0, 2, None, s), (0, 1, k, s)):
+            with pytest.raises(InvalidInputError, match="coefficient"):
+                SdpProblem.from_maps(*args, {0: [term]}, *data)
+
+    def test_rejects_non_finite_operator(self):
+        args = (BlockStructure((2,)), BlockStructure((1,)))
+        k = np.array([[1.0, np.nan]])
+        with pytest.raises(InvalidInputError, match="operator"):
+            SdpProblem.from_maps(*args, {0: [(0, 1, k, 1)]}, [np.eye(2)],
+                                 [np.eye(1)])
+
+    def test_term_rejects_bool_block(self):
+        """``True == 1`` names the second of two constraint blocks, but a
+        bool is no block index."""
+        args = (BlockStructure((2,)), BlockStructure((1, 1)))
+        data = ([np.eye(2)], [np.eye(1), np.eye(1)])
+        assert SdpProblem.from_maps(
+            *args, {0: [(1, 2, None, 1)]}, *data).embedded == ((1, 2),)
+        with pytest.raises(InvalidInputError, match="constraint block"):
+            SdpProblem.from_maps(*args, {0: [(True, 2, None, 1)]}, *data)
+
+    @pytest.mark.parametrize("k", [2.0, True])
+    def test_rejects_bad_multiplicity(self, k):
+        """``k`` must be an integer, though ``k d_c`` matches the block here:
+        a float or a bool ``k`` would fail the solve."""
+        var, con = BlockStructure((2,)), BlockStructure((int(2 // k),))
+        with pytest.raises(InvalidInputError, match="multiplicity"):
+            SdpProblem.from_maps(var, con, {0: [(0, k, None, 1)]},
+                                 [np.eye(2)], con.zeros())
+
+    def test_equality_rejects_bool(self):
+        args = (BlockStructure((2,)), BlockStructure((1, 1)),
+                {0: [(1, 2, None, 1)]}, [np.eye(2)], [np.eye(1), np.eye(1)])
+        assert SdpProblem.from_maps(*args, equality=(1,)).equality == (1,)
+        with pytest.raises(InvalidInputError, match="equality"):
+            SdpProblem.from_maps(*args, equality=(True,))
 
     def test_apply_psi_matches_callable(self, rng):
         prob = trace_problem(np.diag([1.0, 2.0, 3.0]))
-        h = prob.var_structure.random_hermitian(rng)
+        h = random_blocks(rng, prob.var_structure)
         out = prob.apply_psi(h)
         assert out[0][0, 0] == pytest.approx(np.trace(h[0]).real)
 
@@ -600,18 +624,22 @@ class TestCheckFeasibility:
 
 def _w_block_problems():
     """(problem, oracle, k) whose W block (index 1) is declared embedded."""
+    def case(prob, psi, k):
+        return prob, dense_oracle(psi, prob), k
+
     rng = np.random.default_rng(7)
     # Channel-difference SDP (the tests' oracle): W enters as F_j itself,
     # k = 1.
-    chan = dense_oracle(build_channel_diff_sdp, *channel_diff_data(
+    chan = build_channel_diff_sdp(*channel_diff_data(
         random_channel(rng, 2, 3), random_channel(rng, 2, 3)))
     # General route with n != m: W enters as 1_m (x) F_j, k = m = 3.
-    general = dense_oracle(build_general_sdp,
-                           to_stinespring(random_superop(rng, 2, 3)))
+    general = to_stinespring(random_superop(rng, 2, 3))
     # n = 1 (the fidelity instance of the general route), k = m = 2.
     u, v = random_complex(rng, (6, 1)), random_complex(rng, (6, 1))
-    trivial_in = dense_oracle(build_general_sdp, StinespringPair(u, v, 3))
-    return [(*chan, 1), (*general, 3), (*trivial_in, 2)]
+    trivial_in = StinespringPair(u, v, 3)
+    return [case(chan, channel_diff_psi, 1),
+            case(build_general_sdp(general), norm_sdp_psi(general), 3),
+            case(build_general_sdp(trivial_in), norm_sdp_psi(trivial_in), 2)]
 
 
 def _close(a, b):
@@ -659,19 +687,19 @@ class TestEmbeddedBlocks:
 
     @pytest.mark.parametrize("case", range(3))
     def test_stored_rows_bitwise(self, case):
-        """The oracle probes the rows from ``psi``; ``from_maps`` forms them
-        from the declared terms, by another formula, exact in exact
-        arithmetic."""
+        """The oracle probes the rows from the written-out ``psi``;
+        ``from_maps`` forms them from the declared terms, by another formula,
+        exact in exact arithmetic."""
         prob, oracle, _ = _w_block_problems()[case]
         assert _rel_err(prob.rows[0], oracle.rows[0]) <= 1e-15
 
     @pytest.mark.parametrize("case", range(3))
     def test_apply_psi_and_feasibility(self, case, rng):
         prob, oracle, _ = _w_block_problems()[case]
-        x = prob.var_structure.random_hermitian(rng)
+        x = random_blocks(rng, prob.var_structure)
         for got, want in zip(prob.apply_psi(x), oracle.apply_psi(x)):
             assert _close(got, want)
-        y = prob.con_structure.random_hermitian(rng)
+        y = random_blocks(rng, prob.con_structure)
         for point, side in ((x, "primal"), (y, "dual")):
             got = check_feasibility(prob, point, side)
             want = check_feasibility(oracle, point, side)
@@ -691,16 +719,12 @@ class TestEmbeddedBlocks:
 
     def test_bad_declaration_rejected(self):
         n = 2
-        args = (BlockStructure((n,)), BlockStructure((1,)),
-                lambda blocks: [np.array([[2 * np.trace(blocks[0])]])])
+        args = (BlockStructure((n,)), BlockStructure((1,)))
         data = ([np.eye(n)], [np.eye(1)])
         assert SdpProblem.from_maps(
             *args, {0: [(0, n, None, 2)]}, *data).embedded == (None,)
         with pytest.raises(InvalidInputError, match="shape"):
             SdpProblem.from_maps(*args, {0: [(0, 3, None, 1)]}, *data)
-        # Psi^*(y) is 2 y 1, not the embedded 1_2 (x) y.
-        with pytest.raises(InvalidInputError, match="adjoint"):
-            SdpProblem.from_maps(*args, {0: [(0, n, None, 1)]}, *data)
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (3, 5), (5, 5)])
