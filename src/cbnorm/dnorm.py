@@ -9,13 +9,13 @@ the optimum of
 with dual  minimize lambda  s.t.  lambda 1 >= A^dag(1 (x) Z)A,
 1 (x) Z >= B B^dag.
 
-The paper states every constraint with ``<=``.  Those written with ``=``
-here are tight at some optimum, so the optimum is the same: ``B B^dag >= 0``
-lets ``W + (1_m / m) (x) Delta`` close a gap ``Delta`` in the marginal
-without lowering the objective, and scaling by ``1 / Tr X`` does not lower
-it either.  Held as equalities, they need no slack block in the solver, and
-their duals need no sign constraint: the dual constraints already force
-``Z >= 0`` and ``lambda >= 0``.
+The paper states every constraint with ``<=``.  Both are tight at some
+optimum, so they are written with ``=``, the one form :mod:`cbnorm.sdp`
+solves, and the optimum is the same: ``B B^dag >= 0`` lets ``W + (1_m / m)
+(x) Delta`` close a gap ``Delta`` in the marginal without lowering the
+objective, and scaling by ``1 / Tr X`` does not lower it either.  So the
+SDP needs no slack block, and its dual no sign constraint: the dual
+constraints already force ``Z >= 0`` and ``lambda >= 0``.
 
 The certificate is that of Watrous's simpler SDP (Chicago J. Theor.
 Comput. Sci. 2013), which states the norm by the Choi matrix ``J`` on ``Y
@@ -123,25 +123,19 @@ class NormResult:
 
 
 @dataclass(frozen=True)
-class NormOptions:
+class NormOptions(SolveOptions):
+    """The solver's options, which the ascent also reads, and ``method``."""
+
     method: str = "auto"  # auto | general: the same route
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
-    max_iter: int = 200
-    verbose: bool = False
 
     def __post_init__(self):
         if self.method not in ("auto", "general"):
             raise InvalidInputError(f"unknown method {self.method!r}")
-        self.solve_options()  # checks the tolerances and max_iter
-
-    def solve_options(self) -> SolveOptions:
-        return SolveOptions(gap_tol=self.gap_tol, feas_tol=self.feas_tol,
-                            max_iter=self.max_iter, verbose=self.verbose)
+        super().__post_init__()
 
 
 def build_general_sdp(pair: StinespringPair) -> SdpProblem:
-    """Triple-form problem whose primal optimum is the squared norm."""
+    """The SDP (module doc) whose primal optimum is the squared norm."""
     a, b, r = pair.a, pair.b, pair.dim_env
     if a.shape != b.shape or a.shape[0] % r != 0:
         raise InvalidInputError("inconsistent Stinespring pair dimensions")
@@ -153,11 +147,11 @@ def build_general_sdp(pair: StinespringPair) -> SdpProblem:
     rhs = [np.eye(1), np.zeros((r, r))]
     # Psi^*(lam, Z) = (lam 1_n - A^dag (1_m (x) Z) A, 1_m (x) Z), the one
     # declaration of the map: sdp forms X's rows from A and embeds W, and
-    # reads Psi(X, W) = (Tr X, Tr_Y(W - A X A^dag)) from them.  Equalities:
-    # W + (1_m / m) (x) Delta and X / Tr X never lower the value.
+    # reads Psi(X, W) = (Tr X, Tr_Y(W - A X A^dag)) from them.  Both held
+    # with =: W + (1_m / m) (x) Delta and X / Tr X never lower the value.
     return SdpProblem.from_maps(
         var, con, {0: [(0, n, None, 1), (1, m, a, -1)], 1: [(1, m, None, 1)]},
-        obj, rhs, equality=(0, 1))
+        obj, rhs)
 
 
 def _normalized_state(x, n):
@@ -414,7 +408,7 @@ def _solve_route(pair: StinespringPair, opt: NormOptions, j=None,
     if found is None:
         # build_general_sdp is looked up at call time, so wrappers installed
         # on the module see it.
-        sol = solve(build_general_sdp(scaled), opt.solve_options())
+        sol = solve(build_general_sdp(scaled), opt)
         if not all(np.isfinite(x).all() for x in (*sol.X_opt, *sol.Y_opt)):
             raise NumericalFailureError("interior-point solve failed")
         u, v, polish = _polish(scaled, sol)

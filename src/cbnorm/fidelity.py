@@ -16,6 +16,7 @@ from .linalg import (
     _sqrt_psd,
     herm_eig,
     hermitian_part,
+    is_index,
     kron,
     min_eigenvalue,
     partial_trace,
@@ -88,6 +89,9 @@ def fidelity_sdp(p, q, purification_dim: int | None = None) -> FidelityResult:
     ph, qh = _check_psd_pair(p, q)
     d = ph.shape[0]
     dim_y = purification_dim if purification_dim is not None else d
+    if not is_index(dim_y, low=1):
+        raise InvalidInputError(
+            f"purification_dim must be an integer >= 1, got {dim_y!r}")
 
     def support(vals):  # condition number and rank above rounding level
         kept = vals[vals > d * EPS * max(vals[0], 0.0)]

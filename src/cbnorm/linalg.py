@@ -18,6 +18,18 @@ HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-9
 
 
+def is_index(c, n=np.inf, low=0) -> bool:
+    """Whether ``c`` is an integer in ``[low, n)``; a bool is not one."""
+    return (isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+            and low <= c < n)
+
+
+def is_real(s) -> bool:
+    """Whether ``s`` is a real number, NaN and inf included; not a bool."""
+    return (isinstance(s, (int, float, np.integer, np.floating))
+            and not isinstance(s, bool))
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-d complex array, rejecting non-finite entries."""
     a = np.asarray(m, dtype=complex)

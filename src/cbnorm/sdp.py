@@ -1,17 +1,17 @@
-"""Semidefinite programs in the triple form
+"""Semidefinite programs in the form
 
     maximize    <A, X>
-    subject to  Psi(X) <= B,   X >= 0
+    subject to  Psi(X) = B,   X >= 0
 
 over block-diagonal Hermitian variables, together with a primal-dual
 interior-point solver (Nesterov-Todd scaling, Mehrotra predictor-corrector).
+The dual variable ``Y`` lives on the constraint-image structure, carries no
+sign constraint, and satisfies ``Psi^*(Y) >= A`` at optimality.
 
-A problem may declare some constraint blocks as equalities,
-``Psi(X)_c = B_c``.  Every other constraint block is handled internally by
-a PSD slack block ``S_c`` with ``Psi(X)_c + S_c = B_c``.  The dual variable
-``Y`` lives on the constraint-image structure and satisfies
-``Psi^*(Y) >= A`` at optimality, with ``Y_c >= 0`` on the inequality blocks
-only; an equality block's ``Y_c`` has no sign constraint.
+A constraint ``Psi(X)_c <= B_c`` is declared by the caller as a slack block:
+a variable block ``S_c`` with zero objective whose one term is ``(c, 1,
+None, 1)`` (:meth:`SdpProblem.from_maps`), so ``Psi(X)_c + S_c = B_c``, and
+the dual constraint on ``S_c`` is ``Y_c >= 0``.
 
 The solve stops when the relative gap ``|p - d| / max(1, |p|, |d|)`` and
 both relative infeasibilities are below their tolerances (other stops:
@@ -27,7 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import max_eigenvalue, min_eigenvalue, spectral_norm
+from .linalg import (is_index, is_real, max_eigenvalue, min_eigenvalue,
+                     spectral_norm)
 
 GAP_TOL = 1e-8
 FEAS_TOL = 1e-8
@@ -48,8 +49,8 @@ class BlockStructure:
     blocks: tuple
 
     def __post_init__(self):
-        if not self.blocks or any(d < 1 for d in self.blocks):
-            raise InvalidInputError("block dimensions must be >= 1")
+        if not self.blocks or not all(is_index(d, low=1) for d in self.blocks):
+            raise InvalidInputError("block dimensions must be integers >= 1")
 
     @property
     def dof(self) -> int:
@@ -79,12 +80,6 @@ def hermitian_basis(d: int):
     """Orthonormal Hermitian basis of dimension ``d*d`` in svec order."""
     index = _svec_index(d)
     return [_embedded_a_adj(e, 1, index) for e in np.eye(d * d)]
-
-
-def _is_index(c, n=np.inf) -> bool:
-    """Whether ``c`` is an integer in ``[0, n)``; a bool is not one."""
-    return (isinstance(c, (int, np.integer)) and not isinstance(c, bool)
-            and 0 <= c < n)
 
 
 def block_inner(a, b) -> float:
@@ -137,7 +132,7 @@ def _term_rows(kt, index):
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Triple-form problem given by its constraint rows.
+    """Problem ``max <A, X> s.t. Psi(X) = B, X >= 0`` given by its rows.
 
     Row ``j`` over all variable blocks is ``Psi^*(F_j)`` for the ``j``-th
     orthonormal Hermitian basis element ``F_j`` of the constraint image, so
@@ -146,10 +141,9 @@ class SdpProblem:
     constraint block ``c`` and zero rows elsewhere; such a block stores no
     rows (``rows[b]`` is ``None``).  Every other block has ``embedded[b]``
     ``None`` and stores ``rows[b]`` of shape ``(con_dof, d_b, d_b)``.
-    ``equality`` lists the constraint blocks held with ``=``; the others are
-    held with ``<=``.  :meth:`from_maps` builds one from the terms of
-    ``Psi^*`` alone: ``Psi`` is read from the rows and embedded blocks
-    (:meth:`apply_psi`), never declared apart from them.
+    :meth:`from_maps` builds one from the terms of ``Psi^*`` alone: ``Psi``
+    is read from the rows and embedded blocks (:meth:`apply_psi`), never
+    declared apart from them.
     """
 
     var_structure: BlockStructure
@@ -158,11 +152,9 @@ class SdpProblem:
     obj: tuple = field(repr=False)
     rhs: tuple = field(repr=False)
     embedded: tuple
-    equality: tuple = ()
 
     @staticmethod
-    def from_maps(var_structure, con_structure, terms: dict, obj, rhs,
-                  equality=()):
+    def from_maps(var_structure, con_structure, terms: dict, obj, rhs):
         """Build a problem from the terms of ``Psi^*``, its one declaration.
 
         ``terms[b]`` lists the terms ``(c, k, K, s)`` of variable block
@@ -176,10 +168,9 @@ class SdpProblem:
         are formed here, term by term: ``s K^dag (1_k (x) F_j) K`` is ``s
         (c_j T_ab + h.c.)`` for ``F_j = c_j E(a, b) + h.c.`` and ``T_ab =
         sum_y K_y[a, :]^dag K_y[b, :]`` over the ``d_c``-row blocks ``K_y``
-        of ``K``.  ``equality`` names the constraint blocks held with ``=``
-        rather than ``<=``: :func:`solve` gives them no slack block and their
-        duals no sign constraint.  Declare a block so only when some optimum
-        makes it tight, as then the optimum is unchanged.
+        of ``K``.  Every constraint block is held with ``=``; to hold block
+        ``c`` with ``<=``, declare a slack block of dimension ``d_c``, zero
+        objective and the one term ``(c, 1, None, 1)``.
         """
         obj = tuple(np.asarray(m, dtype=complex) for m in obj)
         rhs = tuple(np.asarray(m, dtype=complex) for m in rhs)
@@ -191,17 +182,16 @@ class SdpProblem:
         terms = [terms.get(b, ()) for b in range(len(obj))]
         for ts, d in zip(terms, var_structure.blocks):
             for c, k, kk, s in ts:
-                if not _is_index(c, n_con):
+                if not is_index(c, n_con):
                     raise InvalidInputError(
                         f"term names no constraint block: {c!r}")
-                if not _is_index(k):
+                if not is_index(k):
                     raise InvalidInputError(
                         f"term multiplicity must be an integer >= 0: {k!r}")
                 if ((d, d) if kk is None else np.shape(kk)) != \
                         (k * con_structure.blocks[c], d):
                     raise InvalidInputError("term shape mismatch")
-                if not (isinstance(s, (int, float, np.integer, np.floating))
-                        and not isinstance(s, bool) and np.isfinite(s)):
+                if not (is_real(s) and np.isfinite(s)):
                     raise InvalidInputError(
                         f"term coefficient must be real and finite: {s!r}")
                 if kk is not None and not np.isfinite(kk).all():
@@ -209,11 +199,6 @@ class SdpProblem:
         embedded = tuple((ts[0][0], ts[0][1]) if len(ts) == 1 and
                          ts[0][2] is None and ts[0][3] == 1 else None
                          for ts in terms)
-        equality = tuple(equality)
-        if len(set(equality)) != len(equality) or not all(
-                _is_index(c, n_con) for c in equality):
-            raise InvalidInputError(
-                "equality must name distinct constraint blocks")
 
         m_con = con_structure.dof
         con_slots = _placements(con_structure, [(c, 1) for c in range(n_con)])
@@ -227,7 +212,7 @@ class SdpProblem:
                 row[sl] += s * _term_rows(kt, index)
 
         return SdpProblem(var_structure, con_structure, tuple(rows), obj,
-                          rhs, embedded, tuple(int(c) for c in equality))
+                          rhs, embedded)
 
     def apply_psi(self, x):
         """Evaluate ``Psi(X)`` through the stored rows and declared blocks."""
@@ -236,7 +221,7 @@ class SdpProblem:
         return unsvec(_rows_apply(self.rows, placements, x, con.dof), con)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
     """Stopping rule and logging (to standard error) of :func:`solve`.
 
@@ -246,8 +231,8 @@ class SolveOptions:
     at most ``feas_tol``, all measured on the data scaled to
     ``|A| = |B| = 1``.  The gap test is relative for large objectives and
     absolute near a zero optimum, where a relative test could never pass.
-    Both tolerances must be finite and positive, ``max_iter`` an integer
-    of at least 1.
+    Both tolerances must be finite positive real numbers (not bools),
+    ``max_iter`` an integer of at least 1.  Frozen, so checked once.
     """
 
     gap_tol: float = GAP_TOL
@@ -257,10 +242,11 @@ class SolveOptions:
 
     def __post_init__(self):
         for name in ("gap_tol", "feas_tol"):
-            if not (np.isfinite(value := getattr(self, name)) and value > 0):
+            value = getattr(self, name)
+            if not (is_real(value) and np.isfinite(value) and value > 0):
                 raise InvalidInputError(
-                    f"{name} must be finite and positive, got {value}")
-        if not _is_index(self.max_iter) or self.max_iter < 1:
+                    f"{name} must be finite and positive, got {value!r}")
+        if not is_index(self.max_iter, low=1):
             raise InvalidInputError(
                 f"max_iter must be an integer >= 1, got {self.max_iter}")
 
@@ -402,16 +388,11 @@ def _embedded_schur(w, k, index):
 def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSolution:
     """Infeasible-start primal-dual interior-point solve.
 
-    The Newton system is formed per variable block.  A block embedded as
-    ``1_k (x) F_j`` over the basis of one constraint block (every slack
-    block, and each block the problem declares so, like the ``W`` block of
-    the norm SDP) contributes its Schur block, ``A`` and ``A^*`` by
-    Kronecker identities and partial traces; any other block through its
-    stored rows.
-
-    Only the inequality blocks of the constraint get a slack block; the
-    equality blocks (``problem.equality``) are met by ``Psi(X)`` itself, so
-    their duals carry no sign constraint.
+    The Newton system is formed per variable block of the problem, and no
+    other.  A block embedded as ``1_k (x) F_j`` over the basis of one
+    constraint block (a declared slack block, or the ``W`` block of the norm
+    SDP) contributes its Schur block, ``A`` and ``A^*`` by Kronecker
+    identities and partial traces; any other block through its stored rows.
 
     Directions are taken in the Nesterov-Todd scaled space, ``X = R diag(v)
     R^dag`` and ``Z = R^-dag diag(v) R^-1``, where ``dXh = R^-1 dX R^-dag``
@@ -429,23 +410,16 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     iterate sequence.
     """
     opt = options or SolveOptions()
-    var = problem.var_structure
+    dims = problem.var_structure.blocks
     con = problem.con_structure
-    nb_var = len(var.blocks)
-    slack = [c for c in range(len(con.blocks)) if c not in problem.equality]
-    dims = list(var.blocks) + [con.blocks[c] for c in slack]
     nb = len(dims)
     m_con = con.dof
     nu = float(sum(dims))
 
-    # Standard form: variable blocks = (X blocks, slack blocks of the
-    # inequality constraint blocks), <row_hat_j, Xtilde> = b_j, objective
-    # C = (obj, 0).  embedded[bdx] is (svec slice, k, index) for an embedded
-    # block and None for one with stored rows; a slack block is the basis of
-    # its constraint block, k = 1.
-    embedded = _placements(con, problem.embedded + tuple(
-        (c, 1) for c in slack))
-    rows = list(problem.rows) + [None] * len(slack)
+    # embedded[bdx] is (svec slice, k, index) for an embedded block and None
+    # for one with stored rows.
+    embedded = _placements(con, problem.embedded)
+    rows = problem.rows
     rows_conj = {bdx: r.reshape(m_con, -1).conj()
                  for bdx, r in enumerate(rows) if r is not None}
 
@@ -454,9 +428,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     # invisible to callers but keeps badly scaled instances on the path.
     c_scale = max(spectral_norm(m) for m in problem.obj) or 1.0
     b_scale = max(spectral_norm(m) for m in problem.rhs) or 1.0
-    c_blocks = [m.astype(complex) / c_scale for m in problem.obj] + [
-        np.zeros((d, d), dtype=complex) for d in dims[nb_var:]
-    ]
+    c_blocks = [m.astype(complex) / c_scale for m in problem.obj]
     b = svec(problem.rhs) / b_scale
     c_norm = np.sqrt(sum(np.linalg.norm(cb) ** 2 for cb in c_blocks))
 
@@ -565,14 +537,12 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             status = "numerical_failure"
             break
 
-    x_var = [b_scale * m for m in x[:nb_var]]
-    y_blocks = unsvec(c_scale * y, con)
     pobj *= c_scale * b_scale
     dobj *= c_scale * b_scale
     return SdpSolution(
         status=status,
-        X_opt=x_var,
-        Y_opt=y_blocks,
+        X_opt=[b_scale * m for m in x],
+        Y_opt=unsvec(c_scale * y, con),
         primal_value=pobj,
         dual_value=dobj,
         gap=abs(pobj - dobj),
@@ -592,27 +562,18 @@ def check_feasibility(problem: SdpProblem, point, side: str) -> FeasibilityRepor
     """Spectral violation of the linear constraint and most negative
     eigenvalue of a candidate primal or dual point.
 
-    On the primal side an equality block counts its deviation from ``B_c``
-    in both directions.  On the dual side the eigenvalue is taken over the
-    inequality blocks only (``inf`` when there are none), since an equality
-    block's dual has no sign constraint.
+    The primal side takes ``|Psi(X) - B|`` per constraint block and the
+    eigenvalues of ``X``; the dual side ``A - Psi^*(Y)`` per variable block,
+    with ``min_eigenvalue`` ``inf``, as ``Y`` has no sign constraint (a
+    declared slack block's dual constraint is ``Y_c >= 0``).
     """
     if side == "primal":
-        img = problem.apply_psi(point)
-        viol = max(
-            spectral_norm(ib - rb) if c in problem.equality
-            else max_eigenvalue(ib - rb)
-            for c, (ib, rb) in enumerate(zip(img, problem.rhs))
-        )
-        min_eig = min(min_eigenvalue(m) for m in point)
-        return FeasibilityReport(max(0.0, viol), min_eig)
+        viol = max(spectral_norm(ib - rb)
+                   for ib, rb in zip(problem.apply_psi(point), problem.rhs))
+        return FeasibilityReport(viol, min(min_eigenvalue(m) for m in point))
     if side == "dual":
         adj = _rows_adj(problem.rows, _placements(
             problem.con_structure, problem.embedded), svec(point))
-        viol = max(
-            max_eigenvalue(ob - ab) for ob, ab in zip(problem.obj, adj)
-        )
-        min_eig = min((min_eigenvalue(m) for c, m in enumerate(point)
-                       if c not in problem.equality), default=np.inf)
-        return FeasibilityReport(max(0.0, viol), min_eig)
+        viol = max(max_eigenvalue(ob - ab) for ob, ab in zip(problem.obj, adj))
+        return FeasibilityReport(max(0.0, viol), np.inf)
     raise InvalidInputError(f"side must be 'primal' or 'dual', got {side!r}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInputError
-from .linalg import as_matrix, kron, partial_trace
+from .linalg import as_matrix, is_index, kron, partial_trace
 
 RANK_TOL = 1e-9
 EPS = np.finfo(float).eps
@@ -65,6 +65,11 @@ class SuperOp:
     dim_out: int
     rep: Rep = field(repr=False)
 
+    def __post_init__(self):
+        if not (is_index(self.dim_in, low=1) and is_index(self.dim_out, low=1)):
+            raise InvalidInputError("dimensions must be integers >= 1, got "
+                                    f"{self.dim_in!r}, {self.dim_out!r}")
+
     @staticmethod
     def from_choi(j, dim_in: int, dim_out: int) -> "SuperOp":
         jm = as_matrix(j)
@@ -94,10 +99,9 @@ class SuperOp:
         am, bm = as_matrix(a), as_matrix(b)
         if am.shape != bm.shape:
             raise InvalidInputError("Stinespring pair shapes differ")
-        if dim_env < 1 or am.shape[0] % dim_env != 0:
-            raise InvalidInputError(
-                f"rows {am.shape[0]} not divisible by dim_env {dim_env}"
-            )
+        if not is_index(dim_env, low=1) or am.shape[0] % dim_env != 0:
+            raise InvalidInputError("dim_env must be an integer >= 1 dividing "
+                                    f"the {am.shape[0]} rows, got {dim_env!r}")
         return SuperOp(
             am.shape[1], am.shape[0] // dim_env, StinespringPair(am, bm, dim_env)
         )

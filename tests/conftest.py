@@ -81,16 +81,17 @@ def channel_diff_data(phi0, phi1):
 #
 # whose optimum is half the norm, with dual  minimize |Tr_Y(Z)|_inf
 # s.t. Z >= J(phi).  ``Tr rho = 1`` is held as an equality: (rho, W) / Tr rho
-# never lowers the value.
+# never lowers the value.  ``W <= 1 (x) rho`` keeps the paper's form, by a
+# declared slack block ``S``: ``W - 1 (x) rho + S = 0``.
 
 
 def build_channel_diff_sdp(phi, j):
-    """Triple-form problem whose primal optimum is half the norm of the
-    channel difference ``phi``; ``j`` is its Choi matrix.  The SDP holds for
-    a map whose ``J`` is Hermitian and trace-annihilating, ``Tr_Y J = 0``,
-    as that of a difference of channels is, so ``j`` must be both (to
-    ``2 TP_TOL max(1, |j|_2)``: the rounding of ``Tr_Y J`` is that of the two
-    channels' Choi matrices, of order one at scale one)."""
+    """The SDP above over ``(rho, W, S)``, whose primal optimum is half the
+    norm of the channel difference ``phi``; ``j`` is its Choi matrix.  The
+    SDP holds for a map whose ``J`` is Hermitian and trace-annihilating,
+    ``Tr_Y J = 0``, as that of a difference of channels is, so ``j`` must be
+    both (to ``2 TP_TOL max(1, |j|_2)``: the rounding of ``Tr_Y J`` is that
+    of the two channels' Choi matrices, of order one at scale one)."""
     n, m = phi.dim_in, phi.dim_out
     j = hermitian_part(j)
     if spectral_norm(partial_trace(j, (m, n), side="first")) > \
@@ -98,22 +99,23 @@ def build_channel_diff_sdp(phi, j):
         raise InvalidInputError(
             "channel-diff SDP requires a trace-annihilating Choi matrix")
     eye_m = np.eye(m)
-    # Psi^*(lam, Z) = (lam 1_n - Tr_Y Z, Z), with Tr_Y Z = K^dag (1_m (x) Z) K
-    # for K the stack of |y> (x) 1_n: the adjoint of channel_diff_psi.
+    # Psi^*(lam, Z) = (lam 1_n - Tr_Y Z, Z, Z), with Tr_Y Z = K^dag (1_m (x)
+    # Z) K for K the stack of |y> (x) 1_n: the adjoint of channel_diff_psi.
     stack = np.vstack([kron(e[:, None], np.eye(n)) for e in eye_m])
+    zero = np.zeros((m * n, m * n))
     return SdpProblem.from_maps(
-        BlockStructure((n, m * n)), BlockStructure((1, m * n)),
-        {0: [(0, n, None, 1), (1, m, stack, -1)], 1: [(1, 1, None, 1)]},
-        [np.zeros((n, n)), j], [np.eye(1), np.zeros((m * n, m * n))],
-        equality=(0,))
+        BlockStructure((n, m * n, m * n)), BlockStructure((1, m * n)),
+        {0: [(0, n, None, 1), (1, m, stack, -1)], 1: [(1, 1, None, 1)],
+         2: [(1, 1, None, 1)]},
+        [np.zeros((n, n)), j, zero], [np.eye(1), zero])
 
 
 def channel_diff_psi(blocks):
-    """``Psi`` of :func:`build_channel_diff_sdp` written out: ``Psi(rho, W)
-    = (Tr rho, W - 1_m (x) rho)``."""
-    rho, w = blocks
+    """``Psi`` of :func:`build_channel_diff_sdp` written out: ``Psi(rho, W,
+    S) = (Tr rho, W - 1_m (x) rho + S)``."""
+    rho, w, s = blocks
     return [np.array([[np.trace(rho)]]),
-            w - kron(np.eye(len(w) // len(rho)), rho)]
+            w - kron(np.eye(len(w) // len(rho)), rho) + s]
 
 
 def norm_sdp_psi(pair):
@@ -195,15 +197,30 @@ def probed_rows(psi, var, b):
     return np.array([unsvec(c, one)[0] for c in np.array(cols).T])
 
 
-def dense_oracle(psi, prob, equality=True):
+def dense_oracle(psi, prob):
     """The all-dense oracle of ``prob``: the same problem with the rows of
     every block probed from the written-out ``psi`` (:func:`probed_rows`),
-    none embedded, and with its equality declaration only when
-    ``equality``."""
+    none embedded."""
     var = prob.var_structure
     rows = tuple(probed_rows(psi, var, b) for b in range(len(var.blocks)))
     return SdpProblem(var, prob.con_structure, rows, prob.obj, prob.rhs,
-                      (None,) * len(rows), prob.equality if equality else ())
+                      (None,) * len(rows))
+
+
+def with_slacks(prob, blocks=None):
+    """``prob`` with the constraints ``Psi(X)_c = B_c`` of ``blocks`` (by
+    default all) relaxed to the paper's ``Psi(X)_c <= B_c``: a slack block
+    ``S_c`` per constraint block, appended in order, with zero objective and
+    the one term ``(c, 1, None, 1)``, so embedded as ``from_maps`` embeds
+    it."""
+    con = prob.con_structure
+    blocks = range(len(con.blocks)) if blocks is None else blocks
+    dims = tuple(con.blocks[c] for c in blocks)
+    return SdpProblem(
+        BlockStructure(prob.var_structure.blocks + dims), con,
+        prob.rows + (None,) * len(dims),
+        prob.obj + tuple(np.zeros((d, d), dtype=complex) for d in dims),
+        prob.rhs, prob.embedded + tuple((c, 1) for c in blocks))
 
 
 @pytest.fixture

@@ -49,6 +49,7 @@ from conftest import (
     random_complex,
     random_superop,
     random_unitary,
+    with_slacks,
 )
 
 
@@ -249,7 +250,7 @@ class TestDiamondNorm:
 
 class TestOptionValidation:
     @pytest.mark.parametrize("name", ["gap_tol", "feas_tol"])
-    @pytest.mark.parametrize("value", [np.inf, 0.0, -1e-8, np.nan])
+    @pytest.mark.parametrize("value", [np.inf, 0.0, -1e-8, np.nan, True])
     def test_rejects_tolerance(self, name, value):
         with pytest.raises(InvalidInputError,
                            match=f"{name} must be finite and positive"):
@@ -910,26 +911,38 @@ class TestEqualityForm:
     blocks carry no slack."""
 
     def test_declarations(self, rng):
+        """The general SDP has its ``X`` and ``W`` blocks alone; the oracle
+        keeps the paper's ``W <= 1 (x) rho`` by its declared slack block,
+        embedded on constraint block 1 with zero objective, and holds ``Tr
+        rho = 1`` without one."""
         pair = to_stinespring(random_superop(rng, 2, 3))
-        assert build_general_sdp(pair).equality == (0, 1)
+        prob = build_general_sdp(pair)
+        assert prob.var_structure.blocks == (2, 3 * pair.dim_env)
+        assert prob.embedded == (None, (1, 3))
         chan = build_channel_diff_sdp(*channel_diff_data(
             random_channel(rng, 2, 2), random_channel(rng, 2, 2)))
-        assert chan.equality == (0,)
+        assert chan.var_structure.blocks == (2, 4, 4)
+        assert chan.embedded == (None, (1, 1), (1, 1))
+        assert not chan.obj[2].any()
 
     @pytest.mark.parametrize("route", ["general", "channel-diff"])
     def test_matches_undeclared_build(self, route, rng):
-        """The same maps with neither declaration, all inequalities and all
+        """The same maps in the paper's form, every constraint block held
+        with ``<=`` by a declared slack block, and every other block with
         dense rows, reach the same optimum."""
         for _ in range(3):
             if route == "general":
                 pair = to_stinespring(random_superop(rng, 2, 3))
                 prob, psi = build_general_sdp(pair), norm_sdp_psi(pair)
+                held = (0, 1)
             else:
                 prob = build_channel_diff_sdp(*channel_diff_data(
                     random_channel(rng, 2, 3), random_channel(rng, 2, 3)))
-                psi = channel_diff_psi
-            oracle = dense_oracle(psi, prob, equality=False)
-            assert oracle.equality == () and oracle.rows[1] is not None
+                psi, held = channel_diff_psi, (0,)
+            oracle = with_slacks(dense_oracle(psi, prob), held)
+            assert oracle.rows[1] is not None
+            assert oracle.embedded[len(prob.embedded):] == tuple(
+                (c, 1) for c in held)
             got, want = solve(prob), solve(oracle)
             assert got.status == want.status == "optimal"
             for a, b in ((got.primal_value, want.primal_value),

@@ -137,6 +137,15 @@ class TestFidelitySdp:
         with pytest.raises(InvalidInputError):
             fidelity_sdp(p, p, purification_dim=1)
 
+    @pytest.mark.parametrize("dim", [2.0, True, np.float64(2)],
+                             ids=["2.0", "True", "float64"])
+    def test_rejects_non_integer_purification_dim(self, dim):
+        """Refused up front, not by a ``TypeError`` in the purification (a
+        pure ``P`` passes the rank test at any ``dim >= 1``)."""
+        with pytest.raises(InvalidInputError, match="purification_dim"):
+            fidelity_sdp(np.diag([1.0, 0.0]), np.eye(2) / 2,
+                         purification_dim=dim)
+
     @pytest.mark.parametrize("swapped", [False, True])
     def test_makes_no_solve(self, monkeypatch, swapped):
         """``q`` is the better-conditioned operator, so the pair is swapped

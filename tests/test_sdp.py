@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -38,30 +38,29 @@ from conftest import (
     random_hermitian,
     random_psd,
     random_superop,
+    with_slacks,
 )
 
 
-def identity_problem(n, a=None, b=None, equality=()):
-    """maximize <A, X> s.t. X <= B, X >= 0 (X = B with ``equality=(0,)``)."""
+def identity_problem(n, a=None, b=None, slack=True):
+    """maximize <A, X> s.t. X <= B, X >= 0, as X + S = B with the declared
+    slack block S; X = B without it."""
     struct = BlockStructure((n,))
-    return SdpProblem.from_maps(
-        struct, struct,
-        {0: [(0, 1, None, 1)]},
-        [np.eye(n) if a is None else a],
-        [np.eye(n) if b is None else b],
-        equality=equality,
-    )
+    prob = SdpProblem.from_maps(
+        struct, struct, {0: [(0, 1, None, 1)]},
+        [np.eye(n) if a is None else a], [np.eye(n) if b is None else b])
+    return with_slacks(prob) if slack else prob
 
 
-def trace_problem(a, equality=()):
-    """maximize <A, X> s.t. Tr X <= 1, X >= 0 (top eigenvalue of A);
-    Tr X = 1 with ``equality=(0,)``."""
+def trace_problem(a, slack=True):
+    """maximize <A, X> s.t. Tr X <= 1, X >= 0 (the top eigenvalue of A, or
+    0), as Tr X + s = 1 with the declared 1x1 slack block s; Tr X = 1 (the
+    top eigenvalue) without it."""
     n = a.shape[0]
-    return SdpProblem.from_maps(
-        BlockStructure((n,)), BlockStructure((1,)),
-        {0: [(0, n, None, 1)]},
-        [a], [np.eye(1)], equality=equality,
-    )
+    prob = SdpProblem.from_maps(
+        BlockStructure((n,)), BlockStructure((1,)), {0: [(0, n, None, 1)]},
+        [a], [np.eye(1)])
+    return with_slacks(prob) if slack else prob
 
 
 def random_blocks(rng, struct):
@@ -122,6 +121,15 @@ class TestVectorization:
         with pytest.raises(InvalidInputError):
             BlockStructure((2, 0))
         assert BlockStructure((2, 3)).dof == 13
+        assert BlockStructure((np.int64(2),)).dof == 4
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, True, np.float64(2)],
+                             ids=["2.0", "2.5", "True", "float64"])
+    def test_block_structure_rejects_non_integer(self, d):
+        """A float or bool dimension is refused when the structure is made,
+        not by a ``TypeError`` in ``zeros`` or ``solve``."""
+        with pytest.raises(InvalidInputError, match="integers >= 1"):
+            BlockStructure((3, d))
 
 
 class TestFromMaps:
@@ -152,15 +160,6 @@ class TestFromMaps:
         assert spectral_norm(j) < 1e-8
         prob = build_channel_diff_sdp(phi, j)
         assert np.allclose(prob.obj[1], j, rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("equality", [(1,), (-1,), (0, 0), ("0",), (0.0,)])
-    def test_rejects_bad_equality(self, equality):
-        with pytest.raises(InvalidInputError, match="equality"):
-            trace_problem(np.eye(2), equality=equality)
-
-    def test_equality_stored(self):
-        assert trace_problem(np.eye(2)).equality == ()
-        assert trace_problem(np.eye(2), equality=[np.int64(0)]).equality == (0,)
 
     def test_probe_rows_bitwise(self, rng):
         """Rows formed from terms with two ``K`` per pair of variable and
@@ -291,18 +290,28 @@ class TestFromMaps:
             SdpProblem.from_maps(var, con, {0: [(0, k, None, 1)]},
                                  [np.eye(2)], con.zeros())
 
-    def test_equality_rejects_bool(self):
-        args = (BlockStructure((2,)), BlockStructure((1, 1)),
-                {0: [(1, 2, None, 1)]}, [np.eye(2)], [np.eye(1), np.eye(1)])
-        assert SdpProblem.from_maps(*args, equality=(1,)).equality == (1,)
-        with pytest.raises(InvalidInputError, match="equality"):
-            SdpProblem.from_maps(*args, equality=(True,))
+    def test_slack_declared_by_its_term(self):
+        """A slack block declared to ``from_maps`` by its one term ``(c, 1,
+        None, 1)`` is the block ``with_slacks`` appends, and solves to the
+        same bits."""
+        a = np.diag([1.0, 2.0])
+        declared = SdpProblem.from_maps(
+            BlockStructure((2, 1)), BlockStructure((1,)),
+            {0: [(0, 2, None, 1)], 1: [(0, 1, None, 1)]},
+            [a, np.zeros((1, 1))], [np.eye(1)])
+        appended = trace_problem(a)
+        assert declared.embedded == appended.embedded == ((0, 2), (0, 1))
+        assert declared.rows == appended.rows == (None, None)
+        got, want = solve(declared), solve(appended)
+        assert got.iterations == want.iterations
+        for x, y in zip((*got.X_opt, *got.Y_opt), (*want.X_opt, *want.Y_opt)):
+            assert np.array_equal(x, y)
 
     def test_apply_psi_matches_callable(self, rng):
         prob = trace_problem(np.diag([1.0, 2.0, 3.0]))
         h = random_blocks(rng, prob.var_structure)
         out = prob.apply_psi(h)
-        assert out[0][0, 0] == pytest.approx(np.trace(h[0]).real)
+        assert out[0][0, 0] == pytest.approx((np.trace(h[0]) + h[1][0, 0]).real)
 
 
 class TestSolve:
@@ -346,26 +355,27 @@ class TestSolve:
         assert all(np.array_equal(x, y) for x, y in zip(s1.Y_opt, s2.Y_opt))
 
     @pytest.mark.parametrize("build", [
-        lambda a, eq: trace_problem(a, equality=eq),
+        lambda a, slack: trace_problem(a, slack=slack),
         # A >= 0 makes X = B optimal, so X <= B is tight.
-        lambda a, eq: identity_problem(3, a=a @ a, b=np.diag([1.0, 2.0, 3.0]),
-                                       equality=eq),
+        lambda a, slack: identity_problem(3, a=a @ a, b=np.diag([1.0, 2.0, 3.0]),
+                                          slack=slack),
     ])
     def test_tight_constraint_as_equality(self, build, rng):
         """A constraint every optimum makes tight has the same optimum when
-        it is declared an equality, and the solve needs no slack block."""
+        it is written with ``=``, without its slack block."""
         for _ in range(3):
             a = random_hermitian(rng, 3) + 2.0 * np.eye(3)
-            ineq, eq = solve(build(a, ())), solve(build(a, (0,)))
+            ineq, eq = solve(build(a, True)), solve(build(a, False))
             assert ineq.status == eq.status == "optimal"
             assert eq.primal_value == pytest.approx(ineq.primal_value, rel=1e-7)
             assert eq.dual_value == pytest.approx(ineq.dual_value, rel=1e-7)
 
     def test_equality_dual_unsigned(self):
         """Tr X = 1 with A <= 0: the optimal dual is the negative top
-        eigenvalue of A, which the inequality form would clip at 0."""
+        eigenvalue of A, which the slack block's dual constraint ``y >= 0``
+        of the ``<=`` form would clip at 0."""
         a = -np.diag([1.0, 2.0])
-        eq = solve(trace_problem(a, equality=(0,)))
+        eq = solve(trace_problem(a, slack=False))
         assert eq.status == "optimal"
         assert eq.primal_value == pytest.approx(-1.0, abs=1e-7)
         assert eq.Y_opt[0][0, 0].real == pytest.approx(-1.0, abs=1e-7)
@@ -480,12 +490,13 @@ def _predictor_records():
     """``(block, X, Z, R, v, dZh)`` at each predictor of the first four
     iterations of a general-route problem held with ``<=``: its ``X`` block
     has stored rows (block 0), its ``W`` block is embedded (block 1), and
-    the slack blocks of its two constraint blocks follow (blocks 2, 3)."""
-    prob = replace(build_general_sdp(to_stinespring(random_superop(
-        np.random.default_rng(5), 2, 3, terms=2))), equality=())
-    assert prob.equality == () and prob.embedded[0] is None \
-        and prob.embedded[1] is not None
-    nb = len(prob.var_structure.blocks) + len(prob.con_structure.blocks)
+    the declared slack blocks of its two constraint blocks follow (blocks 2,
+    3)."""
+    prob = with_slacks(build_general_sdp(to_stinespring(random_superop(
+        np.random.default_rng(5), 2, 3, terms=2))))
+    assert prob.embedded[0] is None and prob.embedded[1] is not None \
+        and prob.embedded[2:] == ((0, 1), (1, 1))
+    nb = len(prob.var_structure.blocks)
     scalings, records = [], []
 
     def scaling(x, z):
@@ -550,7 +561,7 @@ class TestScaledSpace:
 
 class TestSolveOptions:
     @pytest.mark.parametrize("name", ["gap_tol", "feas_tol"])
-    @pytest.mark.parametrize("value", [np.nan, 0.0, -1.0, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -1.0, np.inf, True, "1e-8"])
     def test_rejects_tolerance(self, name, value):
         with pytest.raises(InvalidInputError,
                            match=f"{name} must be finite and positive"):
@@ -562,17 +573,26 @@ class TestSolveOptions:
                            match="max_iter must be an integer >= 1"):
             SolveOptions(max_iter=value)
 
+    @pytest.mark.parametrize("name, value", [("max_iter", -3),
+                                             ("gap_tol", 0.0)])
+    def test_fixed_after_construction(self, name, value):
+        """Options are checked once, when made, so they cannot change."""
+        with pytest.raises(FrozenInstanceError):
+            setattr(SolveOptions(), name, value)
+
 
 class TestCheckFeasibility:
     def test_zero_point_feasible(self):
+        """X = 0 with its slack S = B = 1."""
         prob = identity_problem(2)
-        rep = check_feasibility(prob, [np.zeros((2, 2))], "primal")
+        rep = check_feasibility(prob, [np.zeros((2, 2)), np.eye(2)], "primal")
         assert rep.max_violation == 0.0
         assert rep.min_eigenvalue == pytest.approx(0.0, abs=1e-14)
 
     def test_violation_one(self):
         prob = identity_problem(2)
-        rep = check_feasibility(prob, [2.0 * np.eye(2)], "primal")
+        rep = check_feasibility(prob, [2.0 * np.eye(2), np.zeros((2, 2))],
+                                "primal")
         assert rep.max_violation == pytest.approx(1.0, abs=1e-12)
 
     def test_solver_output_feasible(self, rng):
@@ -587,35 +607,45 @@ class TestCheckFeasibility:
         assert drep.min_eigenvalue >= -1e-8
 
     def test_dual_side(self):
+        """``Psi^*(Y) >= A`` on every variable block, the slack block's
+        ``y >= 0`` included; ``Y`` itself has no sign constraint."""
         prob = trace_problem(np.diag([1.0, 2.0]))
         # y = 3 on the 1x1 constraint block dominates A = diag(1, 2).
         rep = check_feasibility(prob, [np.array([[3.0]])], "dual")
         assert rep.max_violation == 0.0
-        assert rep.min_eigenvalue == pytest.approx(3.0)
+        assert rep.min_eigenvalue == np.inf
+        # y = 1.5 falls short of A's top eigenvalue 2 by 1/2.
+        rep = check_feasibility(prob, [np.array([[1.5]])], "dual")
+        assert rep.max_violation == pytest.approx(0.5, abs=1e-12)
 
     def test_equality_block_both_directions(self):
-        """Tr X = 1/2 meets Tr X <= 1 but violates Tr X = 1 by 1/2."""
-        x = [np.diag([0.25, 0.25])]
-        ineq = check_feasibility(trace_problem(np.eye(2)), x, "primal")
-        eq = check_feasibility(trace_problem(np.eye(2), equality=(0,)), x,
-                               "primal")
-        assert ineq.max_violation == 0.0
-        assert eq.max_violation == pytest.approx(0.5, abs=1e-12)
-        # Above B the two forms agree.
-        over = [np.eye(2)]
-        for prob in (trace_problem(np.eye(2)),
-                     trace_problem(np.eye(2), equality=(0,))):
-            assert check_feasibility(prob, over, "primal").max_violation == \
-                pytest.approx(1.0, abs=1e-12)
+        """``|Psi(X) - B|`` counts a deviation either way.  Tr X = 1/2
+        violates Tr X = 1 by 1/2; the ``<=`` form meets it with the slack s =
+        1/2, and misses it by 1/2 with s = 0.  Above B, Tr X = 2, the ``=``
+        form is violated by 1, and the ``<=`` form is met only by s = -1,
+        which ``min_eigenvalue`` reports."""
+        x, half = np.diag([0.25, 0.25]), np.array([[0.5]])
+        ineq, eq = trace_problem(np.eye(2)), trace_problem(np.eye(2),
+                                                           slack=False)
+        assert check_feasibility(ineq, [x, half], "primal").max_violation == 0.0
+        for prob, point in ((ineq, [x, 0 * half]), (eq, [x])):
+            assert check_feasibility(prob, point, "primal").max_violation == \
+                pytest.approx(0.5, abs=1e-12)
+        rep = check_feasibility(ineq, [np.eye(2), -2 * half], "primal")
+        assert rep.max_violation == 0.0
+        assert rep.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
+        assert check_feasibility(eq, [np.eye(2)], "primal").max_violation == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_equality_dual_sign_free(self):
-        """y = -1 dominates A = -2 1; only the inequality form needs y >= 0."""
+        """y = -1 dominates A = -2 1; only the ``<=`` form needs y >= 0, by
+        its slack block's dual constraint."""
         a, y = -2.0 * np.eye(2), [np.array([[-1.0]])]
         ineq = check_feasibility(trace_problem(a), y, "dual")
-        eq = check_feasibility(trace_problem(a, equality=(0,)), y, "dual")
-        assert ineq.max_violation == eq.max_violation == 0.0
-        assert ineq.min_eigenvalue == pytest.approx(-1.0)
-        assert eq.min_eigenvalue == np.inf
+        eq = check_feasibility(trace_problem(a, slack=False), y, "dual")
+        assert ineq.max_violation == pytest.approx(1.0, abs=1e-12)
+        assert eq.max_violation == 0.0
+        assert ineq.min_eigenvalue == eq.min_eigenvalue == np.inf
 
     def test_bad_side(self):
         with pytest.raises(InvalidInputError):
@@ -656,8 +686,8 @@ class TestEmbeddedBlocks:
     @pytest.mark.parametrize("case", range(3))
     def test_matches_dense_rows(self, case, rng):
         prob, oracle, k = _w_block_problems()[case]
-        assert prob.embedded == (None, (1, k)) and prob.rows[1] is None
-        assert oracle.embedded == (None, None)
+        assert prob.embedded[:2] == (None, (1, k)) and prob.rows[1] is None
+        assert oracle.embedded == (None,) * len(prob.embedded)
         rows = oracle.rows[1]
         m_con, d = rows.shape[0], rows.shape[1]
         sl, k_found, index = _placements(prob.con_structure, prob.embedded)[1]

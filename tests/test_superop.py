@@ -134,6 +134,30 @@ class TestStinespring:
                 ) < 1e-10
 
 
+class TestIntegerDimensions:
+    """Each constructor refuses a dimension that is not an integer >= 1 when
+    the map is made, instead of carrying it into a later failure."""
+
+    @pytest.mark.parametrize("n, m", [(2.0, 2), (2, np.float64(2)), (True, 1),
+                                      (1, True), (0, 3)])
+    def test_from_choi(self, n, m):
+        with pytest.raises(InvalidInputError, match="integers >= 1"):
+            SuperOp.from_choi(np.eye(int(n * m)), n, m)
+
+    @pytest.mark.parametrize("dim_env", [2.0, True, np.float64(2)],
+                             ids=["2.0", "True", "float64"])
+    def test_from_stinespring(self, dim_env, rng):
+        a = random_complex(rng, (4, 2))
+        with pytest.raises(InvalidInputError, match="dim_env"):
+            SuperOp.from_stinespring(a, a, dim_env)
+
+    def test_numpy_integers_accepted(self, rng):
+        phi = SuperOp.from_choi(np.eye(4), np.int64(2), np.int64(2))
+        assert (phi.dim_in, phi.dim_out) == (2, 2)
+        a = random_complex(rng, (4, 2))
+        assert SuperOp.from_stinespring(a, a, np.int64(2)).dim_out == 2
+
+
 class TestAdjoint:
     def test_identity(self, rng):
         x = random_complex(rng, (2, 2))
