@@ -52,6 +52,13 @@ Alberti's bound lags the states to first order; there one least-norm Newton
 step toward ``A^dag (1 (x) Z) A = c0 1``, ``B^dag (1 (x) Z^-1) B = c1 1``
 corrects ``Z`` to second order, and the smaller bound is kept.  The step
 runs where its linearized system is underdetermined, ``r^2 + 2 >= 2 n^2``.
+At full Choi rank, ``r = mn`` with ``n > 1``, the sweep map is smooth
+(``t s^dag`` is nonsingular at full-rank states): each sweep output gets the
+phase that makes ``<u_in, u>`` positive and is mixed with the last five by
+type-II Anderson mixing (Walker and Ni, SIAM J. Numer. Anal. 49, 2011), then
+renormalized; a sweep that falls more than rounding (1e-13 relative) below
+the best value is replaced by the best pair, and the next runs plainly from
+it.  Every other map, and the polish, sweeps plainly.
 The ascent leaves the map to the interior-point solve (``Psi^*`` declared
 once, by its terms in ``A``) when ``P`` is singular or the width
 contracts too slowly; it takes the solve's ``Z`` and polishes its states by
@@ -75,6 +82,7 @@ from . import superop
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import (
     herm_eig,
+    is_real,
     kron,
     max_eigenvalue,
     min_eigenvalue,
@@ -344,6 +352,21 @@ def _newton_dual(at, bt, gram_a, z, z_inv, g):
     return None
 
 
+def _anderson(hist, x, g):
+    """The next input after the sweep ``g`` of ``x`` (pairs ``(u, v)``):
+    ``g`` mixed with the last five sweeps in ``hist`` (``(g, g - x)`` as
+    real vectors, appended to in place), ``u`` and ``v`` renormalized."""
+    gv, xv = (np.concatenate([y.ravel() for y in p]).view(float)
+              for p in (g, x))
+    hist.append((gv, gv - xv))
+    del hist[:-6]
+    if len(hist) > 1:
+        dg, df = (np.diff(np.array(c), axis=0).T for c in zip(*hist))
+        gv = gv - dg @ np.linalg.lstsq(df, hist[-1][1], rcond=None)[0]
+    return tuple((y / np.linalg.norm(y)).reshape(g[0].shape)
+                 for y in np.split(gv.view(complex), 2))
+
+
 def _ascent_general(pair, opt):
     """``(u, v, Z)`` of the ascent (module docstring) from maximally mixed
     states; ``None`` (the solve takes over) outside the rule, for a singular
@@ -360,9 +383,22 @@ def _ascent_general(pair, opt):
         (ASCENT_SWEEPS, opt.gap_tol / 100)
     # The Newton step needs its linearized system underdetermined.
     gram_a = _gram(at) if n > 1 and r * r + 2 >= 2 * n * n else None
-    best, widths = (np.inf, None), []
+    # Anderson mixing at full Choi rank (module docstring); top is the best
+    # (value, u, v) so far, start the next sweep's input.
+    accelerate, hist, top = n > 1 and r == m * n, [], (-np.inf,)
+    best, widths, start = (np.inf, None), [], (u, v)
     for sweep in range(1, budget + 1):
-        u, v, lower = _ascent_sweep(at, bt, h, u, v)
+        u, v, lower = _ascent_sweep(at, bt, h, *start)
+        if not accelerate:
+            start = u, v
+        elif lower < top[0] * (1 - 1e-13):  # the extrapolation fell: restart
+            (lower, u, v), hist = top, []
+            start = u, v
+        else:
+            phase = np.vdot(u, start[0])
+            u, v = (y * (phase / abs(phase) if phase else 1) for y in (u, v))
+            top = max(top, (lower, u, v), key=lambda t: t[0])
+            start = _anderson(hist, start, (u, v))
         if sweep % 5 and sweep < budget:
             continue
         # Marginals Tr_Y(A rho0 A^dag) = Tr_{Y,W}(t t^dag), t = (A (x) 1) u.
@@ -473,8 +509,9 @@ def verify_certificate(phi: SuperOp, cert, tol: float = 1e-6) -> CertificateChec
     absolute for the states, and relative to ``|J|_2``, which a certificate
     cannot inflate, for the block matrix's smallest eigenvalue.
     """
-    if not (np.isfinite(tol) and tol >= 0):
-        raise InvalidInputError(f"tol must be finite and non-negative, got {tol}")
+    if not (is_real(tol) and np.isfinite(tol) and tol >= 0):
+        raise InvalidInputError(
+            f"tol must be finite and non-negative, got {tol!r}")
     if not isinstance(cert, Certificate):
         raise InvalidInputError(
             f"unknown certificate type {type(cert).__name__}")
@@ -510,8 +547,8 @@ def rebalance_stinespring(pair: StinespringPair, eps: float,
     >= B B^dag`` and regularized to be positive definite, and returns
     ``((1 (x) Z^{1/2}) A, (1 (x) Z^{-1/2}) B)``.
     """
-    if not (np.isfinite(eps) and eps > 0):
-        raise InvalidInputError(f"eps must be finite and positive, got {eps}")
+    if not (is_real(eps) and np.isfinite(eps) and eps > 0):
+        raise InvalidInputError(f"eps must be finite and positive, got {eps!r}")
     a, b, r = pair.a, pair.b, pair.dim_env
     a_norm = spectral_norm(a)
     if a_norm == 0.0 or spectral_norm(b) == 0.0:

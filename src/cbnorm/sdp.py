@@ -161,7 +161,8 @@ class SdpProblem:
         ``b``: ``Psi^*(Y)_b = sum s K^dag (1_k (x) Y_c) K``, with ``s`` a
         real finite number and ``K`` a finite array of shape ``(k d_c,
         d_b)``, or ``None`` for the identity (then ``d_b = k d_c``); a block
-        without terms has zero rows.  So ``Psi^*`` preserves Hermiticity,
+        without terms has zero rows, and a key that is no block index is an
+        error.  So ``Psi^*`` preserves Hermiticity,
         and ``Psi`` (:meth:`apply_psi`) is its adjoint by construction.  A
         block whose only term is ``(c, k, None, 1)`` is embedded
         (``SdpProblem``) and stores no rows.  The rows of every other block
@@ -179,6 +180,9 @@ class SdpProblem:
             if [m.shape for m in blocks] != [(d, d) for d in struct.blocks]:
                 raise InvalidInputError(f"{name} does not match its structure")
         n_con = len(con_structure.blocks)
+        stray = [b for b in terms if not is_index(b, len(obj))]
+        if stray:
+            raise InvalidInputError(f"terms name no variable block: {stray!r}")
         terms = [terms.get(b, ()) for b in range(len(obj))]
         for ts, d in zip(terms, var_structure.blocks):
             for c, k, kk, s in ts:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -270,6 +271,20 @@ class TestFromMaps:
         with pytest.raises(InvalidInputError, match="operator"):
             SdpProblem.from_maps(*args, {0: [(0, 1, k, 1)]}, [np.eye(2)],
                                  [np.eye(1)])
+
+    @pytest.mark.parametrize("stray", [2, -1, "x", True, 1.0])
+    def test_rejects_stray_block(self, stray):
+        """A key of ``terms`` that names no variable block is an error naming
+        it, not dropped; ``True`` and ``1.0``, equal to the index 1 as keys,
+        are no indices."""
+        args = (BlockStructure((2, 2)), BlockStructure((1,)))
+        data = ([np.eye(2), np.eye(2)], [np.eye(1)])
+        assert SdpProblem.from_maps(*args, {0: [(0, 2, None, 1)], 1: []},
+                                    *data).embedded == ((0, 2), None)
+        terms = {0: [(0, 2, None, 1)], stray: [(0, 2, None, 5)], "y": []}
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"terms name no variable block: [{stray!r}, 'y']")):
+            SdpProblem.from_maps(*args, terms, *data)
 
     def test_term_rejects_bool_block(self):
         """``True == 1`` names the second of two constraint blocks, but a
